@@ -149,27 +149,6 @@ def result_key(
     )
 
 
-def cell_key(
-    workload: str,
-    config_name: str,
-    scale: int | None = None,
-    seed: int = 1,
-) -> str:
-    """The store key of one *named*-config cell (the cluster routing key).
-
-    Resolves ``config_name`` through the harness config table and keys
-    exactly like :func:`result_key`, so the cluster gateway's hash ring
-    places a cell on the node whose artifact store already holds its
-    result.  Raises :class:`KeyError` for unknown names.
-    """
-    from repro.harness.experiment import CONFIGS
-
-    config = CONFIGS.get(config_name)
-    if config is None:
-        raise KeyError(f"unknown config {config_name!r}")
-    return result_key(workload, config, scale, seed)
-
-
 # ------------------------------------------------------------------- tasks
 
 
@@ -322,22 +301,16 @@ def resolve_worker_store(store_root: str | None) -> ArtifactStore | None:
     return store
 
 
-def run_cell(
-    task: MatrixTask, store_root: str | None = None
+def _worker(
+    payload: tuple[MatrixTask, str | None]
 ) -> tuple[ExperimentResult, TaskTelemetry, dict]:
-    """Worker-side entrypoint: resolve the store, then compute one cell.
+    """Pool-side task body: resolve the store, then compute one cell.
 
-    This is the single task body shared by the matrix runner's pool
-    workers and the :mod:`repro.service` worker pool — both ship a
-    picklable ``(task, store_root)`` pair across the process boundary
-    and get back ``(result, telemetry, metrics snapshot)``.
+    The payload is a picklable ``(task, store_root)`` pair; the result
+    is ``(result, telemetry, metrics snapshot)``.
     """
-    return compute_cell(task, resolve_worker_store(store_root))
-
-
-def _worker(payload: tuple[MatrixTask, str | None]):
     task, store_root = payload
-    return run_cell(task, store_root)
+    return compute_cell(task, resolve_worker_store(store_root))
 
 
 #: Exception types that mean "the pool itself is unusable" — the only

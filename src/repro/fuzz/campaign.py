@@ -323,21 +323,6 @@ class ConfigFuzzTaskError(TaskError):
         )
 
 
-@dataclass(frozen=True)
-class ConfigPairTask:
-    """One (program, config) pair addressed purely by its seeds.
-
-    The service/cluster submit path ships these as
-    ``CellSpec(kind="config_fuzz", payload={...})`` cells — the worker
-    regenerates the pair from ``(campaign_seed, index)`` via the same
-    derivations a local run uses, so a routed campaign's per-pair
-    summaries (and hence its digest) match the local run byte for byte.
-    """
-
-    campaign_seed: int
-    index: int
-
-
 def config_pair_summary(
     campaign_seed: int,
     index: int,
@@ -347,11 +332,11 @@ def config_pair_summary(
 ) -> dict:
     """Generate, differential-test, and summarize one (program, config) pair.
 
-    The single source of truth for a pair's summary dict: local chunk
-    workers and service pool workers both call this, which is what keeps
-    the campaign digest independent of *where* pairs ran.  Divergent
-    pairs carry their ``genome``/``config`` JSON (popped before
-    hashing) so the caller can rebuild the replayable case.
+    The single source of truth for a pair's summary dict: every chunk
+    worker calls this, which is what keeps the campaign digest
+    independent of how pairs were chunked.  Divergent pairs carry their
+    ``genome``/``config`` JSON (popped before hashing) so the caller can
+    rebuild the replayable case.
     """
     generator = generator if generator is not None else GeneratorConfig()
     oracle = oracle if oracle is not None else ConfigOracleConfig()
@@ -397,28 +382,9 @@ def run_config_campaign(
     config: ConfigCampaignConfig,
     metrics: MetricsRegistry | None = None,
     progress=None,
-    client=None,
 ) -> ConfigCampaignResult:
     """Run a config-axis campaign; same reproducibility contract as
-    :func:`run_campaign` — the digest depends only on (seed, count).
-
-    With ``client`` (a :class:`repro.service.client.Client` pointed at
-    a ``serve`` or ``cluster serve`` address) the pairs run remotely:
-    each batch ships as ``kind="config_fuzz"`` cells, the service's
-    warm pool regenerates every pair from its seeds, and the returned
-    summaries fold through the *same* merge loop — so the digest is
-    identical to a local run whatever the fleet looked like.  Remote
-    runs only support the default generator/oracle (the wire carries
-    seeds, not tuned knob objects).
-    """
-    if client is not None and (
-        config.generator != GeneratorConfig()
-        or config.oracle != ConfigOracleConfig()
-    ):
-        raise ValueError(
-            "service-routed config campaigns support only the default "
-            "generator/oracle settings (the wire ships seeds, not knobs)"
-        )
+    :func:`run_campaign` — the digest depends only on (seed, count)."""
     result = ConfigCampaignResult(seed=config.seed, jobs=config.jobs)
     start = time.perf_counter()
     summary_hash = hashlib.sha256()
@@ -451,7 +417,7 @@ def run_config_campaign(
                 )
             )
 
-    def run_batch_local(count: int) -> None:
+    def run_batch(count: int) -> None:
         nonlocal next_index
         chunks = _chunks(next_index, count, config.chunk_size)
         next_index += count
@@ -479,37 +445,6 @@ def run_config_campaign(
                 metrics.merge(snapshot)
             for summary in summaries:
                 fold(summary)
-
-    def run_batch_service(count: int) -> None:
-        nonlocal next_index
-        from repro.service.protocol import CellSpec
-
-        indices = list(range(next_index, next_index + count))
-        next_index += count
-        cells = [
-            CellSpec(
-                workload=f"configfuzz-{config.seed}",
-                config=f"pair-{index}",
-                kind="config_fuzz",
-                payload={"campaign_seed": config.seed, "index": index},
-            )
-            for index in indices
-        ]
-        outcome = client.submit(cells, priority="batch")
-        if outcome.state != "done":
-            raise ConfigFuzzTaskError(
-                indices[0],
-                RuntimeError(
-                    outcome.error
-                    or f"service finished the batch as {outcome.state}"
-                ),
-            )
-        # Entries are index-ordered (submission order == pair order), so
-        # folding them in sequence hashes identically to a local run.
-        for summary in outcome.entries:
-            fold(dict(summary))
-
-    run_batch = run_batch_local if client is None else run_batch_service
 
     if config.duration is not None:
         batch = max(config.chunk_size * max(1, config.jobs), 1)

@@ -95,11 +95,6 @@ def fuzz_main(argv: list[str]) -> int:
         "--jobs", type=int, default=1, help="worker processes (1 = serial)"
     )
     config_run_p.add_argument(
-        "--service", default=None, metavar="HOST:PORT",
-        help="route pairs through a running serve/cluster gateway instead "
-        "of local workers (--jobs is ignored; digest is unchanged)",
-    )
-    config_run_p.add_argument(
         "--no-shrink",
         action="store_true",
         help="store divergent pairs unminimized",
@@ -230,26 +225,7 @@ def _config_run(args, store: ArtifactStore) -> int:
         target = f"/{total}" if total else ""
         print(f"[fuzz.config] {done}{target} pairs", file=sys.stderr)
 
-    client = None
-    if args.service:
-        from repro.cluster.nodes import parse_address
-        from repro.service.client import Client, ServiceError
-
-        try:
-            host, port = parse_address(args.service)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        client = Client(host=host, port=port)
-        try:
-            client.health()
-        except ServiceError as exc:
-            print(f"error: service at {args.service}: {exc}", file=sys.stderr)
-            return 2
-
-    result = run_config_campaign(
-        config, metrics=registry, progress=progress, client=client
-    )
+    result = run_config_campaign(config, metrics=registry, progress=progress)
     print(
         f"config campaign seed={result.seed}: {result.pairs} pairs, "
         f"{result.simulations} simulations, {result.frames_fired} frames "

@@ -14,17 +14,11 @@ Usage::
     python -m repro.harness cache gc --max-mb 256
     python -m repro.harness cache gc --max-mb 256 --dry-run
     python -m repro.harness cache clear
-    python -m repro.harness serve --port 9417 --workers 4   # batch service
-    python -m repro.harness submit fig6 --port 9417         # job -> service
-    python -m repro.harness cluster spawn --runners 2       # sharded fleet
-    python -m repro.harness cluster serve --nodes 127.0.0.1:9417,127.0.0.1:9418
-    python -m repro.harness submit --workloads 'gzip,loopy-*' --configs IC,TC
     python -m repro.harness scenarios gen --families loopy,branchy
     python -m repro.harness scenarios run --workloads 'redund-*' --jobs 4
     python -m repro.harness scenarios import trace.rutb
     python -m repro.harness scenarios characterize loopy-s1-003
     python -m repro.harness tune sweep --space smoke --jobs 4
-    python -m repro.harness tune sweep --service 127.0.0.1:9417 --out sweep.json
     python -m repro.harness tune report sweep.json
     python -m repro.harness tune pgo sweep.json --jobs 4
     python -m repro.harness fuzz run --seed 1 --iterations 10000 --jobs 4
@@ -225,209 +219,6 @@ def _emit_cache_ledger(argv: list[str], args, store: ArtifactStore) -> None:
     print(f"[repro.metrics] run ledger written to {args.emit_stats}", file=sys.stderr)
 
 
-def serve_main(argv: list[str]) -> int:
-    """The ``serve`` subcommand: run the batch simulation service."""
-    import asyncio
-    import logging
-
-    from repro.service.server import DEFAULT_PORT, ServiceConfig, serve_forever
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness serve",
-        description="Run the async batch simulation service "
-        "(JSON lines over TCP; drain with SIGTERM).",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help=f"TCP port (default {DEFAULT_PORT}; 0 = pick an ephemeral port)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2,
-        help="warm worker processes in the persistent pool",
-    )
-    parser.add_argument(
-        "--max-queue", type=int, default=64,
-        help="bounded queue depth; submits beyond it shed with queue_full",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-job wall-clock timeout in seconds (unset = none)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=8,
-        help="max cells dispatched to one worker as a single batch",
-    )
-    parser.add_argument(
-        "--drain-timeout", type=float, default=60.0,
-        help="seconds to wait for in-flight jobs on SIGTERM before failing them",
-    )
-    _add_cache_flags(parser)
-    _add_stats_flags(parser)
-    args = parser.parse_args(argv)
-
-    logging.basicConfig(
-        level=logging.INFO, format="[%(name)s] %(message)s", stream=sys.stderr
-    )
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        default_timeout=args.timeout,
-        max_batch=args.max_batch,
-        cache_dir=args.cache_dir,
-        drain_timeout=args.drain_timeout,
-    )
-    with profiled(enabled=args.profile):
-        service = asyncio.run(serve_forever(config, registry=get_registry()))
-    if args.emit_stats:
-        ledger = build_run_ledger(
-            argv, ["serve"], _NoMatrix(service.store), registry=get_registry()
-        )
-        write_ledger(args.emit_stats, ledger)
-        print(
-            f"[repro.metrics] run ledger written to {args.emit_stats}",
-            file=sys.stderr,
-        )
-    return 0
-
-
-#: Named matrices the ``submit`` subcommand can expand client-side.
-#: (fig9/fig10 use ablated optimizer variants that are not addressable
-#: by name over protocol v1.)
-SUBMIT_EXPERIMENTS = ("fig6", "fig7", "fig8", "table3")
-
-
-def _submit_cells(args) -> list:
-    from repro.harness.figures import PAPER_ORDER
-    from repro.service.protocol import CellSpec
-
-    if args.experiment:
-        if args.workloads or args.configs:
-            raise SystemExit(
-                "submit: give either an experiment name or "
-                "--workloads/--configs, not both"
-            )
-        if args.experiment == "fig6":
-            workloads, configs = PAPER_ORDER, ("IC", "TC", "RP", "RPO")
-        elif args.experiment == "fig7":
-            workloads, configs = PAPER_ORDER[:7], ("RP", "RPO")
-        elif args.experiment == "fig8":
-            workloads, configs = PAPER_ORDER[7:], ("RP", "RPO")
-        else:  # table3
-            workloads, configs = PAPER_ORDER, ("RP", "RPO")
-    else:
-        if not (args.workloads and args.configs):
-            raise SystemExit(
-                "submit: need an experiment name or both --workloads and "
-                "--configs"
-            )
-        from repro.workloads.base import resolve_workloads
-
-        try:
-            workloads = resolve_workloads(
-                [w for w in args.workloads.split(",") if w]
-            )
-        except KeyError as exc:
-            raise SystemExit(f"submit: {exc.args[0]}")
-        configs = [c for c in args.configs.split(",") if c]
-    return [
-        CellSpec(workload=w, config=c, scale=args.scale, seed=args.seed)
-        for w in workloads
-        for c in configs
-    ]
-
-
-def submit_main(argv: list[str]) -> int:
-    """The ``submit`` subcommand: run a job on a running service."""
-    import json
-
-    from repro.service.client import DEFAULT_PORT, Client, ServiceError
-    from repro.service.protocol import PRIORITIES
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness submit",
-        description="Submit a (workload x config) job to a running "
-        "`serve` instance and stream its cells as they finish.",
-    )
-    parser.add_argument(
-        "experiment", nargs="?", default=None, choices=SUBMIT_EXPERIMENTS,
-        help="named matrix to submit (or use --workloads/--configs)",
-    )
-    parser.add_argument(
-        "--workloads", default=None, metavar="A,loopy-*,...",
-        help="workload names or globs, expanded client-side via the "
-        "shared resolver",
-    )
-    parser.add_argument(
-        "--configs", default=None, metavar="IC,TC,...",
-        help="config names from the CONFIGS registry (IC, IC64, TC, RP, RPO)",
-    )
-    parser.add_argument("--scale", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    parser.add_argument(
-        "--priority", choices=PRIORITIES, default="batch",
-        help="queue priority class",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-job wall-clock timeout in seconds",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print one sorted-key JSON object per cell instead of a table",
-    )
-    args = parser.parse_args(argv)
-    cells = _submit_cells(args)
-
-    def on_cell(cell) -> None:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "index": cell.index,
-                        "workload": cell.workload,
-                        "config": cell.config,
-                        "cached": cell.cached,
-                        "entry": cell.entry,
-                    },
-                    sort_keys=True,
-                ),
-                flush=True,
-            )
-        else:
-            origin = "cached" if cell.cached else f"{cell.seconds:.2f}s"
-            print(
-                f"{cell.workload:<8} {cell.config:<6} "
-                f"IPC {cell.entry['ipc_x86']:.3f}  "
-                f"{cell.entry['cycles']:>10,} cycles  [{origin}]",
-                flush=True,
-            )
-
-    client = Client(host=args.host, port=args.port)
-    try:
-        outcome = client.submit(
-            cells, priority=args.priority, timeout=args.timeout, on_cell=on_cell
-        )
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"[repro.service] job {outcome.job_id} {outcome.state}: "
-        f"{len(outcome.entries)} cells ({outcome.cells_cached} cached, "
-        f"{outcome.cells_computed} computed) in {outcome.seconds:.2f}s",
-        file=sys.stderr,
-    )
-    if not outcome.ok:
-        if outcome.error:
-            print(f"error: {outcome.error}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def stats_main(argv: list[str]) -> int:
     """The ``stats`` subcommand: pretty-print a run ledger."""
     parser = argparse.ArgumentParser(
@@ -454,14 +245,6 @@ def main(argv: list[str] | None = None) -> int:
         return cache_main(argv[1:])
     if argv and argv[0] == "stats":
         return stats_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "submit":
-        return submit_main(argv[1:])
-    if argv and argv[0] == "cluster":
-        from repro.cluster.cli import cluster_main
-
-        return cluster_main(argv[1:])
     if argv and argv[0] == "fuzz":
         from repro.fuzz.cli import fuzz_main
 

@@ -347,6 +347,16 @@ class Fig10Row:
     relative_ipc: dict[str, float]  # disabled-pass -> position on the RP..RPO scale
 
 
+def relative_ipc(ipc: float, rp: float, rpo: float) -> float:
+    """Figure 10's normalization: ``(ipc - rp) / (rpo - rp)``.
+
+    0.0 = RP (no optimization), 1.0 = RPO (all passes); 0.0 when RP and
+    RPO coincide.
+    """
+    span = rpo - rp
+    return (ipc - rp) / span if span else 0.0
+
+
 def run_fig10(
     matrix: ResultMatrix | None = None, workloads: list[str] | None = None
 ) -> list[Fig10Row]:
@@ -381,10 +391,9 @@ def run_fig10(
     for name in names:
         rp = matrix.run(name, CONFIGS["RP"]).ipc_x86
         rpo = matrix.run(name, CONFIGS["RPO"]).ipc_x86
-        span = rpo - rp
-        relative = {}
-        for variant, config in variant_configs.items():
-            ipc = matrix.run(name, config).ipc_x86
-            relative[variant] = (ipc - rp) / span if span else 0.0
+        relative = {
+            variant: relative_ipc(matrix.run(name, config).ipc_x86, rp, rpo)
+            for variant, config in variant_configs.items()
+        }
         rows.append(Fig10Row(name=name, relative_ipc=relative))
     return rows

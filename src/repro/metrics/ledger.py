@@ -45,10 +45,7 @@ def result_entry(workload: str, config_name: str, result) -> dict:
     """One cell's measurements as plain JSON-ready data.
 
     This is the canonical per-cell serialization: the ledger's
-    ``results`` section and the :mod:`repro.service` streaming protocol
-    both use it, which is what makes a served cell byte-comparable
-    (after ``json.dumps(..., sort_keys=True)``) to a locally computed
-    one.
+    ``results`` section and the tune sweep records both use it.
     """
     sim = result.sim
     entry = {

@@ -165,27 +165,6 @@ class MetricsRegistry:
         for entry in snapshot.get("events", []):
             self.events.append(tuple(entry))
 
-    def merge_parts(
-        self,
-        counters: dict | None = None,
-        gauges: dict | None = None,
-        histograms: dict | None = None,
-    ) -> None:
-        """Merge a snapshot shipped as separate parts.
-
-        Convenience for wire formats (the service's ``metrics`` response
-        carries counters/gauges/histograms as separate fields, not the
-        full snapshot envelope) — same associative semantics as
-        :meth:`merge`.
-        """
-        self.merge(
-            {
-                "counters": counters or {},
-                "gauges": gauges or {},
-                "histograms": histograms or {},
-            }
-        )
-
     def counters(self) -> dict[str, int | float]:
         return {name: c.value for name, c in self._counters.items()}
 

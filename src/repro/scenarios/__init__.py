@@ -22,7 +22,7 @@ def install_providers() -> None:
     """Register the family and imported-trace workload providers.
 
     Called by :func:`repro.workloads.base._ensure_loaded`, so any
-    process that resolves workloads — CLI, pool worker, service — can
+    process that resolves workloads — CLI or pool worker — can
     resolve scenario names without further setup.
     """
     global _INSTALLED

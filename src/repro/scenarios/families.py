@@ -4,9 +4,9 @@ Each family derives a per-member :class:`GeneratorConfig` from the fuzz
 generator's scenario knobs, draws a genome with
 :func:`repro.fuzz.generator.generate_program`, and renders it into an
 ordinary :class:`~repro.workloads.base.Workload`.  Everything is keyed
-off the member *name* (``loopy-s1-007``), so any process — pool worker,
-service worker, a fresh interpreter — regenerates the identical program
-without shipping objects across the boundary.
+off the member *name* (``loopy-s1-007``), so any process — pool worker
+or a fresh interpreter — regenerates the identical program without
+shipping objects across the boundary.
 
 The five families stress the optimizer along the axes the paper's 14
 synthetics only sample:

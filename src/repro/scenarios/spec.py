@@ -4,13 +4,12 @@ A :class:`FamilySpec` names a workload *family* (a parameterized program
 generator built on the fuzz genome machinery), a family seed, and a
 member count.  Expansion is pure: ``(family, seed, count)`` always
 yields the same member names, the same genomes, and therefore the same
-artifact-store keys — which is what lets the matrix runner, the batch
-service, and the cache treat family members exactly like the 14
-hand-written workloads.
+artifact-store keys — which is what lets the matrix runner and the
+cache treat family members exactly like the 14 hand-written workloads.
 
 Member names are fully self-describing (``loopy-s1-007``): pool workers
-and the service resolve workloads by name only, so everything needed to
-regenerate a member must be recoverable from its name in any process.
+resolve workloads by name only, so everything needed to regenerate a
+member must be recoverable from its name in any process.
 """
 
 from __future__ import annotations

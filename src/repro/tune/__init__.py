@@ -1,11 +1,11 @@
-"""repro.tune: service-scale optimizer autotuning (DESIGN.md §16).
+"""repro.tune: optimizer autotuning (DESIGN.md §16).
 
 The paper's Figure 10 ablates six passes at one operating point; this
 subsystem asks the follow-on question — which pass subsets/orderings,
 fill-unit line limits, and frame-construction thresholds are actually
 best *per workload*.  A typed :class:`TuneSpace` is planned (grid,
 seeded random, or successive halving) into ordinary experiment cells,
-executed through the artifact store / batch service, aggregated into a
+executed through the matrix runner and artifact store, aggregated into a
 sensitivity surface, and optionally fed back as profile-guided
 frame-construction parameters (``tune pgo``).
 """

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.harness tune sweep --space smoke --jobs 4
     python -m repro.harness tune sweep --search random --samples 12 --seed 1
-    python -m repro.harness tune sweep --service 127.0.0.1:9417 --out sweep.json
+    python -m repro.harness tune sweep --out sweep.json
     python -m repro.harness tune sweep --emit-stats run.json   # v2 ledger
     python -m repro.harness tune report sweep.json             # or run.json
     python -m repro.harness tune pgo sweep.json --jobs 4
@@ -12,8 +12,8 @@ Usage::
 ``sweep`` prints the sensitivity surface (table or ``--json``) plus two
 digest lines on stdout — ``sweep digest`` (over the canonical record
 list) and ``surface digest`` (over the aggregated report) — both of
-which are deterministic across ``--jobs`` levels and local-vs-service
-execution, and pinnable in CI.
+which are deterministic across ``--jobs`` levels and cache state, and
+pinnable in CI.
 """
 
 from __future__ import annotations
@@ -74,19 +74,6 @@ def _store(args) -> ArtifactStore | None:
     return None if args.no_cache else ArtifactStore(args.cache_dir)
 
 
-def _client(args):
-    if not args.service:
-        return None
-    from repro.service.client import Client
-
-    host, _, port = args.service.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(
-            f"tune: --service must be HOST:PORT, got {args.service!r}"
-        )
-    return Client(host=host, port=int(port))
-
-
 def sweep_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness tune sweep",
@@ -108,10 +95,6 @@ def sweep_main(argv: list[str]) -> int:
     parser.add_argument(
         "--workloads", default=None, metavar="A,B,...",
         help="override the space's workload list",
-    )
-    parser.add_argument(
-        "--service", default=None, metavar="HOST:PORT",
-        help="run cells on a serve/cluster instance instead of locally",
     )
     parser.add_argument(
         "--out", default=None, metavar="FILE",
@@ -139,7 +122,6 @@ def sweep_main(argv: list[str]) -> int:
     )
     registry = get_registry()
     store = _store(args)
-    client = _client(args)
 
     def progress(done: int, _total) -> None:
         print(f"[repro.tune] {done} cells done", file=sys.stderr, flush=True)
@@ -151,7 +133,6 @@ def sweep_main(argv: list[str]) -> int:
                 settings,
                 store=store,
                 metrics=registry,
-                client=client,
                 progress=progress,
             )
     except (ConfigError, TuneError, KeyError) as exc:
@@ -168,8 +149,7 @@ def sweep_main(argv: list[str]) -> int:
     print(
         f"[repro.tune] {len(result.records)} cells "
         f"({result.cells_cached} cached, {result.cells_computed} computed) "
-        f"in {result.seconds:.2f}s "
-        f"({'service' if client else f'jobs={result.jobs}'})",
+        f"in {result.seconds:.2f}s (jobs={result.jobs})",
         file=sys.stderr,
     )
     if args.out:

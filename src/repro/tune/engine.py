@@ -1,16 +1,12 @@
 """Sweep execution: plan cells, run them, fold a reproducible digest.
 
-Cells run either through :func:`repro.artifacts.runner.run_matrix`
-(local pool, artifact-store dedup) or through a batch-service /
-cluster-gateway client as ``kind="tune"`` cells whose payload is the
-point's JSON — the server lowers the payload onto the *same*
-``MatrixTask`` the local path builds, so entries (and therefore the
-sweep digest) are byte-identical wherever the sweep ran.
+Cells run through :func:`repro.artifacts.runner.run_matrix` (ordered
+process pool, artifact-store dedup).
 
 The digest folds canonical per-cell records in plan order
 (workload-major, then point order), exactly the fold the fuzz
 campaigns use, so it is independent of ``--jobs``, completion order,
-and local-vs-service execution.
+and cache state.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ __all__ = ["SweepResult", "SweepSettings", "TuneError", "run_sweep"]
 
 
 class TuneError(RuntimeError):
-    """A sweep could not complete (service failure, bad plan, ...)."""
+    """A sweep could not complete (empty plan, bad PGO input, ...)."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ def _record(workload: str, point: TunePoint, entry: dict) -> dict:
     }
 
 
-def _execute_local(
+def _run_cells(
     cells: list[tuple[str, TunePoint]],
     settings: SweepSettings,
     store: ArtifactStore | None,
@@ -126,42 +122,6 @@ def _execute_local(
     ]
 
 
-def _execute_service(
-    cells: list[tuple[str, TunePoint]],
-    settings: SweepSettings,
-    client,
-    result: SweepResult,
-) -> list[dict]:
-    from repro.service.protocol import CellSpec
-
-    specs = [
-        CellSpec(
-            workload=workload,
-            config=point.label(),
-            scale=settings.scale,
-            seed=settings.trace_seed,
-            kind="tune",
-            payload=point.to_json(),
-        )
-        for workload, point in cells
-    ]
-    outcome = client.submit(specs, priority="batch")
-    if outcome.state != "done":
-        raise TuneError(
-            outcome.error or f"service finished the sweep as {outcome.state}"
-        )
-    result.jobs = max(result.jobs, 1)
-    result.cells_cached += outcome.cells_cached
-    result.cells_computed += outcome.cells_computed
-    # Entries come back index-ordered (= submission order = plan order),
-    # so pairing them positionally keeps the digest fold identical to a
-    # local run.
-    return [
-        _record(workload, point, dict(entry))
-        for (workload, point), entry in zip(cells, outcome.entries)
-    ]
-
-
 def _mean_ipc(records: list[dict], label: str) -> float:
     values = [
         r["entry"]["ipc_x86"] for r in records if r["label"] == label
@@ -174,15 +134,12 @@ def run_sweep(
     settings: SweepSettings | None = None,
     store: ArtifactStore | None = None,
     metrics: MetricsRegistry | None = None,
-    client=None,
     progress=None,
 ) -> SweepResult:
     """Plan and execute one sweep over ``space``.
 
-    With ``client`` (a :class:`repro.service.client.Client`) cells run
-    remotely as ``kind="tune"`` cells; otherwise they run through the
-    local matrix runner against ``store``.  ``progress(done, total)``
-    fires after each executed batch.
+    Cells run through the matrix runner against ``store``.
+    ``progress(done, total)`` fires after each executed batch.
     """
     settings = settings or SweepSettings()
     space.validate()
@@ -203,10 +160,7 @@ def run_sweep(
 
     def execute(cells: list[tuple[str, TunePoint]]) -> list[dict]:
         nonlocal done
-        if client is None:
-            records = _execute_local(cells, settings, store, metrics, result)
-        else:
-            records = _execute_service(cells, settings, client, result)
+        records = _run_cells(cells, settings, store, metrics, result)
         for record in records:
             fold.update(
                 json.dumps(record, sort_keys=True, separators=(",", ":")).encode()

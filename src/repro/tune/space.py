@@ -115,7 +115,7 @@ class TunePoint:
 
         Unknown keys are rejected (a typoed knob silently falling back
         to its default would corrupt a sweep), and the reconstructed
-        point is validated so bad payloads fail at admission, not in a
+        point is validated so a bad sweep file fails on load, not in a
         worker.
         """
         if not isinstance(payload, dict):
@@ -135,7 +135,7 @@ class TunePoint:
     def label(self) -> str:
         """Deterministic short name — doubles as the config name in
         result entries, so the same point gets the same cache key from
-        every planner, process, and node."""
+        every planner and process."""
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return "tune-" + hashlib.sha256(blob.encode()).hexdigest()[:10]
 

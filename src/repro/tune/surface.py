@@ -12,7 +12,7 @@ category (the :mod:`repro.scenarios` characterization axis) —
   RPO, and leave-one-out points (``default_space`` always does).
 
 Everything is computed from the canonical record list alone, so a
-report built from a served sweep equals one built locally, and
+report rebuilt from a stored sweep equals the original, and
 ``surface_digest`` is pinnable in CI.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.harness.figures import relative_ipc
 from repro.optimizer.pipeline import PASS_NAMES
 from repro.tune.space import FULL_PASS_SPEC, TunePoint, ablated_pass_spec
 from repro.workloads import get_workload
@@ -162,12 +163,14 @@ def _cell_summary(cell: dict) -> dict:
 
 
 def _fig10_slice(cells: list[dict], rp: dict | None, rpo: dict | None) -> dict:
-    """Relative-IPC ablation bars, exactly fig10's normalization:
-    ``(ipc_variant - ipc_RP) / (ipc_RPO - ipc_RP)``."""
+    """Relative-IPC ablation bars through fig10's own normalization
+    (:func:`repro.harness.figures.relative_ipc`).  A workload whose RP
+    and RPO IPCs coincide has no scale and gets no slice."""
     if rp is None or rpo is None:
         return {}
-    span = rpo["entry"]["ipc_x86"] - rp["entry"]["ipc_x86"]
-    if span == 0:
+    rp_ipc = rp["entry"]["ipc_x86"]
+    rpo_ipc = rpo["entry"]["ipc_x86"]
+    if rpo_ipc == rp_ipc:
         return {}
     out: dict[str, float] = {}
     for name in _ABLATABLE:
@@ -178,7 +181,7 @@ def _fig10_slice(cells: list[dict], rp: dict | None, rpo: dict | None) -> dict:
         )
         if cell is not None:
             out[f"no-{name}"] = _round(
-                (cell["entry"]["ipc_x86"] - rp["entry"]["ipc_x86"]) / span
+                relative_ipc(cell["entry"]["ipc_x86"], rp_ipc, rpo_ipc)
             )
     return out
 

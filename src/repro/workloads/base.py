@@ -63,8 +63,8 @@ class WorkloadProvider(Protocol):
     """Lazily materializes workloads whose names encode their recipe.
 
     Providers let the registry scale to hundreds of generated cells
-    without eagerly constructing them: pool workers and the service
-    resolve workloads by *name only*, so a provider must rebuild the
+    without eagerly constructing them: pool workers resolve workloads
+    by *name only*, so a provider must rebuild the
     same :class:`Workload` from the name alone, in any process.
     """
 
@@ -225,7 +225,7 @@ def _ensure_loaded() -> None:
     from repro.workloads import desktop, spec  # noqa: F401
 
     # Scenario providers (families, imported traces) register lazily so
-    # pool workers and the service resolve generated names by themselves.
+    # pool workers resolve generated names by themselves.
     from repro.scenarios import install_providers
 
     install_providers()

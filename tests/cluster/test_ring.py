@@ -1,6 +1,6 @@
 """Consistent-hash ring properties: determinism, balance, bounded remap."""
 
-from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
+from repro.artifacts.ring import DEFAULT_REPLICAS, HashRing
 
 KEYS = [f"cell:w{i % 40}:cfg{i % 7}:None:{i}" for i in range(2000)]
 
@@ -27,7 +27,7 @@ def test_distribution_balanced_for_2_to_8_nodes():
         ring = HashRing(_nodes(n))
         counts = ring.distribution(KEYS)
         assert len(counts) == n
-        # With 64 virtual nodes per runner the spread is imperfect but
+        # With 64 virtual nodes per node the spread is imperfect but
         # every node must carry a meaningful share: within [1/3, 3]x of
         # the fair 1/n fraction.
         fair = len(KEYS) / n

@@ -162,58 +162,6 @@ def test_cache_ls_future_mtime_never_negative(capsys, tmp_path):
     assert "<1s old" in out
 
 
-# --------------------------------------------------------- submit parsing
-
-
-def _submit_args(**overrides):
-    from types import SimpleNamespace
-
-    defaults = dict(
-        experiment=None, workloads=None, configs=None, scale=None, seed=1
-    )
-    defaults.update(overrides)
-    return SimpleNamespace(**defaults)
-
-
-def test_submit_cells_named_experiments():
-    from repro.harness.cli import _submit_cells
-    from repro.harness.figures import PAPER_ORDER
-
-    fig6 = _submit_cells(_submit_args(experiment="fig6"))
-    assert len(fig6) == len(PAPER_ORDER) * 4
-    assert {c.config for c in fig6} == {"IC", "TC", "RP", "RPO"}
-    table3 = _submit_cells(_submit_args(experiment="table3"))
-    assert len(table3) == len(PAPER_ORDER) * 2
-    fig7 = _submit_cells(_submit_args(experiment="fig7"))
-    fig8 = _submit_cells(_submit_args(experiment="fig8"))
-    assert {c.workload for c in fig7} | {c.workload for c in fig8} == set(
-        PAPER_ORDER
-    )
-
-
-def test_submit_cells_explicit_lists_carry_scale_and_seed():
-    from repro.harness.cli import _submit_cells
-
-    cells = _submit_cells(
-        _submit_args(workloads="gzip,bzip2", configs="IC,RPO", scale=2, seed=7)
-    )
-    assert len(cells) == 4
-    assert all(c.scale == 2 and c.seed == 7 for c in cells)
-
-
-def test_submit_cells_misuse_rejected():
-    from repro.harness.cli import _submit_cells
-
-    with pytest.raises(SystemExit):
-        _submit_cells(_submit_args())  # neither experiment nor lists
-    with pytest.raises(SystemExit):
-        _submit_cells(
-            _submit_args(experiment="fig6", workloads="gzip", configs="IC")
-        )
-    with pytest.raises(SystemExit):
-        _submit_cells(_submit_args(workloads="gzip"))  # missing --configs
-
-
 # ------------------------------------------------------------ run ledger
 
 

@@ -1,8 +1,8 @@
 """Scenario families: deterministic expansion and registry integration.
 
 A family spec ``(name, seed, count)`` must expand to the same member
-workloads in every process — the pool workers and the batch service
-resolve members by *name alone*, so the whole pipeline leans on this
+workloads in every process — pool workers resolve members by *name
+alone*, so the whole pipeline leans on this
 determinism.  The cross-process test literally spawns a fresh
 interpreter and compares trace digests byte for byte.
 """
@@ -86,7 +86,7 @@ def test_member_names_parse_back():
 
 def test_any_wellformed_name_resolves():
     # Not in the default enumeration window (seed 7), yet resolvable by
-    # name alone — that is what pool workers and the service depend on.
+    # name alone — that is what pool workers depend on.
     workload = get_workload("redund-s7-042")
     assert workload.category == "Family"
     trace = build_workload("redund-s7-042")

@@ -1,12 +1,10 @@
-"""Sweep execution: digest reproducibility, dedup, halving, failures."""
-
-from types import SimpleNamespace
+"""Sweep execution: digest reproducibility, dedup, halving, metrics."""
 
 import pytest
 
 from repro.artifacts.store import ArtifactStore
 from repro.metrics import MetricsRegistry
-from repro.tune.engine import SweepSettings, TuneError, run_sweep
+from repro.tune.engine import SweepSettings, run_sweep
 from repro.tune.space import FULL_PASS_SPEC, TuneSpace, ablated_pass_spec
 
 
@@ -69,14 +67,3 @@ def test_sweep_counts_metrics(store):
     run_sweep(SPACE, SweepSettings(scale=0), store=store, metrics=registry)
     assert registry.counter("tune.sweeps").value == 1
     assert registry.counter("tune.sweep_cells").value == 3
-
-
-def test_service_failure_raises_tune_error():
-    failing = SimpleNamespace(
-        submit=lambda specs, priority: SimpleNamespace(
-            state="failed", error="pool exploded", entries=[],
-            cells_cached=0, cells_computed=0,
-        )
-    )
-    with pytest.raises(TuneError, match="pool exploded"):
-        run_sweep(SPACE, SweepSettings(scale=0), client=failing)
