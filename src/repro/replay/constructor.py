@@ -166,20 +166,25 @@ class FrameConstructor:
                 block_starts.append(x86_index)
             is_exit_instr = x86_index == last_index
             mem_index = 0
-            for uop in instr.uops:
-                converted = uop.copy()
+            for uop, address in zip(instr.uops, instr.addresses):
                 key: tuple[int, int] | None = None
-                if converted.is_mem:
+                if uop.is_mem:
                     key = (x86_index, mem_index)
                     mem_index += 1
-                if converted.is_control and not is_exit_instr:
-                    if self._degenerate_branch(converted, record):
+                if uop.is_control and not is_exit_instr:
+                    if self._degenerate_branch(uop, record):
                         # Taken target == fall-through: the direction
                         # cannot change the frame's path, so an assertion
                         # here could only fire spuriously (a rollback
                         # with no architectural cause).  Drop the uop.
                         continue
-                    converted = self._convert_control(converted)
+                    converted = self._convert_control(uop, record)
+                else:
+                    # The one place a dynamic uop is copied: the shared
+                    # static uop gets this instance's address.
+                    converted = uop.copy()
+                    if address is not None:
+                        converted.mem_address = address
                 dyn_uops.append(converted)
                 x86_indices.append(x86_index)
                 mem_keys.append(key)
@@ -225,19 +230,23 @@ class FrameConstructor:
             and uop.target == record.pc + record.instruction.length
         )
 
-    def _convert_control(self, uop: Uop) -> Uop:
-        """Mid-frame control conversion: BR -> ASSERT, JMPI -> value assert."""
+    @staticmethod
+    def _convert_control(uop: Uop, record) -> Uop:
+        """Mid-frame control conversion: BR -> ASSERT, JMPI -> value assert.
+
+        The direction and indirect target come from this instance's
+        record; the static uop itself is never modified.
+        """
         if uop.op is UopOp.BR:
-            assert uop.cond is not None and uop.taken is not None
-            cond = uop.cond if uop.taken else uop.cond.inverse()
+            assert uop.cond is not None and record.branch_taken is not None
+            cond = uop.cond if record.branch_taken else uop.cond.inverse()
             return uop.copy(op=UopOp.ASSERT, cond=cond, target=None)
         if uop.op is UopOp.JMPI:
-            assert uop.dyn_target is not None
             return uop.copy(
                 op=UopOp.ASSERT_CMP,
                 cond=Cond.Z,
                 cmp_kind=UopOp.SUB,
-                imm=uop.dyn_target,
+                imm=record.next_pc,
                 writes_flags=False,
             )
-        return uop  # direct JMP: left for the NOP-removal pass
+        return uop.copy()  # direct JMP: left for the NOP-removal pass

@@ -138,9 +138,8 @@ def build_icache_block(
             event = branch_event_for(instr, len(uops))
         if event is not None:
             events.append(event)
-        for uop in instr.uops:
-            uops.append(uop)
-            addresses.append(uop.mem_address)
+        uops.extend(instr.uops)
+        addresses.extend(instr.addresses)
         byte_end = max(byte_end, record.pc + record.instruction.length)
         count += 1
         if is_taken_transfer(instr):

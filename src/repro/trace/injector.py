@@ -1,85 +1,87 @@
 """The Micro-Op Injector (paper §5.1.1).
 
 Combines the trace reader and the x86-to-rePLay translator: each trace
-record is decoded into uops, and the record's dynamic information (memory
-addresses, branch direction, indirect targets) is attached to the
-corresponding uops.  The result is the continuous micro-operation stream
-the Timing Model and rePLay Engine consume.
+record is paired with its instruction's decode flow, and the record's
+memory addresses are carried beside the uops they belong to.  The result
+is the continuous micro-operation stream the Timing Model and rePLay
+Engine consume.
+
+A decode flow is static: every instance of an instruction shares the
+Translator's cached uop tuple, which is never mutated.  Only the
+per-uop address tuple is built per instance; branch directions and
+indirect targets are read from the record itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.trace.record import TraceRecord
 from repro.trace.stream import DynamicTrace
 from repro.uops.translate import Translator
-from repro.uops.uop import Uop, UopOp
+from repro.uops.uop import Uop
 
 
 class InjectionError(Exception):
     """Raised when a record's memory transactions don't match its decode flow."""
 
 
-@dataclass
 class InjectedInstruction:
-    """One x86 instruction's worth of dynamically annotated uops."""
+    """One x86 instruction instance: its record, shared static uops, and
+    the per-uop memory addresses (``None`` for non-memory uops)."""
 
-    record: TraceRecord
-    uops: tuple[Uop, ...]
+    __slots__ = ("record", "uops", "addresses")
 
-    @property
-    def pc(self) -> int:
-        return self.record.pc
+    def __init__(
+        self,
+        record: TraceRecord,
+        uops: tuple[Uop, ...],
+        addresses: tuple[int | None, ...],
+    ) -> None:
+        self.record = record
+        self.uops = uops
+        self.addresses = addresses
 
-    @property
-    def uop_count(self) -> int:
-        return len(self.uops)
+
+class _Flow:
+    """Injection facts of one static instruction's decode flow."""
+
+    __slots__ = ("uops", "mem_slots", "mem_kinds", "no_addresses")
+
+    def __init__(self, uops: tuple[Uop, ...]) -> None:
+        self.uops = uops
+        self.mem_slots = tuple(i for i, uop in enumerate(uops) if uop.is_mem)
+        self.mem_kinds = tuple(uops[i].is_store for i in self.mem_slots)
+        self.no_addresses: tuple[None, ...] = (None,) * len(uops)
 
 
 class MicroOpInjector:
-    """Translates trace records into dynamically annotated uop sequences."""
+    """Pairs trace records with their static decode flows."""
 
     def __init__(self) -> None:
         self.translator = Translator()
         self.x86_count = 0
         self.uop_count = 0
+        self._flows: dict[int, _Flow] = {}
 
     def inject(self, record: TraceRecord) -> InjectedInstruction:
-        """Decode one record; attaches mem addresses and branch outcomes."""
-        static_uops = self.translator.translate(record.instruction)
-        uops: list[Uop] = []
-        mem_ops = list(record.mem_ops)
-        mem_index = 0
-        for static in static_uops:
-            uop = static.copy()
-            if uop.is_mem:
-                if mem_index >= len(mem_ops):
-                    raise InjectionError(
-                        f"decode flow of {record.instruction} expects more "
-                        f"memory transactions than the trace recorded"
-                    )
-                mem_op = mem_ops[mem_index]
-                mem_index += 1
-                if mem_op.is_store != uop.is_store:
-                    raise InjectionError(
-                        f"memory transaction kind mismatch in {record.instruction}"
-                    )
-                uop.mem_address = mem_op.address
-            if uop.op is UopOp.BR:
-                uop.taken = record.branch_taken
-                uop.dyn_target = record.next_pc
-            elif uop.op in (UopOp.JMP, UopOp.JMPI):
-                uop.dyn_target = record.next_pc
-            uops.append(uop)
-        if mem_index != len(mem_ops):
-            raise InjectionError(
-                f"decode flow of {record.instruction} used {mem_index} memory "
-                f"transactions but the trace recorded {len(mem_ops)}"
-            )
+        """Decode one record; carries its memory addresses beside the uops."""
+        instruction = record.instruction
+        flow = self._flows.get(instruction.address)
+        if flow is None:
+            flow = _Flow(self.translator.translate(instruction))
+            self._flows[instruction.address] = flow
+        mem_ops = record.mem_ops
+        if not flow.mem_slots and not mem_ops:
+            addresses = flow.no_addresses
+        else:
+            if tuple(op.is_store for op in mem_ops) != flow.mem_kinds:
+                _reject(record, flow)
+            slots = list(flow.no_addresses)
+            for slot, mem_op in zip(flow.mem_slots, mem_ops):
+                slots[slot] = mem_op.address
+            addresses = tuple(slots)
         self.x86_count += 1
-        self.uop_count += len(uops)
-        return InjectedInstruction(record=record, uops=tuple(uops))
+        self.uop_count += len(flow.uops)
+        return InjectedInstruction(record, flow.uops, addresses)
 
     def inject_trace(self, trace: DynamicTrace) -> list[InjectedInstruction]:
         """Inject a whole trace (convenience for tests and the harness)."""
@@ -91,3 +93,23 @@ class MicroOpInjector:
         if not self.x86_count:
             return 0.0
         return self.uop_count / self.x86_count
+
+
+def _reject(record: TraceRecord, flow: _Flow) -> None:
+    """Raise the error for the first mismatch between the decode flow's
+    memory uops and the record's transactions, in decode order."""
+    mem_ops = record.mem_ops
+    for index, is_store in enumerate(flow.mem_kinds):
+        if index >= len(mem_ops):
+            raise InjectionError(
+                f"decode flow of {record.instruction} expects more "
+                f"memory transactions than the trace recorded"
+            )
+        if mem_ops[index].is_store != is_store:
+            raise InjectionError(
+                f"memory transaction kind mismatch in {record.instruction}"
+            )
+    raise InjectionError(
+        f"decode flow of {record.instruction} used {len(flow.mem_kinds)} "
+        f"memory transactions but the trace recorded {len(mem_ops)}"
+    )

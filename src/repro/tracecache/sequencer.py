@@ -63,8 +63,8 @@ class TraceCacheSequencer(ICacheSequencer):
         events = []
         sched: list = []
         builder = self.sched_builder
-        # Use the *current* instances so dynamic annotations (addresses,
-        # branch outcomes) are right for this execution; decode facts and
+        # Use the *current* instances so dynamic facts (addresses, branch
+        # outcomes) are right for this execution; decode facts and
         # schedule tuples come from the per-instruction template cache.
         instances = self.injected[self.index : self.index + matched]
         for instr in instances:
@@ -73,9 +73,8 @@ class TraceCacheSequencer(ICacheSequencer):
             if event is not None:
                 events.append(event)
             sched.extend(decode.sched)
-            for uop in instr.uops:
-                uops.append(uop)
-                addresses.append(uop.mem_address)
+            uops.extend(instr.uops)
+            addresses.extend(instr.addresses)
         self._retire_region(matched)
         return FetchBlock(
             source="tcache",

@@ -7,8 +7,9 @@ efficient" like the paper's, landing near the paper's 1.4 uops-per-x86
 average on the workload mix.
 
 Decode is purely static: given an :class:`Instruction`, the same uop
-sequence always results.  Dynamic annotations (memory addresses, branch
-directions) are attached later by the Micro-Op Injector.
+sequence always results, and the cached tuple is shared by every
+instance of the instruction.  The Micro-Op Injector carries each
+instance's memory addresses beside it; nothing writes to these uops.
 """
 
 from __future__ import annotations

@@ -205,10 +205,9 @@ class Uop:
     preserves_cf: bool = False  # INC/DEC-derived ADD/SUB keep CF
     x86_pc: int = 0  # owning x86 instruction address
 
-    # Dynamic annotations (filled by the injector from the trace):
+    # Dynamic annotation (set on the frame constructor's per-instance
+    # copy; the Translator's shared static uops leave it None):
     mem_address: int | None = None
-    taken: bool | None = None  # dynamic direction for BR
-    dyn_target: int | None = None  # dynamic target for JMPI
 
     @property
     def is_load(self) -> bool:
@@ -251,12 +250,15 @@ class Uop:
         """Field-for-field copy with overrides (uops are mutable records).
 
         Hand-rolled rather than ``dataclasses.replace``: copying is the
-        injector's and frame constructor's hot path (one copy per dynamic
-        uop), and ``replace`` re-runs the generated ``__init__`` — an
-        order of magnitude slower than a ``__dict__`` clone.
+        frame constructor's hot path (one copy per uop of every frame it
+        builds), and ``replace`` re-runs the generated ``__init__`` — an
+        order of magnitude slower than a ``__dict__`` clone.  The clone
+        is ``__dict__.copy()``, not ``dict(__dict__)``: the Translator's
+        static uops keep CPython's key-sharing instance dicts, which
+        ``dict()`` rebuilds key by key at about twice the cost.
         """
         new = Uop.__new__(Uop)
-        state = dict(self.__dict__)
+        state = self.__dict__.copy()
         if changes:
             state.update(changes)
         new.__dict__ = state

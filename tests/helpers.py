@@ -19,7 +19,7 @@ def run_program(asm: Assembler, max_instructions: int = 100_000):
 
 
 def inject(trace: DynamicTrace):
-    """Decode a trace into annotated uops."""
+    """Decode a trace into injected instructions."""
     return MicroOpInjector().inject_trace(trace)
 
 

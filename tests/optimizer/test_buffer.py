@@ -101,7 +101,7 @@ def test_replace_flags_uses():
 def test_value_protected_slots_frame_vs_block():
     uops = [
         Uop(UopOp.LIMM, dst=UReg.EAX, imm=1),  # block 0, overwritten later
-        Uop(UopOp.BR, cond=Cond.Z, target=0, taken=True),  # block boundary
+        Uop(UopOp.BR, cond=Cond.Z, target=0),  # block boundary
         Uop(UopOp.LIMM, dst=UReg.EAX, imm=2),  # block 1, final
     ]
     buf = buffer_from_uops(uops, block_starts=[0, 2])

@@ -452,7 +452,7 @@ def test_dce_never_removes_stores_or_asserts():
 def test_dce_block_scope_protects_block_boundaries():
     uops = [
         Uop(UopOp.LIMM, dst=UReg.EAX, imm=1),  # block 0
-        Uop(UopOp.BR, cond=Cond.Z, target=0, taken=True),
+        Uop(UopOp.BR, cond=Cond.Z, target=0),
         Uop(UopOp.LIMM, dst=UReg.EAX, imm=2),  # block 1
     ]
     frame_buf = buffer_from_uops(uops, block_starts=[0, 2])

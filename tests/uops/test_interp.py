@@ -162,8 +162,9 @@ def test_execute_sequence_runs_in_order():
 
 
 def test_dynamic_mem_address_annotation_wins():
-    # When the injector attached a concrete address, it takes precedence
-    # over the address expression (trace-driven execution).
+    # When a uop carries a concrete address (the frame constructor's
+    # per-instance copies do), it takes precedence over the address
+    # expression (trace-driven execution).
     state = state_with(ESI=0x100)
     state.write_mem(0x900, 0x5A, 1)
     load = Uop(UopOp.LOAD, dst=UReg.EAX, src_a=UReg.ESI, size=1)
