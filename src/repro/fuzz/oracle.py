@@ -75,21 +75,8 @@ _ABLATIONS = ("asst", "cp", "cse", "nop", "ra", "sf")
 
 
 def variant_config(name: str) -> OptimizerConfig:
-    """Optimizer configuration for a named pass subset.
-
-    Besides the fixed legend names, ``spec:<pass-spec>`` runs an
-    explicit pass subset/order (e.g. ``spec:sf,cp,dce``) through
-    :func:`repro.optimizer.pipeline.parse_pass_spec` — the tune
-    subsystem's property tests drive sampled orderings through the
-    differential oracle this way.
-    """
+    """Optimizer configuration for a named pass subset."""
     base = OptimizerConfig()
-    if name.startswith("spec:"):
-        from repro.optimizer.pipeline import parse_pass_spec
-
-        spec = name[len("spec:"):]
-        parse_pass_spec(spec)  # reject bad specs here, not mid-campaign
-        return replace(base, pass_spec=spec)
     if name == "full":
         return base
     if name == "no-spec":

@@ -18,9 +18,6 @@ Usage::
     python -m repro.harness scenarios run --workloads 'redund-*' --jobs 4
     python -m repro.harness scenarios import trace.rutb
     python -m repro.harness scenarios characterize loopy-s1-003
-    python -m repro.harness tune sweep --space smoke --jobs 4
-    python -m repro.harness tune report sweep.json
-    python -m repro.harness tune pgo sweep.json --jobs 4
     python -m repro.harness fuzz run --seed 1 --iterations 10000 --jobs 4
     python -m repro.harness fuzz config run --seed 1 --iterations 200
     python -m repro.harness fuzz repro <case-id>  # replay a stored divergence
@@ -249,10 +246,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.fuzz.cli import fuzz_main
 
         return fuzz_main(argv[1:])
-    if argv and argv[0] == "tune":
-        from repro.tune.cli import tune_main
-
-        return tune_main(argv[1:])
     if argv and argv[0] == "scenarios":
         from repro.scenarios.cli import scenarios_main
 

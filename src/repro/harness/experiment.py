@@ -128,9 +128,7 @@ def run_experiment(
     if config.frontend == "icache":
         sequencer = ICacheSequencer(injected, config.processor)
     elif config.frontend == "tcache":
-        sequencer = TraceCacheSequencer(
-            injected, config.processor, fill_config=config.processor.fill_unit
-        )
+        sequencer = TraceCacheSequencer(injected, config.processor)
     elif config.frontend == "replay":
         optimizer = (
             FrameOptimizer(config.optimizer, metrics=registry)

@@ -13,7 +13,6 @@ Three pieces:
 from repro.metrics.ledger import (
     LEDGER_VERSION,
     SUPPORTED_VERSIONS,
-    SWEEP_LEDGER_VERSION,
     LedgerError,
     build_run_ledger,
     format_ledger,
@@ -39,7 +38,6 @@ __all__ = [
     "LedgerError",
     "MetricsRegistry",
     "SUPPORTED_VERSIONS",
-    "SWEEP_LEDGER_VERSION",
     "build_run_ledger",
     "format_ledger",
     "get_registry",

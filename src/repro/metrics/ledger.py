@@ -25,13 +25,7 @@ from pathlib import Path
 
 SCHEMA_NAME = "repro-uopt/run-ledger"
 LEDGER_VERSION = 1
-
-#: Version 2 adds an optional ``sweep`` section (the ``tune``
-#: subcommand's canonical record list + digest).  Ledgers without a
-#: sweep keep emitting version 1, so downstream v1 readers never see a
-#: version bump they cannot parse unless the new feature was used.
-SWEEP_LEDGER_VERSION = 2
-SUPPORTED_VERSIONS = (LEDGER_VERSION, SWEEP_LEDGER_VERSION)
+SUPPORTED_VERSIONS = (LEDGER_VERSION,)
 
 
 class LedgerError(ValueError):
@@ -42,11 +36,8 @@ class LedgerError(ValueError):
 
 
 def result_entry(workload: str, config_name: str, result) -> dict:
-    """One cell's measurements as plain JSON-ready data.
-
-    This is the canonical per-cell serialization: the ledger's
-    ``results`` section and the tune sweep records both use it.
-    """
+    """One cell's measurements as plain JSON-ready data (one entry of the
+    ledger's ``results`` section)."""
     sim = result.sim
     entry = {
         "workload": workload,
@@ -102,14 +93,8 @@ def build_run_ledger(
     experiments: list[str],
     matrix,
     registry=None,
-    sweep: dict | None = None,
 ) -> dict:
-    """Assemble a ledger dict from a finished :class:`ResultMatrix` run.
-
-    ``sweep`` (a :meth:`repro.tune.engine.SweepResult.to_json` dict)
-    upgrades the ledger to version 2 and lands under the ``sweep`` key;
-    ``tune report``/``tune pgo`` re-read it from there.
-    """
+    """Assemble a ledger dict from a finished :class:`ResultMatrix` run."""
     cells = [
         {
             "workload": t.workload,
@@ -159,9 +144,6 @@ def build_run_ledger(
         "metrics": (registry.snapshot() if registry is not None else None),
         "store": (matrix.store.stats() if matrix.store is not None else None),
     }
-    if sweep is not None:
-        ledger["version"] = SWEEP_LEDGER_VERSION
-        ledger["sweep"] = sweep
     return ledger
 
 
@@ -206,15 +188,6 @@ _CELL_KEYS = {
     "simulated": bool,
 }
 
-_SWEEP_KEYS = {
-    "search": str,
-    "seed": int,
-    "workloads": list,
-    "points": list,
-    "records": list,
-    "digest": str,
-}
-
 _RESULT_KEYS = {
     "workload": str,
     "config": str,
@@ -255,17 +228,6 @@ def validate_ledger(ledger: dict) -> None:
             f"ledger version {ledger['version']} not supported "
             f"(supported: {', '.join(map(str, SUPPORTED_VERSIONS))})"
         )
-    sweep = ledger.get("sweep")
-    if sweep is not None:
-        if ledger.get("version") == LEDGER_VERSION:
-            problems.append(
-                "sweep section requires ledger version "
-                f"{SWEEP_LEDGER_VERSION}, got {ledger.get('version')}"
-            )
-        if not isinstance(sweep, dict):
-            problems.append(f"sweep: not a dict ({type(sweep).__name__})")
-        else:
-            _check_keys("sweep", sweep, _SWEEP_KEYS, problems)
     for index, cell in enumerate(ledger.get("cells") or []):
         if not isinstance(cell, dict):
             problems.append(f"cells[{index}]: not a dict")
@@ -343,14 +305,6 @@ def format_ledger(ledger: dict) -> str:
                 f"  {name:<40} n={data['count']} mean={mean:.4f} "
                 f"min={data['min']:.4f} max={data['max']:.4f}"
             )
-    sweep = ledger.get("sweep")
-    if sweep:
-        lines.append(
-            f"sweep: {sweep['search']} (seed {sweep['seed']}) — "
-            f"{len(sweep['records'])} cells over "
-            f"{len(sweep['workloads'])} workloads x "
-            f"{len(sweep['points'])} points, digest {sweep['digest'][:16]}"
-        )
     store = ledger.get("store")
     if store:
         lines.append(

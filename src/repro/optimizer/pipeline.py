@@ -20,11 +20,10 @@ from repro.optimizer.passes.cse import CommonSubexpression
 from repro.optimizer.passes.store_forwarding import StoreForwarding
 from repro.optimizer.passes.value_assertion import ValueAssertion
 from repro.optimizer.passes.dead_code import DeadCodeElimination
-from repro.timing.config import ConfigError
 
-#: Canonical pass-spec names, in the default pipeline order.  ``va``
-#: (value assertion) is the spec name for the pass the Figure 10 legend
-#: calls ASST; ``dce`` is the always-on cleanup pass (paper §6.4).
+#: Canonical pass names, in pipeline order.  ``va`` (value assertion)
+#: is the pass the Figure 10 legend calls ASST; ``dce`` is the always-on
+#: cleanup pass (paper §6.4).
 PASS_NAMES = ("nop", "cp", "ra", "cse", "sf", "va", "dce")
 
 #: Accepted aliases (the Figure 10 legend spells value assertion ASST).
@@ -39,47 +38,6 @@ _PASS_CLASSES = {
     "va": ValueAssertion,
     "dce": DeadCodeElimination,
 }
-
-
-def parse_pass_spec(spec: str) -> tuple[str, ...]:
-    """Parse ``"nop,cp,ra,cse,sf,va,dce"`` into canonical pass names.
-
-    Order is preserved (an explicit spec *is* the pipeline order).
-    Unknown names, duplicates (after alias resolution), and specs
-    missing the mandatory ``dce`` terminal raise :class:`ConfigError`
-    naming ``optimizer.pass_spec``.
-    """
-    names: list[str] = []
-    for raw in spec.split(","):
-        token = raw.strip()
-        if not token:
-            raise ConfigError(
-                "optimizer.pass_spec", f"empty pass name in {spec!r}"
-            )
-        name = PASS_ALIASES.get(token, token)
-        if name not in _PASS_CLASSES:
-            raise ConfigError(
-                "optimizer.pass_spec",
-                f"unknown pass {token!r} (choose from "
-                f"{', '.join(PASS_NAMES)}; 'asst' is an alias for 'va')",
-            )
-        if name in names:
-            raise ConfigError(
-                "optimizer.pass_spec", f"duplicate pass {token!r} in {spec!r}"
-            )
-        names.append(name)
-    if "dce" not in names:
-        raise ConfigError(
-            "optimizer.pass_spec",
-            f"'dce' is always enabled (paper §6.4) and must appear in the "
-            f"spec, got {spec!r}",
-        )
-    return tuple(names)
-
-
-def format_pass_spec(names: tuple[str, ...] | list[str]) -> str:
-    """Inverse of :func:`parse_pass_spec`: canonical comma-joined form."""
-    return ",".join(names)
 
 
 @dataclass
@@ -105,18 +63,9 @@ class OptimizerConfig:
     # a variable latency of 10 cycles per uop and depth 3.
     cycles_per_uop: int = 10
     pipeline_depth: int = 3
-    #: Explicit pass subset *and order* as a spec string (e.g.
-    #: ``"nop,cp,ra,cse,sf,va,dce"``).  ``None`` keeps the enable_* flag
-    #: behavior (default order).  When set, the flags are ignored; the
-    #: spec is part of the dataclass, so it lands in the experiment
-    #: fingerprint and differently-ordered sweeps never alias in the
-    #: artifact store.
-    pass_spec: str | None = None
 
     def resolved_pass_names(self) -> tuple[str, ...]:
         """The ordered pass names this configuration runs."""
-        if self.pass_spec is not None:
-            return parse_pass_spec(self.pass_spec)
         flags = (
             ("nop", self.enable_nop),
             ("cp", self.enable_cp),
@@ -184,9 +133,8 @@ class FrameOptimizer:
         self._passes = self._build_passes()
 
     def _build_passes(self) -> list:
-        # resolved_pass_names() ends with (or, via an explicit spec,
-        # contains) 'dce' — dead-code elimination is always enabled, as
-        # in the paper (§6.4); parse_pass_spec rejects specs without it.
+        # resolved_pass_names() ends with 'dce': dead-code elimination is
+        # always enabled, as in the paper (§6.4).
         return [
             _PASS_CLASSES[name]()
             for name in self.config.resolved_pass_names()

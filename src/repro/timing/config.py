@@ -35,45 +35,6 @@ def _is_power_of_two(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
 
 
-#: The widest single x86 instruction the translator emits (CALL: 4 uops).
-#: A fill-unit line must be able to hold at least one whole instruction,
-#: or the fill unit degenerates into emitting lines that can never grow.
-WIDEST_X86_UOPS = 4
-
-
-@dataclass
-class FillUnitConfig:
-    """Trace-cache fill-unit line limits (paper §5.3).
-
-    Lives here (not in :mod:`repro.tracecache`) so it is part of
-    :class:`ProcessorConfig` — sweeps vary frame limits per cell through
-    the ordinary config fingerprint instead of monkeypatching the fill
-    unit.  Defaults match the paper's trace cache: 32-uop lines ending
-    at the third conditional branch.
-    """
-
-    max_uops: int = 32
-    max_branches: int = 3
-
-    def validate(self, prefix: str = "fill_unit") -> None:
-        _require(
-            self.max_uops >= 1,
-            f"{prefix}.max_uops",
-            f"must be >= 1, got {self.max_uops}",
-        )
-        _require(
-            self.max_uops >= WIDEST_X86_UOPS,
-            f"{prefix}.max_uops",
-            f"must be >= the widest single instruction "
-            f"({WIDEST_X86_UOPS} uops), got {self.max_uops}",
-        )
-        _require(
-            self.max_branches >= 1,
-            f"{prefix}.max_branches",
-            f"must be >= 1, got {self.max_branches}",
-        )
-
-
 @dataclass
 class CacheConfig:
     """Geometry and latency of one cache level."""
@@ -161,10 +122,6 @@ class ProcessorConfig:
     mul_latency: int = 4
     div_latency: int = 20
 
-    #: Trace-cache fill-unit line limits (only the ``tcache`` front end
-    #: reads these; defaults keep every existing figure byte-identical).
-    fill_unit: FillUnitConfig = field(default_factory=FillUnitConfig)
-
     def validate(self) -> None:
         """Reject structurally invalid configurations (ConfigError).
 
@@ -233,7 +190,6 @@ class ProcessorConfig:
             "frame_cache_uops",
             f"must be >= 1, got {self.frame_cache_uops}",
         )
-        self.fill_unit.validate("fill_unit")
         _require(
             self.cache_switch_penalty >= 0,
             "cache_switch_penalty",

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.timing.config import FillUnitConfig
 from repro.trace.injector import InjectedInstruction
-
-__all__ = ["FillUnit", "FillUnitConfig", "TraceLine"]
 
 
 @dataclass
@@ -29,6 +26,18 @@ class TraceLine:
     @property
     def x86_count(self) -> int:
         return len(self.x86_pcs)
+
+
+@dataclass
+class FillUnitConfig:
+    """Fill-unit line limits.
+
+    Defaults match the paper's trace cache: 32-uop lines ending at the
+    third conditional branch.
+    """
+
+    max_uops: int = 32
+    max_branches: int = 3
 
 
 class FillUnit:

@@ -14,7 +14,7 @@ from repro.replay.fetch_groups import build_icache_block, event_from_decode
 from repro.replay.sequencer import ICacheSequencer
 from repro.timing.config import ProcessorConfig
 from repro.timing.pipeline import FetchBlock
-from repro.tracecache.fill_unit import FillUnit, FillUnitConfig, TraceLine
+from repro.tracecache.fill_unit import FillUnit, TraceLine
 from repro.tracecache.trace_cache import TraceCache
 
 
@@ -25,10 +25,9 @@ class TraceCacheSequencer(ICacheSequencer):
         self,
         injected: list[InjectedInstruction],
         config: ProcessorConfig,
-        fill_config: FillUnitConfig | None = None,
     ) -> None:
         super().__init__(injected, config)
-        self.fill_unit = FillUnit(fill_config)
+        self.fill_unit = FillUnit()
         self.trace_cache = TraceCache(config.frame_cache_uops)
 
     def next_block(self, cycle: int) -> FetchBlock | None:

@@ -1,5 +1,6 @@
 """Harness CLI (fast experiments only; fig6 etc. covered by benches)."""
 
+import json
 import os
 import time
 
@@ -31,6 +32,13 @@ def test_multiple_experiments(capsys):
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["fig99"])
+
+
+def test_tune_subcommand_removed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["tune", "sweep"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'tune'" in capsys.readouterr().err
 
 
 def test_experiment_list_complete():
@@ -198,6 +206,23 @@ def test_stats_subcommand_rejects_bad_file(capsys, tmp_path):
     bad.write_text("{}")
     assert main(["stats", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_stats_subcommand_rejects_v2_sweep_ledger(capsys, tmp_path):
+    ledger_path = tmp_path / "run.json"
+    main(["table2", "--no-cache", "--emit-stats", str(ledger_path)])
+    capsys.readouterr()
+    ledger = json.loads(ledger_path.read_text())
+    ledger["version"] = 2
+    ledger["sweep"] = {
+        "search": "grid", "seed": 1, "workloads": ["gzip"], "points": [],
+        "records": [], "digest": "0" * 64,
+    }
+    ledger_path.write_text(json.dumps(ledger))
+    assert main(["stats", str(ledger_path)]) == 1
+    err = capsys.readouterr().err
+    assert "ledger version 2 not supported (supported: 1)" in err
+    assert "Traceback" not in err
 
 
 def test_profile_flag_prints_hotspots_to_stderr(capsys):

@@ -185,41 +185,3 @@ def test_table2_default_rendering_unchanged():
     assert "approximately 64kB" in text
     assert "32kB" in text
     assert "512kB" in text
-
-
-# --------------------------------------------------------------- fill unit
-
-
-def test_fill_unit_zero_uops_rejected():
-    config = default_config()
-    config.fill_unit.max_uops = 0
-    with pytest.raises(ConfigError) as excinfo:
-        config.validate()
-    assert _field_of(excinfo) == "fill_unit.max_uops"
-
-
-def test_fill_unit_line_narrower_than_widest_instruction_rejected():
-    # A 4-uop x86 instruction must fit in one line or the fill unit
-    # would loop forever re-offering the same instruction.
-    config = default_config()
-    config.fill_unit.max_uops = 3
-    with pytest.raises(ConfigError) as excinfo:
-        config.validate()
-    assert _field_of(excinfo) == "fill_unit.max_uops"
-    assert "widest" in str(excinfo.value)
-
-
-def test_fill_unit_zero_branches_rejected():
-    config = default_config()
-    config.fill_unit.max_branches = 0
-    with pytest.raises(ConfigError) as excinfo:
-        config.validate()
-    assert _field_of(excinfo) == "fill_unit.max_branches"
-
-
-def test_fill_unit_custom_prefix_names_the_caller():
-    from repro.timing.config import FillUnitConfig
-
-    with pytest.raises(ConfigError) as excinfo:
-        FillUnitConfig(max_uops=0).validate("tune.fill")
-    assert _field_of(excinfo) == "tune.fill.max_uops"
