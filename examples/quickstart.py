@@ -57,10 +57,9 @@ def main() -> None:
           f"final EAX = {emulator.regs[Reg.EAX]}")
 
     # 3. Decode into micro-operations.
-    injector = MicroOpInjector()
-    injected = injector.inject_trace(trace)
-    print(f"decoded: {injector.uop_count} uops "
-          f"({injector.uops_per_x86:.2f} uops per x86 instruction)")
+    injected = MicroOpInjector().inject_trace(trace)
+    print(f"decoded: {injected.uop_count} uops "
+          f"({injected.uops_per_x86:.2f} uops per x86 instruction)")
 
     # 4. Build one frame by hand (one loop iteration) and optimize it.
     start = next(

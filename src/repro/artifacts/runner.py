@@ -186,13 +186,6 @@ class MatrixRun:
     jobs: int = 1
     seconds: float = 0.0
 
-    @property
-    def results_by_cell(self) -> dict[tuple[str, str], ExperimentResult]:
-        return {
-            (task.workload, task.config.name): result
-            for task, result in zip(self.tasks, self.results)
-        }
-
 
 #: In-process trace memo so one process never emulates/decodes the same
 #: workload twice (the matrix shares a trace across its configurations,

@@ -294,8 +294,7 @@ def run_differential(
     final_regs = emulator.reg_snapshot()
     final_flags = emulator.flags_word()
 
-    injector = MicroOpInjector()
-    injected = [injector.inject(record) for record in records]
+    injected = MicroOpInjector().inject_trace(records)
 
     # Expected final memory: every store in trace order.
     expected_bytes: dict[int, int] = {}

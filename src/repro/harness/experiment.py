@@ -7,8 +7,8 @@ The four configurations of Figure 6:
 * ``RP``  — basic rePLay (frames, no optimization);
 * ``RPO`` — rePLay with the optimization engine.
 
-``run_experiment`` wires the Micro-Op Injector, the chosen sequencer, and
-the timing model together and returns an :class:`ExperimentResult`.
+``run_experiment`` wires the Micro-Op Injector (once per trace), the chosen
+sequencer, and the timing model together and returns an :class:`ExperimentResult`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.metrics import MetricsRegistry, get_registry
-from repro.trace.injector import MicroOpInjector
+from repro.trace.injector import inject_once
 from repro.trace.stream import DynamicTrace
 from repro.optimizer.pipeline import FrameOptimizer, OptimizerConfig
 from repro.replay.constructor import ConstructorConfig
@@ -121,8 +121,7 @@ def run_experiment(
     # consume the same geometry (frame cache capacity, fetch width), so
     # a degenerate config must not get as far as constructing them.
     config.processor.validate()
-    injector = MicroOpInjector()
-    injected = injector.inject_trace(trace)
+    injected = inject_once(trace)
 
     verifier = StateVerifier() if (config.verify and config.optimize) else None
     if config.frontend == "icache":
@@ -153,7 +152,7 @@ def run_experiment(
         config_name=config.name,
         workload=workload_name or trace.name,
         sim=sim,
-        uops_per_x86=injector.uops_per_x86,
+        uops_per_x86=injected.uops_per_x86,
     )
     if isinstance(sequencer, RePLaySequencer):
         result.sequencer_stats = sequencer.stats

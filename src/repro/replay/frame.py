@@ -82,11 +82,6 @@ class Frame:
             raise ValueError("frame has not been remapped/optimized")
         return [u for u in self.buffer.uops if u.valid and u.is_mem]
 
-    def unsafe_stores(self) -> list[OptUop]:
-        if self.buffer is None:
-            return []
-        return [u for u in self.buffer.uops if u.valid and u.is_store and u.unsafe]
-
     def build_buffer(self) -> OptimizationBuffer:
         """Remap the frame into the optimization buffer (idempotent)."""
         if self.buffer is None:

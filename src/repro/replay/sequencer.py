@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.trace.injector import InjectedInstruction
+from repro.trace.injector import InjectedInstruction, InjectedTrace
 from repro.replay.constructor import ConstructorConfig, FrameConstructor
 from repro.replay.fetch_groups import build_icache_block, event_from_decode
 from repro.replay.frame import Frame
@@ -120,19 +120,16 @@ def unsafe_store_conflict(
 class ICacheSequencer:
     """Conventional fetch: everything comes from the instruction cache."""
 
-    def __init__(
-        self, injected: list[InjectedInstruction], config: ProcessorConfig
-    ) -> None:
+    def __init__(self, injected: InjectedTrace, config: ProcessorConfig) -> None:
         self.injected = injected
         self.config = config
         self.index = 0
-        self.stats = SequencerStats()
+        self.stats = SequencerStats(
+            raw_uops_total=injected.uop_count, raw_loads_total=injected.load_count
+        )
         #: per-run schedule/decode template cache, shared with the blocks
         #: this sequencer emits (and with frame dispatch in subclasses).
         self.sched_builder = ScheduleBuilder(config)
-        for instr in injected:
-            self.stats.raw_uops_total += len(instr.uops)
-            self.stats.raw_loads_total += sum(1 for u in instr.uops if u.is_load)
 
     def next_block(self, cycle: int) -> FetchBlock | None:
         if self.index >= len(self.injected):
@@ -152,7 +149,7 @@ class RePLaySequencer(ICacheSequencer):
 
     def __init__(
         self,
-        injected: list[InjectedInstruction],
+        injected: InjectedTrace,
         config: ProcessorConfig,
         optimizer: FrameOptimizer | None,
         constructor_config: ConstructorConfig | None = None,
@@ -228,10 +225,6 @@ class RePLaySequencer(ICacheSequencer):
         if conflict:
             self.stats.unsafe_aborts += 1
         return conflict
-
-    def _dynamic_address(self, frame: Frame, uop) -> int | None:
-        """Current-instance address via the shared module-level helper."""
-        return dynamic_address(self.injected, self.index, uop)
 
     # --------------------------------------------------------- dispatch
 
@@ -335,14 +328,13 @@ class RePLaySequencer(ICacheSequencer):
 
     # --------------------------------------------------------- retirement
 
-    def _retire_region(self, count: int, cycle: int, construct: bool = True) -> None:
+    def _retire_region(self, count: int, cycle: int) -> None:
         """Feed retired instructions to the tracker and frame constructor."""
         for _ in range(count):
             instr = self.injected[self.index]
-            if construct:
-                new_frame = self.constructor.retire(instr)
-                if new_frame is not None:
-                    self.queue.submit(new_frame, cycle)
+            new_frame = self.constructor.retire(instr)
+            if new_frame is not None:
+                self.queue.submit(new_frame, cycle)
             if self.tracker is not None:
                 self.tracker.apply(instr.record)
             self.index += 1

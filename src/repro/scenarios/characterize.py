@@ -28,7 +28,7 @@ from repro.replay.sequencer import RePLaySequencer
 from repro.timing.config import ProcessorConfig
 from repro.timing.pipeline import PipelineModel
 from repro.timing.schedule import KIND_ALU, KIND_LOAD, KIND_STORE, ScheduleBuilder
-from repro.trace.injector import MicroOpInjector
+from repro.trace.injector import inject_once
 from repro.trace.stream import DynamicTrace
 from repro.uops.uop import UopOp
 
@@ -297,8 +297,7 @@ def characterize(
             "characterize needs a replay-frontend config (RP or RPO); "
             f"got {config.name!r}"
         )
-    injector = MicroOpInjector()
-    injected = injector.inject_trace(trace)
+    injected = inject_once(trace)
     optimizer = None
     if config.optimize:
         from repro.optimizer.pipeline import FrameOptimizer

@@ -41,14 +41,28 @@ class InjectedInstruction:
         self.addresses = addresses
 
 
+class InjectedTrace(list):
+    """A trace's injected instructions and their totals, counted while injecting."""
+
+    x86_count = 0
+    uop_count = 0
+    load_count = 0
+
+    @property
+    def uops_per_x86(self) -> float:
+        """Observed expansion ratio (paper reports 1.4)."""
+        return self.uop_count / self.x86_count if self.x86_count else 0.0
+
+
 class _Flow:
     """Injection facts of one static instruction's decode flow."""
 
-    __slots__ = ("uops", "mem_slots", "mem_kinds", "no_addresses")
+    __slots__ = ("uops", "mem_slots", "load_count", "mem_kinds", "no_addresses")
 
     def __init__(self, uops: tuple[Uop, ...]) -> None:
         self.uops = uops
         self.mem_slots = tuple(i for i, uop in enumerate(uops) if uop.is_mem)
+        self.load_count = sum(1 for uop in uops if uop.is_load)
         self.mem_kinds = tuple(uops[i].is_store for i in self.mem_slots)
         self.no_addresses: tuple[None, ...] = (None,) * len(uops)
 
@@ -60,6 +74,7 @@ class MicroOpInjector:
         self.translator = Translator()
         self.x86_count = 0
         self.uop_count = 0
+        self.load_count = 0
         self._flows: dict[int, _Flow] = {}
 
     def inject(self, record: TraceRecord) -> InjectedInstruction:
@@ -81,18 +96,36 @@ class MicroOpInjector:
             addresses = tuple(slots)
         self.x86_count += 1
         self.uop_count += len(flow.uops)
+        self.load_count += flow.load_count
         return InjectedInstruction(record, flow.uops, addresses)
 
-    def inject_trace(self, trace: DynamicTrace) -> list[InjectedInstruction]:
-        """Inject a whole trace (convenience for tests and the harness)."""
-        return [self.inject(record) for record in trace]
+    def inject_trace(self, trace: DynamicTrace) -> InjectedTrace:
+        """Inject a whole trace; the result carries its own totals."""
+        x86, uops, loads = self.x86_count, self.uop_count, self.load_count
+        injected = InjectedTrace(map(self.inject, trace))
+        injected.x86_count = self.x86_count - x86
+        injected.uop_count = self.uop_count - uops
+        injected.load_count = self.load_count - loads
+        return injected
 
-    @property
-    def uops_per_x86(self) -> float:
-        """Observed expansion ratio (paper reports 1.4)."""
-        if not self.x86_count:
-            return 0.0
-        return self.uop_count / self.x86_count
+
+#: ``(trace, stream)`` of the last trace :func:`inject_once` injected.
+#: Holding the trace keeps its ``id`` from being reused by another.
+_memo: tuple = ()
+
+
+def inject_once(trace: DynamicTrace) -> InjectedTrace:
+    """Inject ``trace``, or return its stream if it was the last one.
+
+    The figure matrices run a workload's cells back to back, so one entry
+    catches the reuse.  It is dropped before the next injection: at most
+    one stream is held, and a failed injection leaves none.
+    """
+    global _memo
+    if not (_memo and _memo[0] is trace):
+        _memo = ()
+        _memo = (trace, MicroOpInjector().inject_trace(trace))
+    return _memo[1]
 
 
 def _reject(record: TraceRecord, flow: _Flow) -> None:

@@ -49,10 +49,6 @@ class TraceRecord:
     branch_taken: bool | None = None  # only set for conditional branches
 
     @property
-    def is_branch(self) -> bool:
-        return self.instruction.is_branch
-
-    @property
     def is_conditional_branch(self) -> bool:
         return self.instruction.is_conditional
 

@@ -9,7 +9,7 @@ either.
 
 from __future__ import annotations
 
-from repro.trace.injector import InjectedInstruction
+from repro.trace.injector import InjectedTrace
 from repro.replay.fetch_groups import build_icache_block, event_from_decode
 from repro.replay.sequencer import ICacheSequencer
 from repro.timing.config import ProcessorConfig
@@ -21,11 +21,7 @@ from repro.tracecache.trace_cache import TraceCache
 class TraceCacheSequencer(ICacheSequencer):
     """Fetch from the trace cache when possible, else the ICache."""
 
-    def __init__(
-        self,
-        injected: list[InjectedInstruction],
-        config: ProcessorConfig,
-    ) -> None:
+    def __init__(self, injected: InjectedTrace, config: ProcessorConfig) -> None:
         super().__init__(injected, config)
         self.fill_unit = FillUnit()
         self.trace_cache = TraceCache(config.frame_cache_uops)

@@ -177,6 +177,8 @@ class Label:
 
 Operand = Reg | Imm | Mem | Label
 
+_BRANCHES = frozenset({Mnemonic.JCC, Mnemonic.JMP, Mnemonic.CALL, Mnemonic.RET})
+
 
 @dataclass
 class Instruction:
@@ -194,16 +196,11 @@ class Instruction:
     address: int = 0
     length: int = 0
     label_targets: dict[str, int] = field(default_factory=dict, repr=False)
+    #: Any control transfer; a field, as it is read per dynamic instance.
+    is_branch: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_branch(self) -> bool:
-        """True for any control-transfer instruction."""
-        return self.mnemonic in (
-            Mnemonic.JCC,
-            Mnemonic.JMP,
-            Mnemonic.CALL,
-            Mnemonic.RET,
-        )
+    def __post_init__(self) -> None:
+        self.is_branch = self.mnemonic in _BRANCHES
 
     @property
     def is_conditional(self) -> bool:

@@ -29,6 +29,7 @@ from repro.trace.tracefile import (
     write_trace,
 )
 from repro.workloads import build_workload
+from repro.x86 import Assembler, Cond, Emulator
 from repro.x86.instructions import Imm, Instruction, Mem, Mnemonic
 from repro.x86.registers import Reg
 
@@ -61,6 +62,30 @@ def test_binary_smaller_than_text():
     text = io.StringIO()
     write_trace(trace, text)
     assert len(binary) < len(text.getvalue()) / 2
+
+
+def test_decoded_instructions_carry_is_branch():
+    """``is_branch`` is left out of ``==``, so check it after decoding."""
+    asm = Assembler()
+    asm.mov(Reg.ECX, Imm(2))
+    asm.label("loop")
+    asm.call("leaf")
+    asm.dec(Reg.ECX)
+    asm.jcc(Cond.NZ, "loop")
+    asm.jmp("done")
+    asm.label("leaf")
+    asm.ret()
+    asm.label("done")
+    asm.ret()
+    trace = DynamicTrace(Emulator(asm.assemble()).run())
+    decoded = roundtrip_binary(trace).records
+    branches = {Mnemonic.JCC, Mnemonic.JMP, Mnemonic.CALL, Mnemonic.RET}
+    seen = {r.instruction.mnemonic: r.instruction.is_branch for r in decoded}
+    assert seen == {
+        Mnemonic.MOV: False,
+        Mnemonic.DEC: False,
+        **{mnemonic: True for mnemonic in branches},
+    }
 
 
 def test_bad_magic_rejected():

@@ -60,7 +60,9 @@ def test_icache_sequencer_covers_whole_trace(loop_asm):
 
 def test_replay_sequencer_retires_everything():
     sequencer, result = run_sequencer(biased_loop_asm())
-    assert result.x86_retired == sequencer.stats.raw_uops_total > 0 or True
+    uops = [u for instr in sequencer.injected for u in instr.uops]
+    assert sequencer.stats.raw_uops_total == len(uops) > result.x86_retired
+    assert sequencer.stats.raw_loads_total == sum(u.is_load for u in uops) > 0
     assert result.x86_retired == len(sequencer.injected)
 
 

@@ -4,8 +4,14 @@ import pytest
 
 from helpers import inject, run_program
 from repro.harness import CONFIGS, experiment
-from repro.replay import FrameConstructor
+from repro.optimizer import FrameOptimizer
+from repro.replay import FrameConstructor, RePLaySequencer
+from repro.replay.sequencer import ICacheSequencer
+from repro.timing.pipeline import PipelineModel
 from repro.trace import DynamicTrace, InjectionError, MicroOpInjector, MemOp, TraceRecord
+from repro.trace import injector as injector_module
+from repro.trace.injector import InjectedTrace, inject_once
+from repro.tracecache import TraceCacheSequencer
 from repro.uops import UopOp
 from repro.workloads import build_workload
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
@@ -109,7 +115,8 @@ def test_rpo_run_leaves_static_uops_unannotated(monkeypatch):
             super().__init__()
             injectors.append(self)
 
-    monkeypatch.setattr(experiment, "MicroOpInjector", RecordingInjector)
+    monkeypatch.setattr(injector_module, "MicroOpInjector", RecordingInjector)
+    monkeypatch.setattr(injector_module, "_memo", ())
     result = experiment.run_experiment(build_workload("vortex"), CONFIGS["RPO"])
     assert result.sequencer_stats.frame_dispatches > 0
     (injector,) = injectors
@@ -158,6 +165,108 @@ def test_stats_counted(loop_asm):
     injector.inject_trace(trace)
     assert injector.x86_count == len(trace)
     assert injector.uop_count > injector.x86_count
+
+
+def test_injected_trace_carries_its_totals(loop_asm):
+    """Counted while injecting, even by an injector that injected before."""
+    _, _, trace = run_program(loop_asm)
+    injector = MicroOpInjector()
+    injector.inject(trace[0])
+    injected = injector.inject_trace(trace)
+    assert isinstance(injected, InjectedTrace) and len(injected) == len(trace)
+    uops = [u for instr in injected for u in instr.uops]
+    assert injected.x86_count == len(trace)
+    assert injected.uop_count == len(uops)
+    assert injected.load_count == sum(u.is_load for u in uops) > 0
+    assert injected.uops_per_x86 == len(uops) / len(trace)
+    assert InjectedTrace().uops_per_x86 == 0.0
+
+
+# ------------------------------------------------------ injected-stream memo
+
+
+@pytest.fixture
+def counted_injections(monkeypatch):
+    """Empty the memo and record every trace ``inject_trace`` is called on."""
+    monkeypatch.setattr(injector_module, "_memo", ())
+    traces = []
+    inject_trace = MicroOpInjector.inject_trace
+
+    def recording(self, trace):
+        traces.append(trace)
+        return inject_trace(self, trace)
+
+    monkeypatch.setattr(MicroOpInjector, "inject_trace", recording)
+    return traces
+
+
+def test_run_experiment_injects_a_trace_once(counted_injections, loop_asm):
+    _, _, trace = run_program(loop_asm)
+    first = experiment.run_experiment(trace, CONFIGS["RPO"])
+    second = experiment.run_experiment(trace, CONFIGS["RPO"])
+    assert len(counted_injections) == 1 and counted_injections[0] is trace
+    assert first.sim == second.sim
+    assert first.uops_per_x86 == second.uops_per_x86 > 1.0
+
+
+def test_next_trace_evicts_the_last(counted_injections, loop_asm):
+    _, _, first = run_program(loop_asm)
+    second = DynamicTrace(first.records, name="same records, other trace")
+    injected = inject_once(first)
+    assert inject_once(first) is injected
+    assert inject_once(second) is not injected
+    assert len(injector_module._memo) == 2 and injector_module._memo[0] is second
+    inject_once(first)
+    assert counted_injections == [first, second, first]
+
+
+def _rejected_trace() -> DynamicTrace:
+    instr = Instruction(Mnemonic.MOV, (Reg.EAX, mem(Reg.ESI)))
+    instr.length = 2
+    return DynamicTrace([TraceRecord(pc=0, instruction=instr, next_pc=2)])
+
+
+def test_failed_injection_memoizes_nothing(counted_injections, loop_asm):
+    _, _, good = run_program(loop_asm)
+    inject_once(good)
+    bad = _rejected_trace()
+    for _ in range(2):
+        with pytest.raises(InjectionError):
+            inject_once(bad)
+        assert injector_module._memo == ()
+    with pytest.raises(InjectionError):
+        experiment.run_experiment(bad, CONFIGS["IC"])
+    assert injector_module._memo == ()
+    assert counted_injections == [good, bad, bad, bad]
+
+
+def _fresh_sim(trace, config):
+    """Simulate ``config`` from a stream no other simulation has seen."""
+    injected = MicroOpInjector().inject_trace(trace)
+    if config.frontend == "icache":
+        sequencer = ICacheSequencer(injected, config.processor)
+    elif config.frontend == "tcache":
+        sequencer = TraceCacheSequencer(injected, config.processor)
+    else:
+        optimizer = FrameOptimizer(config.optimizer) if config.optimize else None
+        sequencer = RePLaySequencer(
+            injected,
+            config.processor,
+            optimizer,
+            constructor_config=config.constructor,
+        )
+    return PipelineModel(config.processor).simulate(sequencer), sequencer.stats
+
+
+def test_memoized_stream_simulates_like_a_fresh_one(counted_injections):
+    trace = build_workload("eon", scale=1)
+    for name in ("IC", "TC", "RP", "RPO"):
+        result = experiment.run_experiment(trace, CONFIGS[name])
+        sim, stats = _fresh_sim(trace, CONFIGS[name])
+        assert result.sim == sim, name
+        assert result.sequencer_stats == stats, name
+    assert result.sim.frames_fetched > 0
+    assert counted_injections.count(trace) == 5
 
 
 def test_trace_stats(loop_asm):

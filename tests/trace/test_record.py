@@ -41,4 +41,4 @@ def test_record_branch_classification():
     add = TraceRecord(
         pc=0, instruction=Instruction(Mnemonic.ADD, (Reg.EAX, Imm(1))), next_pc=4
     )
-    assert not add.is_branch and not add.is_conditional_branch
+    assert not add.instruction.is_branch and not add.is_conditional_branch

@@ -152,8 +152,7 @@ def test_uop_ratio_on_realistic_mix(loop_asm):
     from repro.trace import MicroOpInjector
 
     _, _, trace = run_program(loop_asm)
-    injector = MicroOpInjector()
-    injector.inject_trace(trace)
+    injected = MicroOpInjector().inject_trace(trace)
     # The paper reports ~1.4 uops per x86 instruction; call-heavy code
     # runs higher, plain ALU code lower.
-    assert 1.0 <= injector.uops_per_x86 <= 2.2
+    assert 1.0 <= injected.uops_per_x86 <= 2.2

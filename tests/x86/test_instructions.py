@@ -1,5 +1,7 @@
 """Instruction/operand model and encoded-length estimation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.x86.instructions import (
@@ -72,6 +74,25 @@ def test_is_branch_classification():
     add = Instruction(Mnemonic.ADD, (Reg.EAX, Imm(1)))
     assert jcc.is_branch and jcc.is_conditional
     assert not add.is_branch
+
+
+def test_is_branch_field_stays_out_of_eq_and_repr():
+    add = Instruction(Mnemonic.ADD, (Reg.EAX, Imm(1)), address=0x10, length=3)
+    assert repr(add) == (
+        "Instruction(mnemonic=<Mnemonic.ADD: 'add'>, "
+        "operands=(<Reg.EAX: 0>, Imm(value=1)), cond=None, address=16, length=3)"
+    )
+    same = Instruction(Mnemonic.ADD, (Reg.EAX, Imm(1)), address=0x10, length=3)
+    same.is_branch = True
+    assert same == add
+    assert Instruction(Mnemonic.SUB, (Reg.EAX, Imm(1)), address=0x10, length=3) != add
+
+
+def test_replace_recomputes_is_branch():
+    add = Instruction(Mnemonic.ADD, (Reg.EAX, Imm(1)))
+    jmp = replace(add, mnemonic=Mnemonic.JMP, operands=(Label("x"),))
+    assert jmp.is_branch and not add.is_branch
+    assert not replace(jmp, mnemonic=Mnemonic.NOP, operands=()).is_branch
 
 
 def test_indirect_classification():
