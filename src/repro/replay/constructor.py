@@ -6,16 +6,15 @@ atomic frames of 8-256 micro-operations.  A conditional branch is
 promoted once it has gone the same direction for ``promotion_threshold``
 consecutive executions; indirect jumps are promoted on a stable target.
 An unbiased control transfer terminates the frame and remains its exit
-branch.
+branch.  A closed region is handed over as a :class:`Frame` that is
+frame-ified only when its body is first read (see :mod:`repro.replay.frame`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.trace.injector import InjectedInstruction
-from repro.uops.uop import Uop, UopOp
-from repro.x86.instructions import Cond, Mnemonic
 from repro.replay.frame import Frame
 
 
@@ -89,7 +88,6 @@ class FrameConstructor:
     def retire(self, instr: InjectedInstruction) -> Frame | None:
         """Feed one retired instruction; returns a frame when one completes."""
         record = instr.record
-        mnem = record.instruction.mnemonic
 
         # Would this instruction overflow the frame?  Close the current
         # region first (fall-through exit) and start fresh with it.
@@ -119,6 +117,9 @@ class FrameConstructor:
         if not instruction.is_branch:
             return False
         if instruction.is_conditional:
+            # Checked on every retired JCC, not just in the frames the
+            # optimization queue keeps (only those are frame-ified).
+            assert record.branch_taken is not None
             matched = self.bias.observe(record.pc, record.branch_taken)
             if not matched:
                 return True
@@ -143,61 +144,8 @@ class FrameConstructor:
         if not pending or pending_uops < self.config.min_uops:
             self.frames_discarded += bool(pending)
             return None
-        frame = self._frameify(pending, end_next_pc)
         self.frames_emitted += 1
-        return frame
-
-    def _frameify(
-        self, pending: list[InjectedInstruction], end_next_pc: int
-    ) -> Frame:
-        """Convert a region into frame form: mid-frame control becomes
-        assertions (paper §2); the final control transfer stays the exit."""
-        dyn_uops: list[Uop] = []
-        x86_indices: list[int] = []
-        mem_keys: list[tuple[int, int] | None] = []
-        block_starts: list[int] = [0]
-        x86_pcs: list[int] = []
-        last_index = len(pending) - 1
-
-        for x86_index, instr in enumerate(pending):
-            record = instr.record
-            x86_pcs.append(record.pc)
-            if x86_index and pending[x86_index - 1].record.instruction.is_branch:
-                block_starts.append(x86_index)
-            is_exit_instr = x86_index == last_index
-            mem_index = 0
-            for uop, address in zip(instr.uops, instr.addresses):
-                key: tuple[int, int] | None = None
-                if uop.is_mem:
-                    key = (x86_index, mem_index)
-                    mem_index += 1
-                if uop.is_control and not is_exit_instr:
-                    if self._degenerate_branch(uop, record):
-                        # Taken target == fall-through: the direction
-                        # cannot change the frame's path, so an assertion
-                        # here could only fire spuriously (a rollback
-                        # with no architectural cause).  Drop the uop.
-                        continue
-                    converted = self._convert_control(uop, record)
-                else:
-                    # The one place a dynamic uop is copied: the shared
-                    # static uop gets this instance's address.
-                    converted = uop.copy()
-                    if address is not None:
-                        converted.mem_address = address
-                dyn_uops.append(converted)
-                x86_indices.append(x86_index)
-                mem_keys.append(key)
-
-        return Frame(
-            start_pc=pending[0].record.pc,
-            x86_pcs=x86_pcs,
-            end_next_pc=end_next_pc,
-            dyn_uops=dyn_uops,
-            x86_indices=x86_indices,
-            mem_keys=mem_keys,
-            block_starts=block_starts,
-        )
+        return Frame.from_region(pending, end_next_pc)
 
     def abandon(self) -> None:
         """Discard the pending region (its continuation won't be retired
@@ -211,42 +159,7 @@ class FrameConstructor:
         """Directly frame-ify a region (bypasses bias promotion).
 
         Used by examples, the verifier's unit tests, and the paper's
-        Figure 2 walkthrough, where the region is chosen by hand.
+        Figure 2 walkthrough, where the region is chosen by hand.  The
+        region is copied, so the caller may reuse its list.
         """
-        return self._frameify(instructions, end_next_pc)
-
-    @staticmethod
-    def _degenerate_branch(uop: Uop, record) -> bool:
-        """A conditional branch to its own fall-through address.
-
-        Both directions retire the same successor, so path matching can
-        never observe the direction and no assertion is needed;
-        converting one was found (by differential fuzzing) to fire on
-        path-matching instances whenever the condition flips.
-        """
-        return (
-            uop.op is UopOp.BR
-            and uop.target is not None
-            and uop.target == record.pc + record.instruction.length
-        )
-
-    @staticmethod
-    def _convert_control(uop: Uop, record) -> Uop:
-        """Mid-frame control conversion: BR -> ASSERT, JMPI -> value assert.
-
-        The direction and indirect target come from this instance's
-        record; the static uop itself is never modified.
-        """
-        if uop.op is UopOp.BR:
-            assert uop.cond is not None and record.branch_taken is not None
-            cond = uop.cond if record.branch_taken else uop.cond.inverse()
-            return uop.copy(op=UopOp.ASSERT, cond=cond, target=None)
-        if uop.op is UopOp.JMPI:
-            return uop.copy(
-                op=UopOp.ASSERT_CMP,
-                cond=Cond.Z,
-                cmp_kind=UopOp.SUB,
-                imm=record.next_pc,
-                writes_flags=False,
-            )
-        return uop.copy()  # direct JMP: left for the NOP-removal pass
+        return Frame.from_region(list(instructions), end_next_pc)

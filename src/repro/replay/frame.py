@@ -10,34 +10,118 @@ and live-out bindings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.uops.uop import Uop
+from repro.trace.injector import InjectedInstruction
+from repro.uops.uop import Uop, UopOp
+from repro.x86.instructions import Cond
 from repro.optimizer.buffer import OptimizationBuffer
 from repro.optimizer.optuop import OptUop
 from repro.optimizer.pipeline import OptimizationResult
 
 
-@dataclass
-class Frame:
-    """One atomic frame."""
+class FrameBody(NamedTuple):
+    """A frame's uops in frame form, with their per-uop side tables."""
 
-    start_pc: int
-    x86_pcs: list[int]
-    end_next_pc: int
-    dyn_uops: list[Uop] = field(repr=False, default_factory=list)
-    x86_indices: list[int] = field(repr=False, default_factory=list)
-    mem_keys: list[tuple[int, int] | None] = field(repr=False, default_factory=list)
-    block_starts: list[int] = field(default_factory=lambda: [0])
-    buffer: OptimizationBuffer | None = None
-    opt_result: OptimizationResult | None = None
-    always_fires: bool = False  # degenerate frame (statically false assert)
-    commits: int = 0  # dynamic instances that completed
-    fires: int = 0  # dynamic instances that aborted
-    cooldown: int = 0  # dispatch opportunities to skip after a fire
-    #: cached :class:`repro.timing.schedule.FrameSchedule`; valid once the
-    #: buffer is final (post-optimization) and for the buffer's lifetime.
-    sched_template: object | None = field(default=None, repr=False, compare=False)
+    dyn_uops: list[Uop]
+    x86_indices: list[int]
+    mem_keys: list[tuple[int, int] | None]
+    block_starts: list[int]
+    raw_load_count: int
+
+
+class Frame:
+    """One atomic frame.
+
+    A frame built from a retired region (:meth:`from_region`) holds only
+    its path and the region until its body is first read; the body is
+    then frame-ified and the region dropped.  The optimization queue
+    rejects most constructed frames on their path alone (already cached,
+    already in flight, pipeline full), so only the frames it keeps pay
+    for the per-uop copy.  A frame may also be given its body directly.
+    """
+
+    def __init__(
+        self,
+        start_pc: int,
+        x86_pcs: list[int],
+        end_next_pc: int,
+        dyn_uops: list[Uop] | None = None,
+        x86_indices: list[int] | None = None,
+        mem_keys: list[tuple[int, int] | None] | None = None,
+        block_starts: list[int] | None = None,
+        region: list[InjectedInstruction] | None = None,
+    ) -> None:
+        self.start_pc = start_pc
+        self.x86_pcs = x86_pcs
+        self.end_next_pc = end_next_pc
+        #: identity of the frame: entry point plus embodied path.
+        self.path_key = (start_pc, tuple(x86_pcs))
+        self._region = region
+        self._body: FrameBody | None = None
+        if region is None:
+            dyn_uops = dyn_uops or []
+            self._body = FrameBody(
+                dyn_uops,
+                x86_indices or [],
+                mem_keys or [],
+                block_starts or [0],
+                sum(1 for u in dyn_uops if u.is_load),
+            )
+        self.buffer: OptimizationBuffer | None = None
+        self.opt_result: OptimizationResult | None = None
+        self.always_fires = False  # degenerate frame (statically false assert)
+        self.commits = 0  # dynamic instances that completed
+        self.fires = 0  # dynamic instances that aborted
+        self.cooldown = 0  # dispatch opportunities to skip after a fire
+        #: cached :class:`repro.timing.schedule.FrameSchedule`; valid once the
+        #: buffer is final (post-optimization) and for the buffer's lifetime.
+        self.sched_template = None
+
+    @classmethod
+    def from_region(
+        cls, region: list[InjectedInstruction], end_next_pc: int
+    ) -> Frame:
+        """A frame over a retired region, frame-ified on first read.
+
+        The region list is kept as given, so the caller must not reuse it.
+        """
+        return cls(
+            start_pc=region[0].record.pc,
+            x86_pcs=[instr.record.pc for instr in region],
+            end_next_pc=end_next_pc,
+            region=region,
+        )
+
+    @property
+    def body(self) -> FrameBody:
+        """The frame-ified uops, built from the region on first read."""
+        body = self._body
+        if body is None:
+            body = self._body = _frameify(self._region)
+            self._region = None
+        return body
+
+    @property
+    def dyn_uops(self) -> list[Uop]:
+        return self.body.dyn_uops
+
+    @property
+    def x86_indices(self) -> list[int]:
+        return self.body.x86_indices
+
+    @property
+    def mem_keys(self) -> list[tuple[int, int] | None]:
+        return self.body.mem_keys
+
+    @property
+    def block_starts(self) -> list[int]:
+        return self.body.block_starts
+
+    @property
+    def raw_load_count(self) -> int:
+        """Loads among the frame-ified uops (before optimization)."""
+        return self.body.raw_load_count
 
     @property
     def proven(self) -> bool:
@@ -49,17 +133,14 @@ class Frame:
         return len(self.x86_pcs)
 
     @property
-    def path_key(self) -> tuple:
-        """Identity of the frame: entry point plus embodied path."""
-        return (self.start_pc, tuple(self.x86_pcs))
-
-    @property
     def raw_uop_count(self) -> int:
         return len(self.dyn_uops)
 
     @property
     def uop_count(self) -> int:
         """Micro-operations fetched when this frame is dispatched."""
+        if self.sched_template is not None:
+            return len(self.sched_template.kept)
         if self.buffer is not None:
             return self.buffer.valid_count()
         return len(self.dyn_uops)
@@ -68,7 +149,7 @@ class Frame:
     def load_count(self) -> int:
         if self.buffer is not None:
             return self.buffer.load_count()
-        return sum(1 for u in self.dyn_uops if u.is_load)
+        return self.raw_load_count
 
     def kept_uops(self) -> list[OptUop]:
         """Valid optimized uops in final (position) order."""
@@ -76,20 +157,15 @@ class Frame:
             raise ValueError("frame has not been remapped/optimized")
         return [u for u in self.buffer.uops if u.valid]
 
-    def kept_mem_uops(self) -> list[OptUop]:
-        """Valid memory uops in frame order (for unsafe-store checks)."""
-        if self.buffer is None:
-            raise ValueError("frame has not been remapped/optimized")
-        return [u for u in self.buffer.uops if u.valid and u.is_mem]
-
     def build_buffer(self) -> OptimizationBuffer:
         """Remap the frame into the optimization buffer (idempotent)."""
         if self.buffer is None:
+            body = self.body
             self.buffer = OptimizationBuffer(
-                self.dyn_uops,
-                self.x86_indices,
-                self.mem_keys,
-                block_starts=self.block_starts,
+                body.dyn_uops,
+                body.x86_indices,
+                body.mem_keys,
+                block_starts=body.block_starts,
             )
         return self.buffer
 
@@ -102,3 +178,82 @@ class Frame:
         if self.buffer is not None:
             return header + "\n" + self.buffer.dump()
         return header + "\n" + "\n".join(str(u) for u in self.dyn_uops)
+
+
+def _frameify(region: list[InjectedInstruction]) -> FrameBody:
+    """Convert a region into frame form: mid-frame control becomes
+    assertions (paper §2); the final control transfer stays the exit."""
+    dyn_uops: list[Uop] = []
+    x86_indices: list[int] = []
+    mem_keys: list[tuple[int, int] | None] = []
+    block_starts: list[int] = [0]
+    raw_loads = 0
+    last_index = len(region) - 1
+
+    for x86_index, instr in enumerate(region):
+        record = instr.record
+        if x86_index and region[x86_index - 1].record.instruction.is_branch:
+            block_starts.append(x86_index)
+        is_exit_instr = x86_index == last_index
+        mem_index = 0
+        for uop, address in zip(instr.uops, instr.addresses):
+            key: tuple[int, int] | None = None
+            if uop.is_mem:
+                key = (x86_index, mem_index)
+                mem_index += 1
+                raw_loads += uop.op is UopOp.LOAD
+            if uop.is_control and not is_exit_instr:
+                if _degenerate_branch(uop, record):
+                    # Taken target == fall-through: the direction
+                    # cannot change the frame's path, so an assertion
+                    # here could only fire spuriously (a rollback
+                    # with no architectural cause).  Drop the uop.
+                    continue
+                converted = _convert_control(uop, record)
+            else:
+                # The one place a dynamic uop is copied: the shared
+                # static uop gets this instance's address.
+                converted = uop.copy()
+                if address is not None:
+                    converted.mem_address = address
+            dyn_uops.append(converted)
+            x86_indices.append(x86_index)
+            mem_keys.append(key)
+
+    return FrameBody(dyn_uops, x86_indices, mem_keys, block_starts, raw_loads)
+
+
+def _degenerate_branch(uop: Uop, record) -> bool:
+    """A conditional branch to its own fall-through address.
+
+    Both directions retire the same successor, so path matching can
+    never observe the direction and no assertion is needed;
+    converting one was found (by differential fuzzing) to fire on
+    path-matching instances whenever the condition flips.
+    """
+    return (
+        uop.op is UopOp.BR
+        and uop.target is not None
+        and uop.target == record.pc + record.instruction.length
+    )
+
+
+def _convert_control(uop: Uop, record) -> Uop:
+    """Mid-frame control conversion: BR -> ASSERT, JMPI -> value assert.
+
+    The direction and indirect target come from this instance's
+    record; the static uop itself is never modified.
+    """
+    if uop.op is UopOp.BR:
+        assert uop.cond is not None and record.branch_taken is not None
+        cond = uop.cond if record.branch_taken else uop.cond.inverse()
+        return uop.copy(op=UopOp.ASSERT, cond=cond, target=None)
+    if uop.op is UopOp.JMPI:
+        return uop.copy(
+            op=UopOp.ASSERT_CMP,
+            cond=Cond.Z,
+            cmp_kind=UopOp.SUB,
+            imm=record.next_pc,
+            writes_flags=False,
+        )
+    return uop.copy()  # direct JMP: left for the NOP-removal pass

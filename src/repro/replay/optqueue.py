@@ -76,6 +76,8 @@ class OptimizationQueue:
 
         Duplicate detection is against the cache and the in-flight stages,
         so an evicted path is naturally rebuilt when its region re-heats.
+        Every rejection reads only the frame's path, so a rejected frame
+        is never frame-ified.
         """
         self.drain(now)
         if self.frame_cache.contains_path(frame.path_key):
@@ -103,8 +105,7 @@ class OptimizationQueue:
         totals.frames_optimized += 1
         totals.uops_before += frame.raw_uop_count
         totals.uops_after += frame.uop_count
-        raw_loads = sum(1 for u in frame.dyn_uops if u.is_load)
-        totals.loads_before += raw_loads
+        totals.loads_before += frame.raw_load_count
         totals.loads_after += frame.load_count
         if frame.opt_result is not None:
             stats = frame.opt_result.stats

@@ -10,6 +10,7 @@ re-executing the region from the ICache.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.trace.injector import InjectedInstruction, InjectedTrace
@@ -76,7 +77,10 @@ def dynamic_address(
 
 
 def unsafe_store_conflict(
-    frame: Frame, injected: list[InjectedInstruction], base_index: int
+    frame: Frame,
+    injected: list[InjectedInstruction],
+    base_index: int,
+    unsafe_stores: Sequence | None = None,
 ) -> bool:
     """Unsafe-store alias check (paper §3.4).
 
@@ -91,16 +95,18 @@ def unsafe_store_conflict(
 
     Shared by :class:`RePLaySequencer` dispatch and the differential
     fuzz oracle (:mod:`repro.fuzz.oracle`), so both judge an instance's
-    commit eligibility identically.
+    commit eligibility identically.  ``unsafe_stores`` is the frame's
+    kept unsafe stores in frame order (``FrameSchedule.unsafe_stores``);
+    when omitted they are collected from the buffer.
     """
-    if frame.buffer is None:
-        return False
-    mem_uops = frame.kept_mem_uops()
-    guarded = [u for u in mem_uops if u.is_store and u.unsafe]
-    if not guarded:
-        return False
     buffer = frame.buffer
-    for store in guarded:
+    if buffer is None:
+        return False
+    if unsafe_stores is None:
+        unsafe_stores = [
+            u for u in buffer.uops if u.valid and u.is_store and u.unsafe
+        ]
+    for store in unsafe_stores:
         address = dynamic_address(injected, base_index, store)
         if address is None:
             continue
@@ -180,17 +186,20 @@ class RePLaySequencer(ICacheSequencer):
             return None
         self.queue.drain(cycle)
         pc = self.injected[self.index].record.pc
-        frame = None
+        frame = template = None
         if self.index >= self._icache_until:
             frame = self.frame_cache.lookup(pc)
-        if frame is not None and frame.uop_count:
+        if frame is not None:
+            # A cached frame's buffer is final, so its template is too.
+            template = self.sched_builder.frame_schedule(frame)
+        if template is not None and template.kept:
             if frame.cooldown > 0:
                 frame.cooldown -= 1
                 self.stats.cooldown_skips += 1
-            elif self._instance_commits(frame):
-                return self._dispatch_frame(frame, cycle)
+            elif self._instance_commits(frame, template):
+                return self._dispatch_frame(frame, template, cycle)
             else:
-                return self._dispatch_firing_frame(frame)
+                return self._dispatch_firing_frame(frame, template)
         probe = (
             self.frame_cache.contains if self.index >= self._icache_until else None
         )
@@ -206,7 +215,7 @@ class RePLaySequencer(ICacheSequencer):
 
     # ------------------------------------------------------- frame checks
 
-    def _instance_commits(self, frame: Frame) -> bool:
+    def _instance_commits(self, frame: Frame, template: FrameSchedule) -> bool:
         """Path match plus unsafe-store alias check for this instance."""
         injected = self.injected
         base = self.index
@@ -217,14 +226,11 @@ class RePLaySequencer(ICacheSequencer):
                 return False
         if frame.always_fires:
             return False
-        return not self._unsafe_store_conflict(frame)
-
-    def _unsafe_store_conflict(self, frame: Frame) -> bool:
-        """Delegates to the shared module-level check, keeping stats."""
-        conflict = unsafe_store_conflict(frame, self.injected, self.index)
-        if conflict:
+        stores = template.unsafe_stores
+        if stores and unsafe_store_conflict(frame, injected, base, stores):
             self.stats.unsafe_aborts += 1
-        return conflict
+            return False
+        return True
 
     # --------------------------------------------------------- dispatch
 
@@ -268,8 +274,9 @@ class RePLaySequencer(ICacheSequencer):
                     events.append(event)
         return events
 
-    def _dispatch_frame(self, frame: Frame, cycle: int) -> FetchBlock:
-        template = self.sched_builder.frame_schedule(frame)
+    def _dispatch_frame(
+        self, frame: Frame, template: FrameSchedule, cycle: int
+    ) -> FetchBlock:
         uops = template.kept
         addresses = self._frame_addresses(template)
         events = self._exit_event(frame, template)
@@ -287,7 +294,7 @@ class RePLaySequencer(ICacheSequencer):
             self._verified_paths.add(frame.path_key)
         stats = self.stats
         stats.frame_dispatches += 1
-        stats.frame_raw_uops += frame.raw_uop_count
+        stats.frame_raw_uops += template.raw_uops
         stats.frame_fetched_uops += len(uops)
         stats.frame_raw_loads += template.raw_loads
         stats.frame_fetched_loads += template.fetched_loads
@@ -305,7 +312,9 @@ class RePLaySequencer(ICacheSequencer):
             sched=template,
         )
 
-    def _dispatch_firing_frame(self, frame: Frame) -> FetchBlock:
+    def _dispatch_firing_frame(
+        self, frame: Frame, template: FrameSchedule
+    ) -> FetchBlock:
         """This instance deviates from the frame's path: it fires."""
         self.stats.frame_aborts += 1
         frame.fires += 1
@@ -314,7 +323,6 @@ class RePLaySequencer(ICacheSequencer):
             self.frame_cache.evict(frame.start_pc)
         # The aborted region re-executes from the ICache (paper §3.4).
         self._icache_until = self.index + frame.x86_count
-        template = self.sched_builder.frame_schedule(frame)
         return FetchBlock(
             source="frame",
             uops=template.kept,

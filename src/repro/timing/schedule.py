@@ -94,7 +94,9 @@ class FrameSchedule:
         "mem_positions",
         "fire_addresses",
         "fetched_loads",
+        "raw_uops",
         "raw_loads",
+        "unsafe_stores",
     )
 
     def __init__(
@@ -108,7 +110,9 @@ class FrameSchedule:
         mem_positions: tuple = (),
         fire_addresses: list | None = None,
         fetched_loads: int = 0,
+        raw_uops: int = 0,
         raw_loads: int = 0,
+        unsafe_stores: tuple = (),
     ) -> None:
         self.kept = kept
         self.sched = sched
@@ -127,7 +131,12 @@ class FrameSchedule:
         #: construction-time addresses, used by firing dispatches.
         self.fire_addresses = fire_addresses if fire_addresses is not None else []
         self.fetched_loads = fetched_loads
+        #: uops and loads of the frame before optimization.
+        self.raw_uops = raw_uops
         self.raw_loads = raw_loads
+        #: kept stores marked unsafe, in frame order: the only uops the
+        #: commit-time alias check has to look at.
+        self.unsafe_stores = unsafe_stores
 
 
 class ScheduleBuilder:
@@ -278,7 +287,9 @@ class ScheduleBuilder:
                 u.observed_address if u.is_mem else None for u in kept
             ],
             fetched_loads=sum(1 for u in kept if u.is_load),
-            raw_loads=sum(1 for u in frame.dyn_uops if u.is_load),
+            raw_uops=frame.raw_uop_count,
+            raw_loads=frame.raw_load_count,
+            unsafe_stores=tuple(u for u in kept if u.is_store and u.unsafe),
         )
         frame.sched_template = template
         return template

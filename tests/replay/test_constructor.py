@@ -1,9 +1,15 @@
 """Frame constructor: bias promotion, assertion conversion, sizing."""
 
+from dataclasses import replace
+
+import pytest
+
 from helpers import inject, run_program
 from repro.replay import BranchBiasTable, ConstructorConfig, FrameConstructor
+from repro.trace.injector import InjectedInstruction
 from repro.uops import UopOp
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
+from repro.x86.instructions import Mnemonic
 
 
 def test_bias_promotion_after_threshold():
@@ -154,3 +160,17 @@ def test_abandon_clears_pending():
         constructor.retire(instr)
     constructor.abandon()
     assert constructor._pending == []
+
+
+def test_jcc_without_direction_fails_at_retire():
+    # Checked at retire, not at frame-ification: most emitted frames are
+    # never frame-ified, and a JCC may end a region without becoming an
+    # assertion at all.
+    jcc = next(
+        i for i in loop_trace() if i.record.instruction.mnemonic is Mnemonic.JCC
+    )
+    undirected = InjectedInstruction(
+        replace(jcc.record, branch_taken=None), jcc.uops, jcc.addresses
+    )
+    with pytest.raises(AssertionError):
+        FrameConstructor().retire(undirected)
