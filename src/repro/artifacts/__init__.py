@@ -9,9 +9,7 @@ store".
 from repro.artifacts.codec import (
     CODEC_VERSION,
     decode_trace,
-    dump_trace_binary,
     encode_trace,
-    load_trace_binary,
     roundtrip_binary,
 )
 from repro.artifacts.store import (
@@ -49,9 +47,7 @@ __all__ = [
     "content_key",
     "decode_trace",
     "default_cache_dir",
-    "dump_trace_binary",
     "encode_trace",
-    "load_trace_binary",
     "result_key",
     "roundtrip_binary",
     "run_matrix",

@@ -224,8 +224,8 @@ def decode_trace(data: bytes, filename: str | None = None) -> DynamicTrace:
     Every failure mode raises :class:`TraceFileError` (or its subclass
     :class:`TraceVersionError`, which names the file and both versions) —
     never a bare ``struct.error``, ``ValueError``, or decode exception —
-    so the artifact store and the importer can treat any bad payload as
-    a structured miss/rejection.
+    so the artifact store can treat any bad payload as a structured
+    miss.
     """
     where = filename or "<bytes>"
     try:
@@ -337,18 +337,6 @@ def decode_trace(data: bytes, filename: str | None = None) -> DynamicTrace:
             f"{where}: binary trace has {end - pos} trailing bytes"
         )
     return DynamicTrace(records, name=name)
-
-
-def dump_trace_binary(trace: DynamicTrace, path: str) -> None:
-    """Write a binary trace to a file path."""
-    with open(path, "wb") as stream:
-        stream.write(encode_trace(trace))
-
-
-def load_trace_binary(path: str) -> DynamicTrace:
-    """Read a binary trace from a file path."""
-    with open(path, "rb") as stream:
-        return decode_trace(stream.read(), filename=str(path))
 
 
 def roundtrip_binary(trace: DynamicTrace) -> DynamicTrace:

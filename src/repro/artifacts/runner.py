@@ -77,19 +77,10 @@ def _workload_source_digest(name: str) -> str:
     """SHA-256 of the workload's defining module source.
 
     Editing a workload program invalidates its cached trace (and every
-    result derived from it).  Workloads carrying an explicit content
-    ``digest`` (imported traces, whose "source" is the canonical trace
-    file itself) use it directly.  Falls back to the repro package
-    version when source is unavailable (zipapp, frozen).
+    result derived from it).  Falls back to the repro package version
+    when source is unavailable (zipapp, frozen).
     """
-    workload = get_workload(name)
-    if workload.digest:
-        return workload.digest
-    module = (
-        sys.modules.get(workload.build.__module__)
-        if workload.build is not None
-        else None
-    )
+    module = sys.modules.get(get_workload(name).build.__module__)
     try:
         source = inspect.getsource(module)
     except (OSError, TypeError):

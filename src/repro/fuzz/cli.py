@@ -100,23 +100,8 @@ def fuzz_main(argv: list[str]) -> int:
         help="store divergent pairs unminimized",
     )
 
-    repro_p = sub.add_parser(
-        "repro",
-        help="replay a stored divergent case or a scenario-family workload",
-    )
-    repro_p.add_argument(
-        "case", nargs="?", default=None,
-        help="case id (any unambiguous prefix)",
-    )
-    repro_p.add_argument(
-        "--workload", default=None, metavar="NAME|GLOB",
-        help="replay scenario-family workload genomes through the "
-        "differential oracle instead of a stored case",
-    )
-    repro_p.add_argument(
-        "--workload-seed", type=int, default=1,
-        help="run seed for --workload genome derivation",
-    )
+    repro_p = sub.add_parser("repro", help="replay a stored divergent case")
+    repro_p.add_argument("case", help="case id (any unambiguous prefix)")
 
     corpus_p = sub.add_parser("corpus", help="inspect the fuzz corpus")
     corpus_p.add_argument("corpus_action", choices=("ls",))
@@ -278,17 +263,6 @@ def _config_run(args, store: ArtifactStore) -> int:
 
 
 def _repro(args, store: ArtifactStore) -> int:
-    if args.workload is not None:
-        if args.case is not None:
-            print(
-                "error: give either a case id or --workload, not both",
-                file=sys.stderr,
-            )
-            return 2
-        return _repro_workloads(args)
-    if args.case is None:
-        print("error: need a case id or --workload", file=sys.stderr)
-        return 2
     corpus = FuzzCorpus(store)
     try:
         case = corpus.load_case(args.case)
@@ -352,41 +326,6 @@ def _repro_config_case(case: dict, genome) -> int:
     for d in report.divergences:
         print(f"  [{d.frontend}] {d.kind}: {d.detail}")
     return 1
-
-
-def _repro_workloads(args) -> int:
-    """Replay scenario-family genomes through the differential oracle."""
-    from repro.workloads.base import get_workload, resolve_workloads
-
-    try:
-        names = resolve_workloads([args.workload])
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    registry = get_registry()
-    divergent = 0
-    replayed = 0
-    for name in names:
-        workload = get_workload(name)
-        if workload.genome is None:
-            print(f"{name}: no genome (not a family workload); skipped")
-            continue
-        genome = workload.genome(args.workload_seed)
-        report = run_differential(genome, OracleConfig(), metrics=registry)
-        replayed += 1
-        verdict = "ok" if report.ok else "DIVERGED"
-        print(
-            f"{name}: trace={report.trace_length} "
-            f"frames={report.frames_constructed} "
-            f"instances={report.instances_committed} {verdict}"
-        )
-        if not report.ok:
-            divergent += 1
-            for d in report.divergences:
-                where = f" @ {d.frame_pc:#x}" if d.frame_pc is not None else ""
-                print(f"  [{d.variant}] {d.kind}{where}: {d.detail}")
-    print(f"{replayed} workload(s) replayed, {divergent} divergent")
-    return 1 if divergent else 0
 
 
 def _corpus(args, store: ArtifactStore) -> int:

@@ -26,7 +26,9 @@ stack into play:
   balanced push/pop pairs, and forward conditional branches with
   generator-controlled bias (assertion-conversion fodder);
 * an epilogue that stores the scratch registers back to memory, so the
-  final memory map check sees every result.
+  final memory map check sees every result;
+* with ``GeneratorConfig.call_weight`` > 0, ``call`` ops into small
+  leaf helper routines placed after the epilogue.
 
 All randomness flows from one explicit ``random.Random(seed)``; two
 calls with equal seed and config produce equal genomes, and rendering
@@ -83,11 +85,9 @@ _ALIAS_DELTAS = (0, 0, 1, 2, 3, 4, 4, 8, 16, 64)
 class GeneratorConfig:
     """Size and structure knobs for generated programs.
 
-    The first block sizes the program; the second block holds the
-    *scenario knobs* added for :mod:`repro.scenarios` workload families.
-    Every scenario knob's default reproduces the legacy generator
-    byte-for-byte (same RNG draw sequence, same genome), so existing
-    fuzz campaign digests and stored corpus cases are unaffected.
+    The default config is the legacy generator: its RNG draw sequence
+    and genomes are fixed, so fuzz campaign digests and stored corpus
+    cases never move.
     """
 
     min_body_ops: int = 4
@@ -95,54 +95,20 @@ class GeneratorConfig:
     min_iterations: int = 6
     max_iterations: int = 24
     data_words: int = 32
-
-    # ----- scenario knobs (defaults = legacy generator, bit-identical) -----
-
-    #: Counted-loop nesting depth.  1 = the single legacy backedge loop;
-    #: d > 1 wraps up to d-1 nested counted inner loops around contiguous
-    #: body spans (rendered with push/pop of the loop counter).
-    loop_nesting: int = 1
-    #: Trip-count bound for nested inner loops (2..max).
-    max_inner_iterations: int = 6
-    #: When set, the fraction of generated branches that are biased
-    #: taken (the rest are biased not-taken); None = legacy mixed
-    #: recipes with data-dependent directions.
-    branch_bias: float | None = None
-    #: Extra probability per body slot of emitting a conditional branch
-    #: (on top of the base op mix); raises branch density for
-    #: assertion-conversion stress.
-    branch_density: float = 0.0
-    #: Override pool for the ESI/EDI distance (None = legacy
-    #: ``_ALIAS_DELTAS``).  A single-element pool pins alias behaviour.
-    alias_deltas: tuple[int, ...] | None = None
-    #: Probability per body slot of emitting a redundancy pair —
-    #: load/load from one site (CSE fodder) or store-then-reload
-    #: (store-forwarding fodder).
-    redundancy: float = 0.0
     #: Probability per body slot of a ``call`` to a small leaf helper
-    #: routine (stack traffic: push/pop + ret/call return stack).
+    #: routine (stack traffic: push/pop + ret/call return stack).  The
+    #: only generator path that reaches the ``nop`` pass and call/ret
+    #: frames; 0.0 keeps the legacy draw sequence.
     call_weight: float = 0.0
-
-    @property
-    def extended(self) -> bool:
-        """True when any scenario knob departs from the legacy default."""
-        return (
-            self.loop_nesting > 1
-            or self.branch_bias is not None
-            or self.branch_density > 0.0
-            or self.alias_deltas is not None
-            or self.redundancy > 0.0
-            or self.call_weight > 0.0
-        )
 
 
 @dataclass
 class FuzzProgram:
     """A generated program genome (JSON-serializable, shrinker-editable).
 
-    ``inner_spans`` and ``helpers`` exist only on scenario-family genomes
-    (``GeneratorConfig.extended``); both default empty, and the JSON form
-    omits them when empty so legacy corpus cases keep their content keys.
+    ``helpers`` is nonzero only for ``call_weight`` genomes; the JSON
+    form omits it when zero so legacy corpus cases keep their content
+    keys.
     """
 
     seed: int
@@ -151,10 +117,6 @@ class FuzzProgram:
     reg_init: dict[str, int]
     data: list[int]
     ops: list[dict] = field(default_factory=list)
-    #: Nested counted loops as ``(start, end, iterations)`` op-index
-    #: spans, outermost first; spans are properly nested and rendered
-    #: as push/pop-protected inner loops.
-    inner_spans: list[tuple[int, int, int]] = field(default_factory=list)
     #: Number of callable leaf helper routines emitted after the body.
     helpers: int = 0
 
@@ -166,7 +128,6 @@ class FuzzProgram:
             reg_init=dict(self.reg_init),
             data=list(self.data),
             ops=[dict(op) for op in self.ops],
-            inner_spans=[tuple(span) for span in self.inner_spans],
             helpers=self.helpers,
         )
 
@@ -183,9 +144,7 @@ def program_to_json(program: FuzzProgram) -> dict:
         "ops": [dict(op) for op in program.ops],
     }
     # Emitted only when present: legacy genomes stay byte-identical, so
-    # corpus content keys computed before these fields existed still match.
-    if program.inner_spans:
-        payload["inner_spans"] = [list(span) for span in program.inner_spans]
+    # corpus content keys computed before the field existed still match.
     if program.helpers:
         payload["helpers"] = program.helpers
     return payload
@@ -196,6 +155,11 @@ def program_from_json(payload: dict) -> FuzzProgram:
     version = payload.get("version", 1)
     if version != 1:
         raise ValueError(f"unsupported fuzz program version {version!r}")
+    if "inner_spans" in payload:
+        raise ValueError(
+            "fuzz program carries inner_spans (nested inner loops), which "
+            "this generator no longer renders"
+        )
     return FuzzProgram(
         seed=int(payload["seed"]),
         iterations=int(payload["iterations"]),
@@ -203,10 +167,6 @@ def program_from_json(payload: dict) -> FuzzProgram:
         reg_init={k: int(v) for k, v in payload["reg_init"].items()},
         data=[int(w) for w in payload["data"]],
         ops=[dict(op) for op in payload["ops"]],
-        inner_spans=[
-            (int(s), int(e), int(n))
-            for s, e, n in payload.get("inner_spans", [])
-        ],
         helpers=int(payload.get("helpers", 0)),
     )
 
@@ -353,92 +313,15 @@ def _gen_op(rng: random.Random) -> dict:
     }
 
 
-def _biased_branch(rng: random.Random, bias: float, skip: int) -> dict:
-    """A branch whose direction is constant for almost every iteration.
-
-    Taken-biased branches compare the loop counter against 1 with ``g``
-    (taken until the final iteration); not-taken-biased use ``l`` (never
-    taken while the counter is >= 1).  Drawing taken-biased with
-    probability ``bias`` puts the trace's aggregate taken-ratio under
-    generator control.
-    """
-    cond = "g" if rng.random() < bias else "l"
-    return {
-        "kind": "branch",
-        "test": {"op": "cmp", "left": "ecx", "right": {"imm": 1}},
-        "cond": cond,
-        "skip": skip,
-    }
-
-
-def _redundancy_pair(rng: random.Random) -> list[dict]:
-    """CSE / store-forwarding fodder: two ops hitting one memory site."""
-    base, disp = _mem_site(rng)
-    dst_a = rng.choice(SCRATCH_REGS)
-    dst_b = rng.choice(SCRATCH_REGS)
-    if rng.random() < 0.5:
-        # Same-site load pair: the second load is a common subexpression.
-        return [
-            {"kind": "load", "dst": dst_a, "base": base, "disp": disp},
-            {"kind": "load", "dst": dst_b, "base": base, "disp": disp},
-        ]
-    # Store then reload: classic store-forwarding fodder.
-    return [
-        {
-            "kind": "store",
-            "base": base,
-            "disp": disp,
-            "size": 4,
-            "src": {"reg": rng.choice(READ_REGS)},
-        },
-        {"kind": "load", "dst": dst_b, "base": base, "disp": disp},
-    ]
-
-
-def _gen_extended_body(
-    rng: random.Random, config: GeneratorConfig, body_len: int
-) -> tuple[list[dict], list[tuple[int, int, int]], int]:
-    """Body ops + nested-loop spans + helper count for knobbed configs."""
-    helpers = rng.randint(1, 3) if config.call_weight > 0.0 else 0
-    ops: list[dict] = []
-    while len(ops) < body_len:
-        roll = rng.random()
-        if config.redundancy > 0.0 and roll < config.redundancy:
-            ops.extend(_redundancy_pair(rng))
-            continue
-        if config.call_weight > 0.0 and roll < config.redundancy + config.call_weight:
-            ops.append({"kind": "call", "helper": rng.randrange(helpers)})
-            continue
-        if config.branch_density > 0.0 and rng.random() < config.branch_density:
-            bias = config.branch_bias if config.branch_bias is not None else 0.5
-            ops.append(_biased_branch(rng, bias, rng.randint(1, 3)))
-            continue
-        op = _gen_op(rng)
-        if op["kind"] == "branch" and config.branch_bias is not None:
-            op = _biased_branch(rng, config.branch_bias, int(op["skip"]))
-        ops.append(op)
-
-    spans: list[tuple[int, int, int]] = []
-    lo, hi = 0, len(ops)
-    for _ in range(max(0, config.loop_nesting - 1)):
-        if hi - lo < 2:
-            break
-        start = rng.randint(lo, hi - 2)
-        end = rng.randint(start + 1, hi)
-        spans.append((start, end, rng.randint(2, max(2, config.max_inner_iterations))))
-        lo, hi = start, end
-    return ops, spans, helpers
-
-
 def generate_program(
     seed: int, config: GeneratorConfig | None = None
 ) -> FuzzProgram:
     """Generate one program genome from ``seed`` (deterministic).
 
     With a default (legacy) config the draw sequence is exactly the
-    historical one, so seeds reproduce old genomes bit-for-bit; scenario
-    knobs (``config.extended``) switch only the body-op stage to the
-    knob-aware generator.
+    historical one, so seeds reproduce old genomes bit-for-bit; a
+    nonzero ``call_weight`` draws a helper count and then a call-or-op
+    roll per body slot.
     """
     config = config or GeneratorConfig()
     rng = random.Random(seed)
@@ -457,24 +340,24 @@ def generate_program(
         for _ in range(config.data_words)
     ]
     body_len = rng.randint(config.min_body_ops, config.max_body_ops)
-    if config.extended:
-        ops, spans, helpers = _gen_extended_body(rng, config, body_len)
+    if config.call_weight > 0.0:
+        helpers = rng.randint(1, 3)
+        ops = [
+            {"kind": "call", "helper": rng.randrange(helpers)}
+            if rng.random() < config.call_weight
+            else _gen_op(rng)
+            for _ in range(body_len)
+        ]
     else:
+        helpers = 0
         ops = [_gen_op(rng) for _ in range(body_len)]
-        spans, helpers = [], 0
-    alias_pool = (
-        tuple(config.alias_deltas)
-        if config.alias_deltas is not None
-        else _ALIAS_DELTAS
-    )
     return FuzzProgram(
         seed=seed,
         iterations=rng.randint(config.min_iterations, config.max_iterations),
-        alias_delta=rng.choice(alias_pool),
+        alias_delta=rng.choice(_ALIAS_DELTAS),
         reg_init=reg_init,
         data=data,
         ops=ops,
-        inner_spans=spans,
         helpers=helpers,
     )
 
@@ -576,53 +459,12 @@ def _render_op(asm: Assembler, op: dict, index: int) -> None:
         raise RenderError(f"unknown op kind {kind!r}")
 
 
-def _check_spans(
-    spans: list[tuple[int, int, int]], count: int
-) -> list[tuple[int, int, int]]:
-    """Validate nested-loop spans (shrinker edits can strand indices)."""
-    checked: list[tuple[int, int, int]] = []
-    prev: tuple[int, int] | None = None
-    for raw in spans:
-        start, end, iters = (int(x) for x in raw)
-        if not (0 <= start < end <= count) or iters < 1:
-            raise RenderError(f"malformed inner span {raw!r}")
-        if prev is not None and not (prev[0] <= start and end <= prev[1]):
-            raise RenderError(f"inner span {raw!r} not nested in {prev!r}")
-        checked.append((start, end, iters))
-        prev = (start, end)
-    return checked
-
-
-def _branch_target(
-    i: int, skip: int, spans: list[tuple[int, int, int]], count: int
-) -> tuple[int, int]:
-    """(clamped target index, nesting depth) of the branch at op ``i``.
-
-    Targets never leave the innermost span containing the branch (which
-    would skip the span's counted backedge) and never jump *into* a span
-    from outside (which would skip its counter setup).
-    """
-    target = min(i + 1 + skip, count)
-    depth = 0
-    for start, end, _iters in spans:
-        if start <= i < end:
-            depth += 1
-            target = min(target, end)
-        elif i < start:
-            target = min(target, start)
-    return max(target, i + 1), depth
-
-
 def render_program(program: FuzzProgram) -> Program:
     """Render a genome into an assembled :class:`Program`.
 
-    Legacy genomes (no inner spans, no helpers) render exactly as they
-    always did.  Family genomes additionally wrap span ranges in counted
-    inner loops (the outer counter is push/pop-protected, so ``ECX``
-    always holds the innermost live trip counter) and append leaf helper
-    routines after the epilogue for ``call`` ops.
+    ``call`` ops target leaf helper routines appended after the
+    epilogue.
     """
-    spans = _check_spans(program.inner_spans, len(program.ops))
     for op in program.ops:
         if op["kind"] == "call" and not (
             0 <= int(op.get("helper", -1)) < program.helpers
@@ -638,40 +480,19 @@ def render_program(program: FuzzProgram) -> Program:
     asm.label("loop")
 
     # Forward-branch targets: branch op i jumps over the next `skip` ops,
-    # so its label lands just before op i+1+skip — clamped to the body
-    # end and to loop-span boundaries, and keyed by (index, depth) so it
-    # is emitted at the branch's own nesting level.
-    pending: dict[tuple[int, int], list[str]] = {}
+    # so its label lands just before op i+1+skip, clamped to the body end.
+    pending: dict[int, list[str]] = {}
     count = len(program.ops)
     for i, op in enumerate(program.ops):
         if op["kind"] == "branch":
-            key = _branch_target(i, int(op["skip"]), spans, count)
-            pending.setdefault(key, []).append(f"skip_{i}")
-
-    stack: list[tuple[int, str]] = []  # (span id, loop label)
-    for j in range(count + 1):
-        # Close spans ending here (innermost first), emitting same-depth
-        # skip labels just before each backedge so a branch inside the
-        # span falls into its counted loop-close.
-        while stack and spans[stack[-1][0]][1] == j:
-            for name in pending.pop((j, len(stack)), ()):
-                asm.label(name)
-            _span_id, loop_label = stack.pop()
-            asm.dec(Reg.ECX)
-            asm.jcc(Cond.NZ, loop_label)
-            asm.pop(Reg.ECX)
-        for name in pending.pop((j, len(stack)), ()):
+            target = max(min(i + 1 + int(op["skip"]), count), i + 1)
+            pending.setdefault(target, []).append(f"skip_{i}")
+    for j, op in enumerate(program.ops):
+        for name in pending.pop(j, ()):
             asm.label(name)
-        if j == count:
-            break
-        for span_id, (start, _end, iters) in enumerate(spans):
-            if start == j:
-                loop_label = f"inner_{span_id}"
-                asm.push(Reg.ECX)
-                asm.mov(Reg.ECX, Imm(iters))
-                asm.label(loop_label)
-                stack.append((span_id, loop_label))
-        _render_op(asm, program.ops[j], j)
+        _render_op(asm, op, j)
+    for name in pending.pop(count, ()):
+        asm.label(name)
 
     asm.dec(Reg.ECX)
     asm.jcc(Cond.NZ, "loop")

@@ -14,10 +14,7 @@ Usage::
     python -m repro.harness cache gc --max-mb 256
     python -m repro.harness cache gc --max-mb 256 --dry-run
     python -m repro.harness cache clear
-    python -m repro.harness scenarios gen --families loopy,branchy
-    python -m repro.harness scenarios run --workloads 'redund-*' --jobs 4
-    python -m repro.harness scenarios import trace.rutb
-    python -m repro.harness scenarios characterize loopy-s1-003
+    python -m repro.harness scenarios characterize gzip   # reuse/latency report
     python -m repro.harness fuzz run --seed 1 --iterations 10000 --jobs 4
     python -m repro.harness fuzz config run --seed 1 --iterations 200
     python -m repro.harness fuzz repro <case-id>  # replay a stored divergence

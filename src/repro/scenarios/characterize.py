@@ -1,6 +1,6 @@
 """Trace characterization: why does (or doesn't) a workload optimize?
 
-Three reports over any dynamic trace, synthetic or imported:
+Three reports over any workload's dynamic trace:
 
 * **Reuse by instruction type and loop structure** — following
   "Decanting the Contribution of Instruction Types and Loop Structures

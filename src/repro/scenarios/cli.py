@@ -2,19 +2,11 @@
 
 ::
 
-    python -m repro.harness scenarios gen --families loopy,branchy --count 24
-    python -m repro.harness scenarios ls --glob 'loopy-*'
-    python -m repro.harness scenarios run --workloads 'redund-*' --configs RP,RPO --jobs 4
-    python -m repro.harness scenarios export gzip trace.rutb
-    python -m repro.harness scenarios import trace.rutb
-    python -m repro.harness scenarios characterize loopy-s1-003
-    python -m repro.harness scenarios characterize ext-mytrace --json
+    python -m repro.harness scenarios characterize gzip
+    python -m repro.harness scenarios characterize bzip2 --config RP --json
 
-``gen`` expands family specs and prints a deterministic manifest (names
-plus a spec content id); ``run`` pushes any name/glob selection through
-the parallel matrix runner with artifact-store caching; ``import`` and
-``export`` move traces across the interchange boundary; ``characterize``
-prints the reuse/loop/bias/latency report for any workload.
+``characterize`` prints the reuse/loop/bias/latency report for any
+workload.
 """
 
 from __future__ import annotations
@@ -26,104 +18,18 @@ import sys
 from repro.artifacts.store import ArtifactStore
 from repro.metrics import build_run_ledger, get_registry, profiled, write_ledger
 
-from repro.scenarios.families import (
-    DEFAULT_FAMILY_COUNT,
-    FAMILIES,
-    PROVIDER as FAMILY_PROVIDER,
-    expand_spec,
-)
-from repro.scenarios.importer import TraceImportError, import_trace
-from repro.scenarios.spec import FamilySpec, SpecError
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="artifact cache root (default: $REPRO_UOPT_CACHE_DIR "
-        "or ~/.cache/repro-uopt)",
-    )
-    parser.add_argument(
-        "--emit-stats",
-        metavar="FILE",
-        default=None,
-        help="write a versioned JSON run ledger to FILE after the run",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="wrap the run in cProfile and print hotspots to stderr",
-    )
-
 
 def scenarios_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness scenarios",
-        description="Workload families, trace ingestion, characterization.",
+        description="Trace characterization.",
     )
     sub = parser.add_subparsers(dest="action", required=True)
-
-    gen_p = sub.add_parser("gen", help="expand family specs into workloads")
-    gen_p.add_argument(
-        "--families",
-        default=",".join(sorted(FAMILIES)),
-        metavar="A,B,...",
-        help=f"families to expand (default: all of {sorted(FAMILIES)})",
-    )
-    gen_p.add_argument("--seed", type=int, default=1, help="family seed")
-    gen_p.add_argument(
-        "--count", type=int, default=DEFAULT_FAMILY_COUNT,
-        help="members per family",
-    )
-    gen_p.add_argument(
-        "--json", action="store_true",
-        help="print the manifest as one JSON object",
-    )
-
-    ls_p = sub.add_parser("ls", help="list resolvable scenario workloads")
-    ls_p.add_argument(
-        "--glob", default=None, metavar="PATTERN",
-        help="only names matching this glob",
-    )
-
-    run_p = sub.add_parser("run", help="run cells through the matrix runner")
-    run_p.add_argument(
-        "--workloads", required=True, metavar="A,B,loopy-*",
-        help="workload names/globs (comma separated)",
-    )
-    run_p.add_argument(
-        "--configs", default="RPO", metavar="IC,RP,...",
-        help="config names from the CONFIGS registry (default: RPO)",
-    )
-    run_p.add_argument("--scale", type=int, default=None)
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--jobs", type=int, default=1)
-    run_p.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the artifact store entirely",
-    )
-
-    import_p = sub.add_parser("import", help="import an external trace")
-    import_p.add_argument("path", help="trace file (RUTB binary or JSON form)")
-    import_p.add_argument(
-        "--name", default=None,
-        help="workload name override (always prefixed ext-)",
-    )
-
-    export_p = sub.add_parser("export", help="export a workload trace")
-    export_p.add_argument("workload", help="workload name to capture")
-    export_p.add_argument("path", help="output file (.rutb binary or .json)")
-    export_p.add_argument(
-        "--format", choices=("bin", "json"), default=None,
-        help="output form (default: by file extension, .json = JSON)",
-    )
-    export_p.add_argument("--scale", type=int, default=None)
-    export_p.add_argument("--seed", type=int, default=1)
 
     char_p = sub.add_parser(
         "characterize", help="reuse/loop/bias/latency report"
     )
-    char_p.add_argument("workload", help="workload name (family/imported ok)")
+    char_p.add_argument("workload", help="workload name")
     char_p.add_argument(
         "--config", default="RPO",
         help="replay-frontend config name (RP or RPO; default RPO)",
@@ -133,166 +39,31 @@ def scenarios_main(argv: list[str]) -> int:
     char_p.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
-
-    for p in (gen_p, ls_p, run_p, import_p, export_p, char_p):
-        _add_common_flags(p)
+    char_p.add_argument(
+        "--cache-dir",
+        default=None,
+        help="artifact cache root (default: $REPRO_UOPT_CACHE_DIR "
+        "or ~/.cache/repro-uopt)",
+    )
+    char_p.add_argument(
+        "--emit-stats",
+        metavar="FILE",
+        default=None,
+        help="write a versioned JSON run ledger to FILE after the run",
+    )
+    char_p.add_argument(
+        "--profile",
+        action="store_true",
+        help="wrap the run in cProfile and print hotspots to stderr",
+    )
     args = parser.parse_args(argv)
 
     store = ArtifactStore(args.cache_dir)
-    actions = {
-        "gen": _gen,
-        "ls": _ls,
-        "run": _run,
-        "import": _import,
-        "export": _export,
-        "characterize": _characterize,
-    }
     with profiled(enabled=args.profile):
-        status = actions[args.action](args, store)
+        status = _characterize(args, store)
     if args.emit_stats:
         _emit_ledger(argv, args, store)
     return status
-
-
-def _gen(args, store: ArtifactStore) -> int:
-    families = [f for f in args.families.split(",") if f]
-    manifest: list[dict] = []
-    total = 0
-    try:
-        for family in families:
-            spec = FamilySpec(family=family, seed=args.seed, count=args.count)
-            members = expand_spec(spec)
-            FAMILY_PROVIDER.note_expanded(w.name for w in members)
-            total += len(members)
-            manifest.append(
-                {
-                    "family": family,
-                    "seed": spec.seed,
-                    "count": spec.count,
-                    "spec_id": spec.content_id(),
-                    "members": [w.name for w in members],
-                }
-            )
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps({"specs": manifest, "total": total}, sort_keys=True))
-        return 0
-    for entry in manifest:
-        print(
-            f"{entry['family']:<8} seed={entry['seed']} "
-            f"count={entry['count']}  spec {entry['spec_id'][:16]}"
-        )
-        for name in entry["members"]:
-            print(f"  {name}")
-    print(f"{total} workloads across {len(manifest)} families")
-    return 0
-
-
-def _ls(args, store: ArtifactStore) -> int:
-    from repro.workloads.base import get_workload, resolve_workloads, workload_names
-
-    names = workload_names()
-    if args.glob:
-        try:
-            names = resolve_workloads([args.glob])
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-    for name in names:
-        workload = get_workload(name)
-        print(f"{name:<20} {workload.category:<10} {workload.description}")
-    print(f"{len(names)} workloads")
-    return 0
-
-
-def _run(args, store: ArtifactStore) -> int:
-    from repro.artifacts.runner import MatrixTask, run_matrix
-    from repro.harness.experiment import CONFIGS
-    from repro.workloads.base import resolve_workloads
-
-    try:
-        workloads = resolve_workloads(
-            [w for w in args.workloads.split(",") if w]
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    configs = []
-    for name in (c for c in args.configs.split(",") if c):
-        if name not in CONFIGS:
-            print(
-                f"error: unknown config {name!r}; known: {sorted(CONFIGS)}",
-                file=sys.stderr,
-            )
-            return 2
-        configs.append(CONFIGS[name])
-    tasks = [
-        MatrixTask(workload=w, config=c, scale=args.scale, seed=args.seed)
-        for w in workloads
-        for c in configs
-    ]
-    run = run_matrix(
-        tasks,
-        jobs=args.jobs,
-        store=None if args.no_cache else store,
-        metrics=get_registry(),
-    )
-    # stdout carries only the results (cold and warm runs must compare
-    # byte-identical); cache provenance goes to stderr.
-    for task, result, cell in zip(run.tasks, run.results, run.telemetry):
-        print(
-            f"{task.workload:<20} {task.config.name:<5} "
-            f"IPC {result.ipc_x86:.3f}  {result.sim.cycles:>10,} cycles"
-        )
-        origin = "cached" if cell.result_cache_hit else f"{cell.seconds:.2f}s"
-        print(
-            f"  {task.workload} {task.config.name} [{origin}]",
-            file=sys.stderr,
-        )
-    hits = sum(1 for cell in run.telemetry if cell.result_cache_hit)
-    print(
-        f"[repro.scenarios] {len(tasks)} cells ({hits} cached) "
-        f"in {run.seconds:.2f}s at jobs={run.jobs}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _import(args, store: ArtifactStore) -> int:
-    try:
-        report = import_trace(args.path, name=args.name, root=args.cache_dir)
-    except (OSError, TraceImportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"imported {report.name}: {report.records:,} records over "
-        f"{report.instructions} static instructions"
-    )
-    print(f"  canonical file {report.path}")
-    print(f"  content digest {report.digest[:16]}")
-    return 0
-
-
-def _export(args, store: ArtifactStore) -> int:
-    from repro.artifacts import codec
-    from repro.scenarios.importer import trace_to_json
-    from repro.workloads.base import build_workload
-
-    try:
-        trace = build_workload(args.workload, scale=args.scale, seed=args.seed)
-    except (KeyError, RuntimeError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-    form = args.format or ("json" if args.path.endswith(".json") else "bin")
-    if form == "json":
-        with open(args.path, "w") as stream:
-            json.dump(trace_to_json(trace), stream, sort_keys=True)
-    else:
-        codec.dump_trace_binary(trace, args.path)
-    print(f"exported {args.workload}: {len(trace):,} records to {args.path}")
-    return 0
 
 
 def _characterize(args, store: ArtifactStore) -> int:

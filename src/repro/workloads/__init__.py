@@ -2,28 +2,20 @@
 
 from repro.workloads.base import (
     Workload,
-    WorkloadProvider,
     all_workloads,
     build_workload,
     desktop_workloads,
     get_workload,
     register,
-    register_provider,
-    resolve_workloads,
     spec_workloads,
-    workload_names,
 )
 
 __all__ = [
     "Workload",
-    "WorkloadProvider",
     "all_workloads",
     "build_workload",
     "desktop_workloads",
     "get_workload",
     "register",
-    "register_provider",
-    "resolve_workloads",
     "spec_workloads",
-    "workload_names",
 ]

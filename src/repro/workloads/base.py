@@ -15,11 +15,10 @@ produces the dynamic trace the rest of the system consumes.
 
 from __future__ import annotations
 
-import fnmatch
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.metrics import MetricsRegistry, get_registry
 from repro.trace.stream import DynamicTrace
@@ -35,51 +34,19 @@ BIG_DATA_BASE = 0x0060_0000
 
 @dataclass(frozen=True)
 class Workload:
-    """One benchmark: a program builder plus metadata (Table 1 analogue).
-
-    Most workloads carry a ``build`` callable that assembles a synthetic
-    program.  Scenario-grown workloads may instead carry ``load_trace``
-    (imported external traces, which have no program to build) and/or
-    ``digest`` (a content digest substituting for the build module's
-    source hash in artifact-store keys).
-    """
+    """One benchmark: a program builder plus metadata (Table 1 analogue)."""
 
     name: str
-    category: str  # 'SPECint' | 'Business' | 'Content' | 'Family' | 'Imported'
+    category: str  # 'SPECint' | 'Business' | 'Content'
     description: str
-    build: Callable[[int, int], Program] | None = None  # (scale, seed)
+    build: Callable[[int, int], Program]  # (scale, seed)
     default_scale: int = 1
     paper_uop_reduction: float = 0.0  # Table 3, for EXPERIMENTS.md comparison
     paper_load_reduction: float = 0.0
     paper_ipc_gain: float = 0.0
-    load_trace: Callable[[int, int], DynamicTrace] | None = None
-    digest: str = ""  # content digest overriding the source-module hash
-    #: Family members expose their fuzz genome (``genome(seed)``) so the
-    #: differential oracle can replay them (``fuzz repro --workload``).
-    genome: Callable | None = None
-
-
-class WorkloadProvider(Protocol):
-    """Lazily materializes workloads whose names encode their recipe.
-
-    Providers let the registry scale to hundreds of generated cells
-    without eagerly constructing them: pool workers resolve workloads
-    by *name only*, so a provider must rebuild the
-    same :class:`Workload` from the name alone, in any process.
-    """
-
-    def lookup(self, name: str) -> Workload | None:
-        """Return the workload for ``name``, or None if not ours."""
-        ...
-
-    def names(self) -> Iterable[str]:
-        """Currently enumerable names (for globs and listings)."""
-        ...
 
 
 _REGISTRY: dict[str, Workload] = {}
-_PROVIDERS: list[WorkloadProvider] = []
-_PROVIDER_CACHE: dict[str, Workload] = {}
 
 
 def register(workload: Workload) -> Workload:
@@ -89,72 +56,19 @@ def register(workload: Workload) -> Workload:
     return workload
 
 
-def register_provider(provider: WorkloadProvider) -> WorkloadProvider:
-    if provider not in _PROVIDERS:
-        _PROVIDERS.append(provider)
-        _PROVIDER_CACHE.clear()
-    return provider
-
-
 def get_workload(name: str) -> Workload:
     _ensure_loaded()
-    registered = _REGISTRY.get(name)
-    if registered is not None:
-        return registered
-    cached = _PROVIDER_CACHE.get(name)
-    if cached is not None:
-        return cached
-    for provider in _PROVIDERS:
-        workload = provider.lookup(name)
-        if workload is not None:
-            _PROVIDER_CACHE[name] = workload
-            return workload
-    raise KeyError(
-        f"unknown workload {name!r}; available: {sorted(_REGISTRY)} "
-        f"plus provider-backed names (see `scenarios ls`)"
-    )
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown workload {name!r}; available: {sorted(_REGISTRY)}"
+        ) from None
 
 
 def all_workloads() -> list[Workload]:
     _ensure_loaded()
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
-def workload_names(include_providers: bool = True) -> list[str]:
-    """All resolvable names: registered plus provider-enumerable ones."""
-    _ensure_loaded()
-    names = set(_REGISTRY)
-    if include_providers:
-        for provider in _PROVIDERS:
-            names.update(provider.names())
-    return sorted(names)
-
-
-def resolve_workloads(patterns: Iterable[str]) -> list[str]:
-    """Expand workload names/globs into concrete names (shared resolver).
-
-    Each pattern is either an exact workload name or an ``fnmatch`` glob
-    (``loopy-*``).  Expansion is deterministic (sorted within each
-    pattern, order-preserving across patterns, deduplicated).  A pattern
-    matching nothing raises ``KeyError``.
-    """
-    _ensure_loaded()
-    universe = workload_names()
-    resolved: list[str] = []
-    seen: set[str] = set()
-    for pattern in patterns:
-        if any(ch in pattern for ch in "*?["):
-            matches = sorted(fnmatch.filter(universe, pattern))
-            if not matches:
-                raise KeyError(f"workload glob {pattern!r} matched nothing")
-        else:
-            get_workload(pattern)  # raises KeyError with the full listing
-            matches = [pattern]
-        for name in matches:
-            if name not in seen:
-                seen.add(name)
-                resolved.append(name)
-    return resolved
 
 
 def spec_workloads() -> list[Workload]:
@@ -179,20 +93,6 @@ def build_workload(
     """
     registry = metrics if metrics is not None else get_registry()
     workload = get_workload(name)
-    if workload.load_trace is not None:
-        start = time.perf_counter()
-        trace = workload.load_trace(scale or workload.default_scale, seed)
-        elapsed = time.perf_counter() - start
-        if len(trace.records) > max_instructions:
-            raise RuntimeError(
-                f"imported trace {name!r} has {len(trace.records)} records, "
-                f"over the {max_instructions}-instruction budget"
-            )
-        registry.counter("workloads.trace_loads").inc()
-        registry.histogram("time.trace_load").observe(elapsed)
-        return DynamicTrace(trace.records, name=name)
-    if workload.build is None:
-        raise RuntimeError(f"workload {name!r} has no builder or trace loader")
     program = workload.build(scale or workload.default_scale, seed)
     emulator = Emulator(program)
     start = time.perf_counter()
@@ -223,12 +123,6 @@ def _ensure_loaded() -> None:
         return
     _LOADED = True
     from repro.workloads import desktop, spec  # noqa: F401
-
-    # Scenario providers (families, imported traces) register lazily so
-    # pool workers resolve generated names by themselves.
-    from repro.scenarios import install_providers
-
-    install_providers()
 
 
 def data_words(rng: random.Random, count: int, bits: int = 32) -> list[int]:

@@ -163,6 +163,18 @@ def test_stale_codec_version_trace_is_a_miss(store, monkeypatch):
     assert store.telemetry.stale == 1
 
 
+def _trace(name):
+    return build_workload(name)
+
+
+def test_store_treats_corrupt_trace_as_miss(tmp_path):
+    store = ArtifactStore(tmp_path / "store")
+    store.put_trace("a" * 64, _trace("gzip"))
+    store.put_bytes("trace", "b" * 64, b"\x1f\x8bgarbage", label="bad")
+    assert store.get_trace("a" * 64) is not None
+    assert store.get_trace("b" * 64) is None  # structured miss, no crash
+
+
 # --------------------------------------------------------------- eviction
 
 

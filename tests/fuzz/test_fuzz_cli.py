@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.harness.cli import main
 from repro.artifacts.store import ArtifactStore
 from repro.fuzz.corpus import FuzzCorpus
@@ -211,3 +213,9 @@ def test_fuzz_config_run_divergent_pair_is_shrunk_and_stored(
     assert "schedule-ab" in out
     (case,) = FuzzCorpus(ArtifactStore(tmp_path)).list_cases()
     assert "config" in case["label"]
+
+
+def test_fuzz_repro_workload_flag_removed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fuzz", "repro", "--workload", "gzip"])
+    assert excinfo.value.code == 2

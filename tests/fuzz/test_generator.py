@@ -3,6 +3,8 @@
 import json
 import pathlib
 
+import pytest
+
 from repro.fuzz.generator import (
     DATA_BASE,
     RESULT_DISP,
@@ -83,3 +85,17 @@ def test_randomness_audit_no_module_level_randomness():
                 if banned in stripped:
                     offenders.append(f"{path}:{lineno}: {line.strip()}")
     assert not offenders, "\n".join(offenders)
+
+
+def test_call_genome_json_roundtrip():
+    genome = generate_program(99, GeneratorConfig(call_weight=0.25))
+    assert genome.helpers >= 1
+    payload = json.loads(json.dumps(program_to_json(genome)))
+    assert program_to_json(program_from_json(payload)) == payload
+
+
+def test_genome_with_inner_spans_is_rejected():
+    payload = program_to_json(generate_program(5))
+    payload["inner_spans"] = [[0, 2, 3]]
+    with pytest.raises(ValueError, match="inner_spans"):
+        program_from_json(payload)

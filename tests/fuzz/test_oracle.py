@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fuzz.generator import generate_program
+from repro.fuzz.generator import GeneratorConfig, generate_program
 from repro.fuzz.oracle import (
     VARIANTS,
     Divergence,
@@ -92,3 +92,16 @@ def test_report_deterministic_for_same_genome():
         b.instances_verified,
         b.legit_fires,
     )
+
+
+def test_call_genomes_reach_nop_pass_without_divergence():
+    """``call_weight`` is the only generator path into call/ret frames and
+    the ``nop`` pass; the oracle must agree on all of them."""
+    registry = MetricsRegistry()
+    config = GeneratorConfig(call_weight=0.25)
+    for seed in range(20):
+        report = run_differential(
+            generate_program(seed, config), OracleConfig(), metrics=registry
+        )
+        assert report.ok, (seed, report.divergences)
+    assert registry.counters().get("optimizer.pass.nop.changes", 0) > 0

@@ -240,3 +240,26 @@ def test_cache_subcommand_emits_ledger(capsys, tmp_path):
     ) == 0
     ledger = read_ledger(ledger_path)
     assert ledger["command"]["experiments"] == ["cache-stats"]
+
+
+def test_scenarios_characterize_json(capsys, tmp_path):
+    assert main(
+        ["scenarios", "characterize", "gzip", "--json", "--cache-dir", str(tmp_path)]
+    ) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["reuse_by_type"], "no reuse rows"
+    assert all(row["ok"] for row in report["uop_table"]), report["uop_table"]
+
+
+def test_scenarios_characterize_unknown_workload(capsys, tmp_path):
+    assert main(
+        ["scenarios", "characterize", "nosuch", "--cache-dir", str(tmp_path)]
+    ) == 2
+    assert "unknown workload 'nosuch'" in capsys.readouterr().err
+
+
+def test_scenarios_removed_actions_rejected(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scenarios", "gen"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'gen'" in capsys.readouterr().err
