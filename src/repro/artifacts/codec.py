@@ -51,6 +51,8 @@ _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _HEAD = struct.Struct("<4sH")
 _REC_HEAD = struct.Struct("<qq")
+_REC_FLAGS = struct.Struct("<qqBq")  # pc, next_pc, has_flags=1, flags
+_REG_WRITE = struct.Struct("<Bq")  # reg, value
 _MEM_OP = struct.Struct("<BqBq")  # is_store, address, size, data
 
 _OP_REG, _OP_IMM, _OP_LABEL, _OP_MEM = 0, 1, 2, 3
@@ -58,29 +60,27 @@ _OP_REG, _OP_IMM, _OP_LABEL, _OP_MEM = 0, 1, 2, 3
 
 class _Writer:
     def __init__(self) -> None:
-        self.parts: list[bytes] = []
+        self.buf = bytearray()
 
     def raw(self, data: bytes) -> None:
-        self.parts.append(data)
+        self.buf += data
 
     def u8(self, value: int) -> None:
-        self.parts.append(bytes((value,)))
+        self.buf.append(value)
 
     def u16(self, value: int) -> None:
-        self.parts.append(_U16.pack(value))
+        self.buf += _U16.pack(value)
 
     def u32(self, value: int) -> None:
-        self.parts.append(_U32.pack(value))
+        self.buf += _U32.pack(value)
 
     def i64(self, value: int) -> None:
-        self.parts.append(_I64.pack(value))
+        self.buf += _I64.pack(value)
 
     def string(self, text: str) -> None:
         data = text.encode("utf-8")
-        self.parts.append(_U16.pack(len(data)) + data)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
+        self.buf += _U16.pack(len(data))
+        self.buf += data
 
 
 class _Reader:
@@ -188,31 +188,36 @@ def encode_trace(trace: DynamicTrace) -> bytes:
             w.i64(instr.label_targets[name])
 
     w.u32(len(trace))
+    # The record loop is the hot path for cold captures: append straight
+    # into the one buffer with bound packers, mirroring decode_trace.
+    buf = w.buf
+    append = buf.append
+    rec_flags_pack = _REC_FLAGS.pack
+    rec_head_pack = _REC_HEAD.pack
+    reg_write_pack = _REG_WRITE.pack
+    mem_op_pack = _MEM_OP.pack
     for record in trace:
-        w.raw(_REC_HEAD.pack(record.pc, record.next_pc))
-        if record.flags_after is None:
-            w.u8(0)
+        flags = record.flags_after
+        if flags is None:
+            buf += rec_head_pack(record.pc, record.next_pc)
+            append(0)
         else:
-            w.u8(1)
-            w.i64(record.flags_after)
-        w.u8(len(record.reg_writes))
-        for reg, value in record.reg_writes.items():
-            w.u8(int(reg))
-            w.i64(value)
-        w.u8(len(record.mem_ops))
-        for mem_op in record.mem_ops:
-            w.raw(
-                _MEM_OP.pack(
-                    int(mem_op.is_store), mem_op.address, mem_op.size, mem_op.data
-                )
+            buf += rec_flags_pack(record.pc, record.next_pc, 1, flags)
+        reg_writes = record.reg_writes
+        append(len(reg_writes))
+        for reg, value in reg_writes.items():
+            buf += reg_write_pack(reg, value)
+        mem_ops = record.mem_ops
+        append(len(mem_ops))
+        for mem_op in mem_ops:
+            buf += mem_op_pack(
+                mem_op.is_store, mem_op.address, mem_op.size, mem_op.data
             )
-        if record.branch_taken is None:
-            w.u8(0)
-        else:
-            w.u8(2 if record.branch_taken else 1)
+        branch_taken = record.branch_taken
+        append(0 if branch_taken is None else 2 if branch_taken else 1)
     # mtime=0 keeps the gzip header time-free: equal traces encode to
     # equal bytes, so content digests of encoded traces are stable.
-    return gzip.compress(w.getvalue(), compresslevel=_GZIP_LEVEL, mtime=0)
+    return gzip.compress(buf, compresslevel=_GZIP_LEVEL, mtime=0)
 
 
 # --------------------------------------------------------------- decoding

@@ -14,7 +14,7 @@ and is checked two complementary ways:
   frame boundary) against the true architectural state;
 * **replay leg** — the whole trace is re-executed by a *frame machine*:
   wherever a frame path-matches (same commit rule the sequencer uses —
-  path match, not degenerate, no unsafe-store conflict) the optimized
+  path match and no unsafe-store conflict) the optimized
   frame executes against the machine's live state via
   :func:`~repro.verify.frame_exec.execute_frame`; everywhere else the
   trace record applies directly.  The machine's final registers, flags,
@@ -45,7 +45,7 @@ from repro.replay.frame import Frame
 from repro.replay.sequencer import unsafe_store_conflict
 from repro.trace.injector import InjectedInstruction, MicroOpInjector
 from repro.trace.record import TraceRecord
-from repro.uops.uop import UReg
+from repro.uops.uop import ARCH_REGS, UReg
 from repro.verify.frame_exec import FrameExecutionError, execute_frame
 from repro.verify.state import ArchTracker
 from repro.verify.verifier import StateVerifier, VerificationError
@@ -232,7 +232,7 @@ class _FrameMachine:
         return self._image.get(address, 0)
 
     def live_in_regs(self) -> dict[UReg, int]:
-        return {UReg(i): self.regs[i] for i in range(8)}
+        return dict(zip(ARCH_REGS, self.regs))
 
     def live_in_flags(self) -> tuple[bool, bool, bool, bool]:
         return _unpack_flags(self.flags)
@@ -383,8 +383,6 @@ def _run_variant(
         dispatched = None
         for frame in by_pc.get(record.pc, ()):
             if not _path_matches(frame, injected, index):
-                continue
-            if frame.always_fires:
                 continue
             if unsafe_store_conflict(frame, injected, index):
                 report.unsafe_skips += 1

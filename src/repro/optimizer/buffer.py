@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.uops.uop import Uop, UopOp, UReg
+from repro.uops.uop import ARCH_REGS, Uop, UopOp, UReg
 from repro.optimizer.optuop import DefRef, LiveIn, Operand, OPERAND_FIELDS, OptUop, from_dyn_uop
 
 
@@ -68,7 +68,7 @@ class OptimizationBuffer:
         mem_keys: list[tuple[int, int] | None],
     ) -> None:
         """The Remapper: bind operands, assign dst = slot index."""
-        reg_def: dict[UReg, Operand] = {UReg(i): LiveIn(UReg(i)) for i in range(8)}
+        reg_def: dict[UReg, Operand] = {reg: LiveIn(reg) for reg in ARCH_REGS}
         flags_def: int | None = None
         flags_written = False
         block_iter = iter(self._block_starts[1:] + [None])

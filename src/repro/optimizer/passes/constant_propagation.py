@@ -280,5 +280,5 @@ class ConstantPropagation(Pass):
             buf.invalidate(uop.slot)
             return 1
         # Statically false: the frame would always fire; keep the assertion
-        # (the constructor will stop re-dispatching such frames).
+        # (the fire cooldown stops the sequencer re-dispatching such frames).
         return 0

@@ -70,7 +70,6 @@ class Frame:
             )
         self.buffer: OptimizationBuffer | None = None
         self.opt_result: OptimizationResult | None = None
-        self.always_fires = False  # degenerate frame (statically false assert)
         self.commits = 0  # dynamic instances that completed
         self.fires = 0  # dynamic instances that aborted
         self.cooldown = 0  # dispatch opportunities to skip after a fire

@@ -224,8 +224,6 @@ class RePLaySequencer(ICacheSequencer):
         for offset, pc in enumerate(frame.x86_pcs):
             if injected[base + offset].record.pc != pc:
                 return False
-        if frame.always_fires:
-            return False
         stores = template.unsafe_stores
         if stores and unsafe_store_conflict(frame, injected, base, stores):
             self.stats.unsafe_aborts += 1

@@ -96,6 +96,10 @@ class UopOp(enum.Enum):
     ASSERT_CMP = "assert_cmp"  # fused compare+assert (value assertion opt)
     NOP = "nop"
 
+    # Identity hash: Enum.__hash__ runs Python code on every set or dict
+    # lookup, and the optimizer and oracle loops do millions of them.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from repro.x86.instructions import cond_holds
 from repro.x86.registers import MASK32, pack_flags, to_signed
-from repro.uops.uop import UopOp, UReg
+from repro.uops.uop import ARCH_REGS, UopOp, UReg
 from repro.optimizer.buffer import OptimizationBuffer
 from repro.optimizer.optuop import DefRef, LiveIn, Operand, OptUop
 
@@ -123,7 +123,7 @@ def execute_frame(
             break
 
     final_regs: dict[UReg, int] = {}
-    for reg in (UReg(i) for i in range(8)):
+    for reg in ARCH_REGS:
         bound = buffer.live_out.get(reg)
         if bound is None or fired_slot is not None:
             # Unwritten register — or a fired frame, whose state rolls

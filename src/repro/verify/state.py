@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.trace.record import TraceRecord
-from repro.uops.uop import UReg
+from repro.uops.uop import ARCH_REGS, UReg
 from repro.x86.registers import Reg
 
 
@@ -34,7 +34,7 @@ class ArchTracker:
 
     def live_in_regs(self) -> dict[UReg, int]:
         """Snapshot in the uop register space (architectural regs only)."""
-        return {UReg(i): self.regs[i] for i in range(8)}
+        return {reg: self.regs[reg] for reg in ARCH_REGS}
 
     def live_in_flags(self) -> tuple[bool, bool, bool, bool]:
         from repro.x86.registers import Flag

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.trace.record import TraceRecord
-from repro.uops.uop import UReg
+from repro.uops.uop import ARCH_REGS
 from repro.verify.frame_exec import FrameExecutionError, execute_frame
 from repro.verify.state import ArchTracker, MemoryMaps
 
@@ -76,12 +76,12 @@ class StateVerifier:
         expected.flags = tracker.flags
         for record in records:
             expected.apply(record)
-        for i in range(8):
-            got = outcome.final_regs[UReg(i)]
-            want = expected.regs[i]
+        for reg in ARCH_REGS:
+            got = outcome.final_regs[reg]
+            want = expected.regs[reg]
             if got != want:
                 raise VerificationError(
-                    f"register {UReg(i).name} mismatch at frame boundary: "
+                    f"register {reg.name} mismatch at frame boundary: "
                     f"frame={got:#x} trace={want:#x} (frame @ {frame.start_pc:#x})"
                 )
         if outcome.final_flags != expected.flags:

@@ -24,7 +24,7 @@ from repro.x86.instructions import (
     cond_holds,
 )
 from repro.x86.memory import Memory
-from repro.x86.registers import MASK32, NUM_REGS, Reg, pack_flags, to_signed
+from repro.x86.registers import ALL_REGS, MASK32, NUM_REGS, Reg, pack_flags, to_signed
 
 #: Jumping here terminates the program (workloads end with ``jmp``/``ret``
 #: to this address).
@@ -48,6 +48,9 @@ class Emulator:
         self.cf = self.zf = self.sf = self.of = False
         self.pc = program.entry
         self.instruction_count = 0
+        # Static facts per instruction address, derived on first execution
+        # (like MicroOpInjector._flows): (written registers, writes flags).
+        self._predecoded: dict[int, tuple[tuple[Reg, ...], bool]] = {}
         self.regs[Reg.ESP] = stack_top
         for address, blob in program.data.items():
             self.memory.write_bytes(address, blob)
@@ -89,38 +92,44 @@ class Emulator:
 
     def step(self) -> TraceRecord:
         """Execute one instruction and return its trace record."""
-        if self.halted:
+        pc = self.pc
+        if pc == EXIT_ADDRESS:
             raise EmulationError("program has exited")
         try:
-            instr = self.program.at(self.pc)
+            instr = self.program.at(pc)
         except KeyError as exc:
-            raise EmulationError(f"no instruction at {self.pc:#x}") from exc
+            raise EmulationError(f"no instruction at {pc:#x}") from exc
 
-        regs_before = list(self.regs)
+        address = instr.address
+        regs = self.regs
+        regs_before = regs[:]
         flags_before = self.flags_word()
         mem_ops: list[MemOp] = []
         self._mem_ops = mem_ops
-        next_pc = instr.address + instr.length
-        branch_taken: bool | None = None
+        facts = self._predecoded.get(address)
+        if facts is None:
+            facts = (_written_regs(instr), _writes_flags(instr))
+            self._predecoded[address] = facts
+        written_regs, writes_flags = facts
 
-        next_pc, branch_taken = self._execute(instr, next_pc)
+        next_pc, branch_taken = self._execute(instr, address + instr.length)
 
         reg_writes = {
-            Reg(i): self.regs[i]
-            for i in range(NUM_REGS)
-            if self.regs[i] != regs_before[i]
+            reg: value
+            for reg, value, before in zip(ALL_REGS, regs, regs_before)
+            if value != before
         }
         # Instructions that rewrite a register with the same value still
         # architecturally write it; detect via the writes_reg set.
-        for reg in _written_regs(instr):
-            reg_writes.setdefault(reg, self.regs[reg])
+        for reg in written_regs:
+            reg_writes.setdefault(reg, regs[reg])
         flags_after = self.flags_word()
         record = TraceRecord(
-            pc=instr.address,
+            pc=address,
             instruction=instr,
             next_pc=next_pc,
             reg_writes=reg_writes,
-            flags_after=flags_after if _writes_flags(instr) or flags_after != flags_before else None,
+            flags_after=flags_after if writes_flags or flags_after != flags_before else None,
             mem_ops=tuple(mem_ops),
             branch_taken=branch_taken,
         )
@@ -131,8 +140,10 @@ class Emulator:
     def run(self, max_instructions: int = 1_000_000) -> list[TraceRecord]:
         """Run until exit or the instruction budget; return the trace."""
         trace: list[TraceRecord] = []
+        append = trace.append
+        step = self.step
         while not self.halted and len(trace) < max_instructions:
-            trace.append(self.step())
+            append(step())
         return trace
 
     # ---------------------------------------------------------- operands

@@ -55,8 +55,13 @@ class Memory:
 
     def write_bytes(self, address: int, data: bytes) -> None:
         """Bulk write, used to initialize workload data sections."""
-        for i, byte in enumerate(data):
-            self.write(address + i, byte, 1)
+        done = 0
+        while done < len(data):
+            start = (address + done) & 0xFFFFFFFF
+            offset = start & PAGE_MASK
+            chunk = min(PAGE_SIZE - offset, len(data) - done)
+            self._page(start)[offset : offset + chunk] = data[done : done + chunk]
+            done += chunk
 
     def read_bytes(self, address: int, size: int) -> bytes:
         """Bulk read, used by tests and workload checks."""

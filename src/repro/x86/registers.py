@@ -70,18 +70,17 @@ def to_unsigned(value: int, bits: int = 32) -> int:
     return value & ((1 << bits) - 1)
 
 
+_CF_BIT, _ZF_BIT, _SF_BIT, _OF_BIT = (1 << int(flag) for flag in ALL_FLAGS)
+
+
 def pack_flags(cf: bool, zf: bool, sf: bool, of: bool) -> int:
-    """Pack individual flag booleans into an EFLAGS-style word."""
-    word = 0
-    if cf:
-        word |= 1 << Flag.CF
-    if zf:
-        word |= 1 << Flag.ZF
-    if sf:
-        word |= 1 << Flag.SF
-    if of:
-        word |= 1 << Flag.OF
-    return word
+    """Pack individual flag booleans into an EFLAGS-style word (an ``int``)."""
+    return (
+        (_CF_BIT if cf else 0)
+        | (_ZF_BIT if zf else 0)
+        | (_SF_BIT if sf else 0)
+        | (_OF_BIT if of else 0)
+    )
 
 
 def unpack_flags(word: int) -> dict[Flag, bool]:

@@ -9,6 +9,8 @@ what the workloads happen to exercise.
 
 from __future__ import annotations
 
+import gzip
+import hashlib
 import io
 
 import pytest
@@ -50,6 +52,25 @@ def test_binary_roundtrip_all_workloads(name):
     assert decoded.records == trace.records
 
 
+#: SHA-256 of the decompressed ``encode_trace(build_workload(name, seed=1))``
+#: payload.  These pin capture byte for byte — record content,
+#: ``reg_writes`` order and the ``flags_after`` type — which figure digests
+#: can miss.  Hashing the payload rather than the gzip stream keeps the pin
+#: independent of the Python version and zlib build, which can change the
+#: gzip header and deflate stream.
+_ENCODED_SHA256 = {
+    "vortex": "38c262bb96d7861a99f43d06815866e033edac7c90520e8b12ea95e761f015c1",
+    "power": "066926e931c0e0c62bfdcf01dc34f34f1f500ed2c897aa71d9e17495cb2c4abf",
+    "excel": "a77058fd1eece61d74965efe280a1e4f1d86f9986fd57f5ca2d159b2e5b1e385",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENCODED_SHA256))
+def test_encoded_workload_digest_pinned(name):
+    digest = hashlib.sha256(gzip.decompress(encode_trace(_trace(name)))).hexdigest()
+    assert digest == _ENCODED_SHA256[name]
+
+
 @pytest.mark.parametrize("name", ["bzip2", "excel"])
 def test_binary_agrees_with_text_format(name):
     trace = _trace(name)
@@ -89,8 +110,6 @@ def test_decoded_instructions_carry_is_branch():
 
 
 def test_bad_magic_rejected():
-    import gzip
-
     with pytest.raises(TraceFileError, match="magic"):
         decode_trace(gzip.compress(b"NOPE" + b"\x00" * 16))
 
@@ -101,7 +120,6 @@ def test_not_gzip_rejected():
 
 
 def test_version_mismatch_raises_trace_version_error():
-    import gzip
     import struct
 
     payload = gzip.compress(struct.pack("<4sH", b"RUTB", 999) + b"\x00" * 8)
@@ -114,8 +132,6 @@ def test_version_mismatch_raises_trace_version_error():
 
 
 def test_truncated_payload_rejected():
-    import gzip
-
     trace = _trace("power")
     raw = gzip.decompress(encode_trace(trace))
     with pytest.raises(TraceFileError, match="truncated"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.x86 import Assembler, Cond, EmulationError, Emulator, Imm, Reg, mem
+from repro.workloads import get_workload
 from repro.x86.emulator import EXIT_ADDRESS
 
 
@@ -328,3 +329,40 @@ def test_exit_address_reached_via_initial_return(loop_asm):
     emulator = Emulator(program)
     emulator.run()
     assert emulator.pc == EXIT_ADDRESS
+
+
+def test_run_matches_manual_step_loop():
+    workload = get_workload("vortex")
+    program = workload.build(workload.default_scale, 1)
+    ran = Emulator(program).run(400_000)
+    stepper = Emulator(program)
+    stepped = []
+    while not stepper.halted:
+        stepped.append(stepper.step())
+    assert len(ran) == len(stepped) > 0
+    assert ran == stepped
+    for a, b in zip(ran, stepped):
+        assert list(a.reg_writes.items()) == list(b.reg_writes.items())
+        assert type(a.flags_after) is type(b.flags_after)
+
+
+def test_predecoded_facts_are_per_emulator():
+    # Both programs put their first instruction at the same address; the
+    # static facts derived for one must not leak into the other.
+    def build(body):
+        asm = Assembler()
+        body(asm)
+        asm.ret()
+        return asm.assemble()
+
+    mov_zero = build(lambda a: a.mov(Reg.EAX, Imm(0)))  # same value; no flags
+    or_one = build(lambda a: a.or_(Reg.ECX, Imm(1)))  # flags written, unchanged
+    assert mov_zero.entry == or_one.entry
+
+    first = Emulator(mov_zero).step()
+    second = Emulator(or_one).step()
+    assert first.pc == second.pc
+    assert first.reg_writes == {Reg.EAX: 0}
+    assert first.flags_after is None
+    assert second.reg_writes == {Reg.ECX: 1}
+    assert second.flags_after == 0 and type(second.flags_after) is int

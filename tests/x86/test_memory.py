@@ -47,6 +47,17 @@ def test_bulk_write_read():
     assert memory.read_bytes(0x2000, 11) == b"hello world"
 
 
+def test_bulk_write_spans_pages():
+    memory = Memory()
+    data = bytes(range(256)) * 40  # longer than two pages
+    address = PAGE_SIZE - 3
+    memory.write_bytes(address, data)
+    assert memory.read_bytes(address, len(data)) == data
+    assert memory.read(address - 1, 1) == 0
+    assert memory.read(address + len(data), 1) == 0
+    assert memory.touched_pages() == 4
+
+
 def test_address_wraps_at_32_bits():
     memory = Memory()
     memory.write(0xFFFFFFFF + 0x10, 0x5A, 1)  # same as 0x0F

@@ -47,6 +47,18 @@ def test_pack_flags_all_set():
     assert pack_flags(True, True, True, True) == FLAGS_MASK
 
 
+@pytest.mark.parametrize("bits", range(16))
+def test_pack_flags_exhaustive(bits):
+    cf, zf, sf, of = (bool(bits & (1 << i)) for i in range(4))
+    word = pack_flags(cf, zf, sf, of)
+    expected = sum(
+        1 << flag for flag, is_set in zip(ALL_FLAGS, (cf, zf, sf, of)) if is_set
+    )
+    assert word == expected
+    # An int, never a bool: the text and JSON trace forms print the type.
+    assert type(word) is int
+
+
 @pytest.mark.parametrize(
     "value,expected",
     [(0, 0), (1, 1), (0x7FFFFFFF, 0x7FFFFFFF), (0x80000000, -0x80000000),
