@@ -1,12 +1,10 @@
-"""Binary trace codec: a compact, fast alternative to the text format.
+"""Binary trace codec: the on-disk form of captured traces.
 
-:mod:`repro.trace.tracefile` serializes :class:`DynamicTrace` streams as
-human-readable lines.  That is convenient for inspection but costly in
-both bytes and parse time, which matters once the artifact store starts
-caching every captured trace.  This codec packs the same content with
-:mod:`struct` and compresses it with :mod:`gzip`; it is round-trip
-equivalent with the text format (property-tested over all 14 workloads
-in ``tests/artifacts/test_codec.py``).
+The artifact store caches every captured :class:`DynamicTrace`, so the
+format has to be small and quick to parse.  Records are packed with
+:mod:`struct` and compressed with :mod:`gzip`; decoding reproduces the
+trace exactly (round-trip tested over all 14 workloads in
+``tests/artifacts/test_codec.py``).
 
 Layout (after gzip decompression)::
 
@@ -35,7 +33,6 @@ import zlib
 
 from repro.trace.record import MemOp, TraceRecord
 from repro.trace.stream import DynamicTrace
-from repro.trace.tracefile import TraceFileError, TraceVersionError
 from repro.x86.instructions import Cond, Imm, Instruction, Label, Mem, Mnemonic
 from repro.x86.registers import Reg
 
@@ -43,7 +40,7 @@ MAGIC = b"RUTB"
 CODEC_VERSION = 1
 
 #: Compression level: 1 keeps encode fast; the struct packing already
-#: removes most of the text format's redundancy.
+#: removes most of the redundancy.
 _GZIP_LEVEL = 1
 
 _U16 = struct.Struct("<H")
@@ -56,6 +53,29 @@ _REG_WRITE = struct.Struct("<Bq")  # reg, value
 _MEM_OP = struct.Struct("<BqBq")  # is_store, address, size, data
 
 _OP_REG, _OP_IMM, _OP_LABEL, _OP_MEM = 0, 1, 2, 3
+
+
+class TraceFileError(Exception):
+    """Raised on malformed encoded traces."""
+
+
+class TraceVersionError(TraceFileError):
+    """Raised when an encoded trace's format version is not the supported one.
+
+    Carries the ``found`` and ``supported`` versions plus the offending
+    ``filename`` so callers (e.g. the artifact store, which treats a
+    version mismatch as a cache miss and recomputes) can tell a stale
+    format apart from genuine corruption.
+    """
+
+    def __init__(self, found: int, supported: int, filename: str | None = None):
+        self.found = found
+        self.supported = supported
+        self.filename = filename or "<stream>"
+        super().__init__(
+            f"{self.filename}: unsupported trace format version {found} "
+            f"(this reader supports version {supported})"
+        )
 
 
 class _Writer:

@@ -1,14 +1,13 @@
 """Content-addressed artifact store for captured traces and results.
 
-``trace/tracefile.py`` frames emulation as the expensive step meant to be
-captured once and replayed many times — the paper's own workflow, where
-hardware-generated trace files were produced once and fed to every
-simulation.  This store makes that workflow automatic: each artifact
-(a captured :class:`DynamicTrace`, or a per-config
-:class:`ExperimentResult`) lives on disk under a SHA-256 key derived
-from everything that determines its content (workload source, seed,
-configuration fields, format version).  Identical inputs hit the cache;
-any change to the inputs changes the key and recomputes.
+Emulation is the expensive step meant to be captured once and replayed
+many times — the paper's own workflow, where hardware-generated trace
+files were produced once and fed to every simulation.  This store makes
+that workflow automatic: each artifact (a captured :class:`DynamicTrace`,
+or a per-config :class:`ExperimentResult`) lives on disk under a SHA-256
+key derived from everything that determines its content (workload
+source, seed, configuration fields, format version).  Identical inputs
+hit the cache; any change to the inputs changes the key and recomputes.
 
 Durability rules:
 
@@ -45,8 +44,8 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.artifacts import codec
+from repro.artifacts.codec import TraceFileError
 from repro.trace.stream import DynamicTrace
-from repro.trace.tracefile import TraceFileError
 
 log = logging.getLogger("repro.artifacts")
 

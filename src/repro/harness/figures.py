@@ -1,7 +1,7 @@
 """Experiment runners: one function per table/figure of the paper.
 
 Each ``run_*`` function returns plain data structures (suitable for both
-the CLI's text tables and the benchmark assertions), computed via a
+the CLI's text tables and the paper-claim tests), computed via a
 shared :class:`ResultMatrix` so a (workload, config) pair is only ever
 simulated once per process.
 """
@@ -357,6 +357,15 @@ def relative_ipc(ipc: float, rp: float, rpo: float) -> float:
     return (ipc - rp) / span if span else 0.0
 
 
+def fig10_config(variant: str) -> ExperimentConfig:
+    """RPO with one Figure 10 pass disabled, named ``RPO-no-<variant>``."""
+    return replace(
+        CONFIGS["RPO"],
+        name=f"RPO-no-{variant}",
+        optimizer=OptimizerConfig().disabled(variant),
+    )
+
+
 def run_fig10(
     matrix: ResultMatrix | None = None, workloads: list[str] | None = None
 ) -> list[Fig10Row]:
@@ -367,14 +376,7 @@ def run_fig10(
     Excel-with-SF case).
     """
     matrix = matrix or ResultMatrix()
-    variant_configs = {
-        variant: replace(
-            CONFIGS["RPO"],
-            name=f"RPO-no-{variant}",
-            optimizer=OptimizerConfig().disabled(variant),
-        )
-        for variant in FIG10_VARIANTS
-    }
+    variant_configs = {variant: fig10_config(variant) for variant in FIG10_VARIANTS}
     names = workloads or FIG10_WORKLOADS
     matrix.ensure(
         [

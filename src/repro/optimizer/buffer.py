@@ -151,9 +151,6 @@ class OptimizationBuffer:
     def valid_slots(self) -> list[int]:
         return [s for s, u in enumerate(self.uops) if u.valid]
 
-    def valid_uops(self) -> list[OptUop]:
-        return [u for u in self.uops if u.valid]
-
     def mem_slots(self) -> list[int]:
         """Valid memory uops in frame order (memory order is preserved)."""
         return [s for s, u in enumerate(self.uops) if u.valid and u.is_mem]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.optimizer.buffer import OptimizationBuffer
-from repro.optimizer.optuop import DefRef, LiveIn, Operand
+from repro.optimizer.optuop import DefRef, Operand
 
 
 @dataclass
@@ -90,7 +90,3 @@ def operand_slot(operand: Operand | None) -> int | None:
     if isinstance(operand, DefRef):
         return operand.slot
     return None
-
-
-def is_live_in(operand: Operand | None) -> bool:
-    return isinstance(operand, LiveIn)

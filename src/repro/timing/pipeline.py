@@ -111,12 +111,6 @@ class SimResult:
         return self.x86_retired / self.cycles
 
     @property
-    def uop_ipc(self) -> float:
-        if not self.cycles:
-            return 0.0
-        return self.uops_fetched / self.cycles
-
-    @property
     def coverage(self) -> float:
         """Fraction of x86 instructions fetched from the frame/trace cache."""
         if not self.x86_retired:

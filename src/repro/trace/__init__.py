@@ -3,14 +3,6 @@
 from repro.trace.injector import InjectedInstruction, InjectionError, MicroOpInjector
 from repro.trace.record import MemOp, TraceRecord
 from repro.trace.stream import DynamicTrace, TraceStats
-from repro.trace.tracefile import (
-    TraceFileError,
-    TraceVersionError,
-    dump_trace,
-    load_trace,
-    read_trace,
-    write_trace,
-)
 
 __all__ = [
     "DynamicTrace",
@@ -18,12 +10,6 @@ __all__ = [
     "InjectionError",
     "MemOp",
     "MicroOpInjector",
-    "TraceFileError",
-    "TraceVersionError",
     "TraceRecord",
     "TraceStats",
-    "dump_trace",
-    "load_trace",
-    "read_trace",
-    "write_trace",
 ]

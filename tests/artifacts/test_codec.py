@@ -1,22 +1,22 @@
-"""Binary trace codec: round-trip equivalence with the text format.
+"""Binary trace codec: exact round trips and pinned encodings.
 
 The codec must reproduce every captured workload trace exactly — same
-records, same instructions, same name — and agree with the line-oriented
-``tracefile`` format on all of them.  A hypothesis property explores the
-record space (flags, register writes, memory ops, branch info) beyond
-what the workloads happen to exercise.
+records, same instructions, same name.  A hypothesis property explores
+the record space (flags, register writes, memory ops, branch info)
+beyond what the workloads happen to exercise.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
-import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.artifacts.codec import (
+    TraceFileError,
+    TraceVersionError,
     decode_trace,
     encode_trace,
     roundtrip_binary,
@@ -24,29 +24,13 @@ from repro.artifacts.codec import (
 from repro.harness.figures import PAPER_ORDER
 from repro.trace.record import MemOp, TraceRecord
 from repro.trace.stream import DynamicTrace
-from repro.trace.tracefile import (
-    TraceFileError,
-    TraceVersionError,
-    roundtrip as text_roundtrip,
-    write_trace,
-)
-from repro.workloads import build_workload
 from repro.x86 import Assembler, Cond, Emulator
 from repro.x86.instructions import Imm, Instruction, Mem, Mnemonic
 from repro.x86.registers import Reg
 
-_TRACES: dict[str, DynamicTrace] = {}
-
-
-def _trace(name: str) -> DynamicTrace:
-    if name not in _TRACES:
-        _TRACES[name] = build_workload(name)
-    return _TRACES[name]
-
-
 @pytest.mark.parametrize("name", PAPER_ORDER)
-def test_binary_roundtrip_all_workloads(name):
-    trace = _trace(name)
+def test_binary_roundtrip_all_workloads(matrix, name):
+    trace = matrix.trace(name)
     decoded = roundtrip_binary(trace)
     assert decoded.name == trace.name
     assert decoded.records == trace.records
@@ -66,23 +50,10 @@ _ENCODED_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(_ENCODED_SHA256))
-def test_encoded_workload_digest_pinned(name):
-    digest = hashlib.sha256(gzip.decompress(encode_trace(_trace(name)))).hexdigest()
+def test_encoded_workload_digest_pinned(matrix, name):
+    payload = gzip.decompress(encode_trace(matrix.trace(name)))
+    digest = hashlib.sha256(payload).hexdigest()
     assert digest == _ENCODED_SHA256[name]
-
-
-@pytest.mark.parametrize("name", ["bzip2", "excel"])
-def test_binary_agrees_with_text_format(name):
-    trace = _trace(name)
-    assert roundtrip_binary(trace).records == text_roundtrip(trace).records
-
-
-def test_binary_smaller_than_text():
-    trace = _trace("vortex")
-    binary = encode_trace(trace)
-    text = io.StringIO()
-    write_trace(trace, text)
-    assert len(binary) < len(text.getvalue()) / 2
 
 
 def test_decoded_instructions_carry_is_branch():
@@ -131,8 +102,8 @@ def test_version_mismatch_raises_trace_version_error():
     assert "999" in str(excinfo.value)
 
 
-def test_truncated_payload_rejected():
-    trace = _trace("power")
+def test_truncated_payload_rejected(matrix):
+    trace = matrix.trace("power")
     raw = gzip.decompress(encode_trace(trace))
     with pytest.raises(TraceFileError, match="truncated"):
         decode_trace(gzip.compress(raw[: len(raw) // 2]))

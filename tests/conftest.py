@@ -9,7 +9,20 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from repro.harness.figures import ResultMatrix  # noqa: E402
 from repro.x86 import Assembler, Cond, Imm, Reg, mem  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def matrix() -> ResultMatrix:
+    """The default-seed result matrix every test shares.
+
+    One set of (workload, config) runs backs every paper claim, as in the
+    paper, and ``matrix.trace(name)`` is the one source of default-seed
+    workload traces: tests that only consume a trace read it here instead
+    of re-emulating it.  Shared traces and results must not be mutated.
+    """
+    return ResultMatrix()
 
 
 @pytest.fixture

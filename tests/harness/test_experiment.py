@@ -6,13 +6,12 @@ import pytest
 
 from helpers import run_program
 from repro.harness import CONFIGS, run_configs, run_experiment
-from repro.workloads import build_workload
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
 
 
 @pytest.fixture(scope="module")
-def trace():
-    return build_workload("twolf")
+def trace(matrix):
+    return matrix.trace("twolf")
 
 
 def test_configs_registry():

@@ -1,8 +1,30 @@
-"""Figure/table runners (on a reduced workload set for speed)."""
+"""The paper's evaluation claims, checked over the full workload matrix.
+
+Every figure and table runner reads the session ``matrix``
+(tests/conftest.py), so each (workload, config) cell is simulated once
+and every claim is made over the same runs, as in the paper.  The
+thresholds encode the *shape* of the paper's results (§6), loosened
+where scaled-down synthetic traces warrant it.
+"""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.harness import figures
+from repro.harness.experiment import CONFIGS
+from repro.harness.figures import (
+    FIG10_VARIANTS,
+    FIG10_WORKLOADS,
+    PAPER_ORDER,
+    fig10_config,
+    run_fig6,
+    run_fig7_8,
+    run_fig9,
+    run_fig10,
+    run_table1,
+    run_table2,
+    run_table3,
+)
 from repro.harness.report import (
     format_fig6,
     format_fig7_8,
@@ -11,82 +33,242 @@ from repro.harness.report import (
     format_table1,
     format_table3,
 )
-
-SMALL = ["twolf", "eon"]
-
-
-@pytest.fixture(scope="module")
-def matrix():
-    return figures.ResultMatrix()
+from repro.optimizer import OptimizerConfig
+from repro.replay import ConstructorConfig
 
 
-def test_paper_order_covers_all(matrix):
-    assert len(figures.PAPER_ORDER) == 14
+def test_paper_order_covers_all():
+    assert len(PAPER_ORDER) == 14
 
 
 def test_table1_rows(matrix):
-    rows = figures.run_table1(matrix)
-    assert [r.name for r in rows] == figures.PAPER_ORDER
-    assert all(r.x86_instructions > 1000 for r in rows)
+    """Table 1: 7 SPECint + 7 desktop workloads, none trivially short."""
+    rows = run_table1(matrix)
+    assert [r.name for r in rows] == PAPER_ORDER
+    assert sum(r.category == "SPECint" for r in rows) == 7
+    assert all(r.x86_instructions >= 5_000 for r in rows)
+    assert len(matrix.trace("twolf")) > 5_000
     text = format_table1(rows)
     assert "bzip2" in text and "x86 insts" in text
 
 
 def test_table2_text():
-    assert "gshare" in figures.run_table2()
+    assert "gshare" in run_table2()
 
 
 def test_fig6_rows_and_formatting(matrix):
-    rows = figures.run_fig6(matrix, workloads=SMALL)
-    assert {r.name for r in rows} == set(SMALL)
+    """Figure 6 (paper §6.1): RPO wins on nearly all applications, the
+    average RPO-over-RP gain is in the band of the paper's 17%, and gains
+    vary strongly per application."""
+    rows = run_fig6(matrix)
+    assert [r.name for r in rows] == PAPER_ORDER
     for row in rows:
         assert set(row.ipc) == {"IC", "TC", "RP", "RPO"}
         assert all(v > 0 for v in row.ipc.values())
-    text = format_fig6(rows)
-    assert "RPO/RP" in text
+    assert "RPO/RP" in format_fig6(rows)
+
+    gains = [r.rpo_gain_over_rp for r in rows]
+    average_gain = sum(gains) / len(gains)
+    # Paper: +17% average, "highly variable from application to
+    # application"; all but one application improved.
+    assert 0.08 <= average_gain <= 0.60
+    assert sum(g > 0 for g in gains) >= len(gains) - 2
+    assert max(gains) - min(gains) > 0.15  # strong variability
+
+    # RPO is the best configuration for most applications (paper: all
+    # but gzip).
+    wins = sum(1 for r in rows if r.ipc["RPO"] >= max(r.ipc.values()) - 1e-9)
+    assert wins >= 10
+
+    # rePLay coverage enables the gains: most workloads are majority-
+    # covered (paper: 86% SPEC / 72% desktop average).
+    assert sum(r.coverage > 0.5 for r in rows) >= 10
 
 
 def test_fig7_8_bins_sum_close_to_cycles(matrix):
-    rows = figures.run_fig7_8(matrix, workloads=SMALL)
-    assert len(rows) == 2 * len(SMALL)
+    """Figures 7 (SPECint) and 8 (desktop), paper §6.1: the optimizer's
+    major impact is fewer Frame cycles (paper: ~21% net), assert cycles
+    stay a modest fraction, and fetch-side accounting covers (almost)
+    every cycle."""
+    for workloads in (PAPER_ORDER[:7], PAPER_ORDER[7:]):
+        rows = run_fig7_8(matrix, workloads=workloads)
+        assert len(rows) == 2 * len(workloads)
+        assert "cycles" in format_fig7_8(rows)
+        _check_breakdown(rows, workloads)
+
+
+def _check_breakdown(rows, workloads):
+    by_key = {(r.name, r.config): r for r in rows}
+    frame_rp = sum(by_key[(n, "RP")].bins["frame"] for n in workloads)
+    frame_rpo = sum(by_key[(n, "RPO")].bins["frame"] for n in workloads)
+    assert frame_rpo < frame_rp
+    reduction = 1 - frame_rpo / frame_rp
+    assert 0.05 <= reduction <= 0.60
+
     for row in rows:
         accounted = sum(row.bins.values())
         # Fetch-side accounting lags final drain by a pipeline depth.
         assert accounted <= row.cycles
         assert accounted >= 0.9 * row.cycles
-    assert "cycles" in format_fig7_8(rows)
+        # Paper: <3% average; looser on scaled-down traces.
+        assert row.bins["assert"] <= 0.35 * row.cycles
 
 
 def test_table3_includes_average(matrix):
-    rows = figures.run_table3(matrix, workloads=SMALL)
-    assert rows[-1].name == "Average"
-    average = rows[-1]
-    assert average.uops_removed == pytest.approx(
-        sum(r.uops_removed for r in rows[:-1]) / len(rows[:-1])
-    )
+    """Table 3 (paper §6.2): ~21% of dynamic uops and ~22% of loads
+    removed on average, with removal correlating with IPC gain."""
+    rows = run_table3(matrix)
     assert "paper" in format_table3(rows)
+    average = rows[-1]
+    assert average.name == "Average"
+    per_app = rows[:-1]
+    assert average.uops_removed == pytest.approx(
+        sum(r.uops_removed for r in per_app) / len(per_app)
+    )
+    # Paper averages: 21% uops, 22% loads, 17% IPC.
+    assert 0.10 <= average.uops_removed <= 0.35
+    assert 0.10 <= average.loads_removed <= 0.40
+    assert 0.08 <= average.ipc_increase <= 0.60
+
+    # Removal happens essentially everywhere.
+    assert sum(r.uops_removed > 0.03 for r in per_app) >= 12
+    # The high-removal half should out-gain the low-removal half.
+    ranked = sorted(per_app, key=lambda r: r.uops_removed)
+    low = sum(r.ipc_increase for r in ranked[:7]) / 7
+    high = sum(r.ipc_increase for r in ranked[7:]) / 7
+    assert high > low
+
+
+#: Figure 9's "select group of traces" (paper §6.3).
+FIG9_WORKLOADS = ["bzip2", "crafty", "eon", "vortex", "excel", "photo", "sound"]
 
 
 def test_fig9_block_below_frame(matrix):
-    rows = figures.run_fig9(matrix, workloads=["eon"])
-    (row,) = rows
-    # Frame-level optimization must beat intra-block-only (paper Fig 9).
-    assert row.frame_speedup >= row.block_speedup
+    """Figure 9 (paper §6.3): block-level optimization offers some
+    benefit, frame-level substantially more."""
+    rows = run_fig9(matrix, workloads=FIG9_WORKLOADS)
     assert "Block" in format_fig9(rows)
+    frame_avg = sum(r.frame_speedup for r in rows) / len(rows)
+    block_avg = sum(r.block_speedup for r in rows) / len(rows)
+    assert frame_avg > block_avg
+    assert frame_avg > 0.08
+    # Per application: frame >= block for the large majority, and
+    # strictly on eon.
+    close = sum(r.frame_speedup >= r.block_speedup - 0.02 for r in rows)
+    assert close >= len(rows) - 1
+    eon = next(r for r in rows if r.name == "eon")
+    assert eon.frame_speedup >= eon.block_speedup
 
 
 def test_fig10_relative_scale(matrix):
-    rows = figures.run_fig10(matrix, workloads=["eon"])
-    (row,) = rows
-    assert set(row.relative_ipc) == set(figures.FIG10_VARIANTS)
-    # Disabling any single pass cannot beat having all of them by much
-    # more than noise, and cannot fall far below RP.
-    for value in row.relative_ipc.values():
-        assert -0.5 <= value <= 1.6
+    """Figure 10 (paper §6.4): the passes are synergistic, reassociation
+    is the gateway optimization, CSE dominates bzip2, and disabling store
+    forwarding helps the aliasing-heavy Excel analogue."""
+    rows = run_fig10(matrix)
+    assert [r.name for r in rows] == FIG10_WORKLOADS
     assert "no RA" in format_fig10(rows)
+    assert all(set(r.relative_ipc) == set(FIG10_VARIANTS) for r in rows)
+    # On eon, disabling one pass cannot beat all of them by much more
+    # than noise, nor fall far below RP.
+    (eon,) = run_fig10(matrix, workloads=["eon"])
+    assert set(eon.relative_ipc) == set(FIG10_VARIANTS)
+    for value in eon.relative_ipc.values():
+        assert -0.5 <= value <= 1.6
+
+    # Score each pass by how much its absence costs, averaged over the
+    # workloads where optimization is clearly positive (relative scale is
+    # meaningless when RPO ~= RP).
+    positive = [
+        r for r in rows
+        if matrix.run(r.name, CONFIGS["RPO"]).ipc_x86
+        > 1.02 * matrix.run(r.name, CONFIGS["RP"]).ipc_x86
+    ]
+    assert len(positive) >= 3
+    averages = {
+        v: sum(r.relative_ipc[v] for r in positive) / len(positive)
+        for v in FIG10_VARIANTS
+    }
+    # "There is one clear trend: reassociation is a significant
+    # optimization."
+    assert averages["ra"] == min(averages.values())
+    assert averages["ra"] < 0.8  # losing RA costs a clear chunk
+
+    # "On the bzip2 benchmark, the effect of CSE is dominant."
+    bzip2 = next(r for r in rows if r.name == "bzip2")
+    assert bzip2.relative_ipc["cse"] == min(bzip2.relative_ipc.values())
+
+    # "Excel exhibits an increase in effective IPC when the Store
+    # Forwarding optimization is disabled" — the raw IPC comparison.
+    rpo = matrix.run("excel", CONFIGS["RPO"])
+    no_sf = matrix.run("excel", fig10_config("sf"))
+    assert no_sf.ipc_x86 > rpo.ipc_x86
 
 
 def test_matrix_caches_runs(matrix):
-    first = matrix.run("twolf", figures.CONFIGS["RP"])
-    second = matrix.run("twolf", figures.CONFIGS["RP"])
+    first = matrix.run("twolf", CONFIGS["RP"])
+    second = matrix.run("twolf", CONFIGS["RP"])
     assert first is second
+
+
+# ------------------------------------------------------------ sensitivity
+#
+# Not figures from the paper, but the knobs it fixes by fiat (frame size,
+# branch-promotion threshold, the optimizer's 10 cycles per uop), swept on
+# one workload to show the reproduction behaves sensibly around the
+# paper's operating point.
+
+SENSITIVITY_WORKLOAD = "eon"
+
+
+def _rpo(matrix, name, **fields):
+    """The sensitivity workload under RPO with ``fields`` replaced."""
+    config = replace(CONFIGS["RPO"], name=name, **fields)
+    return matrix.run(SENSITIVITY_WORKLOAD, config)
+
+
+def test_frame_size_sweep(matrix):
+    results = {
+        n: _rpo(
+            matrix,
+            f"RPO-max{n}",
+            constructor=ConstructorConfig(
+                max_uops=n, backedge_close_uops=max(8, n // 2)
+            ),
+        )
+        for n in (32, 64, 128, 256)
+    }
+    # Larger frames expose more cross-block redundancy (paper §3, Fig 9).
+    assert results[256].uop_reduction > results[32].uop_reduction
+    # The paper's 256-uop operating point does at least as well as tiny
+    # frames.
+    assert results[256].ipc_x86 >= results[32].ipc_x86 * 0.9
+
+
+def test_promotion_threshold_sweep(matrix):
+    results = {
+        n: _rpo(
+            matrix,
+            f"RPO-promo{n}",
+            constructor=ConstructorConfig(promotion_threshold=n),
+        )
+        for n in (4, 16, 64)
+    }
+    # A very conservative threshold delays coverage on a short trace.
+    assert results[64].coverage <= results[4].coverage + 0.02
+    # Every operating point stays functional and profitable.
+    rp = matrix.run(SENSITIVITY_WORKLOAD, CONFIGS["RP"])
+    for result in results.values():
+        assert result.ipc_x86 > rp.ipc_x86 * 0.85
+
+
+def test_optimizer_latency_sweep(matrix):
+    results = {
+        n: _rpo(matrix, f"RPO-lat{n}", optimizer=OptimizerConfig(cycles_per_uop=n))
+        for n in (0, 10, 100)
+    }
+    # A free optimizer is no worse than the paper's 10 cycles/uop; a 10x
+    # slower one loses much of the benefit on a short trace (its coverage
+    # halves) but the system stays functional.
+    assert results[0].ipc_x86 >= results[10].ipc_x86 * 0.98
+    assert results[100].ipc_x86 >= results[10].ipc_x86 * 0.25
+    assert results[100].coverage < results[10].coverage

@@ -12,12 +12,12 @@ from dataclasses import replace
 import pytest
 
 from repro.harness import CONFIGS, run_experiment
-from repro.workloads import all_workloads, build_workload
+from repro.workloads import all_workloads
 
 
 @pytest.mark.parametrize("name", [w.name for w in all_workloads()])
-def test_workload_frames_verify(name):
-    trace = build_workload(name)
+def test_workload_frames_verify(matrix, name):
+    trace = matrix.trace(name)
     result = run_experiment(trace, replace(CONFIGS["RPO"], verify=True), name)
     # Verification raises on any divergence; reaching here with at least
     # one checked frame is the assertion.

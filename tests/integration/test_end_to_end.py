@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.harness import CONFIGS, run_experiment
-from repro.workloads import build_workload
+from repro.harness.figures import fig10_config
 
 #: Run the paper's pipeline on a representative trio with verification.
 #: (excel is exercised separately below: its aliasing unsafe stores make
@@ -14,11 +14,12 @@ WORKLOADS = ["eon", "bzip2", "twolf"]
 
 
 @pytest.fixture(scope="module", params=WORKLOADS)
-def results(request):
-    trace = build_workload(request.param)
-    rp = run_experiment(trace, CONFIGS["RP"])
+def results(request, matrix):
+    name = request.param
+    trace = matrix.trace(name)
+    rp = matrix.run(name, CONFIGS["RP"])
     rpo = run_experiment(trace, replace(CONFIGS["RPO"], verify=True))
-    return request.param, trace, rp, rpo
+    return name, trace, rp, rpo
 
 
 def test_everything_retires(results):
@@ -50,21 +51,12 @@ def test_cycle_bins_account_for_runtime(results):
         assert 0.9 * result.sim.cycles <= accounted <= result.sim.cycles
 
 
-def test_excel_unsafe_aborts_observed():
+def test_excel_unsafe_aborts_observed(matrix):
     """The paper's Excel story: aliasing unsafe stores abort frames."""
-    trace = build_workload("excel")
-    rpo = run_experiment(trace, CONFIGS["RPO"])
+    rpo = matrix.run("excel", CONFIGS["RPO"])
     assert rpo.sequencer_stats.unsafe_aborts > 0
 
 
-def test_excel_no_sf_avoids_aborts():
-    from repro.optimizer import OptimizerConfig
-
-    trace = build_workload("excel")
-    no_sf = replace(
-        CONFIGS["RPO"],
-        name="RPO-no-sf",
-        optimizer=OptimizerConfig().disabled("sf"),
-    )
-    result = run_experiment(trace, no_sf)
-    assert result.sequencer_stats.unsafe_aborts == 0
+def test_excel_no_sf_avoids_aborts(matrix):
+    no_sf = matrix.run("excel", fig10_config("sf"))
+    assert no_sf.sequencer_stats.unsafe_aborts == 0

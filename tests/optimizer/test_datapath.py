@@ -8,7 +8,6 @@ from repro.optimizer.datapath import (
     check_latency_budget,
     instrument,
 )
-from repro.workloads import build_workload
 from repro.trace import MicroOpInjector
 from repro.replay import ConstructorConfig, FrameConstructor
 
@@ -52,8 +51,8 @@ def test_figure2_fits_paper_latency_budget():
     assert check_latency_budget(buffer.counts, result.uops_before)
 
 
-def test_large_frame_fits_paper_latency_budget():
-    trace = build_workload("eon")
+def test_large_frame_fits_paper_latency_budget(matrix):
+    trace = matrix.trace("eon")
     injected = MicroOpInjector().inject_trace(trace)
     constructor = FrameConstructor(ConstructorConfig(promotion_threshold=2))
     checked = 0

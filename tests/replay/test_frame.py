@@ -8,14 +8,13 @@ from repro.replay import frame as frame_module
 from repro.timing.config import default_config
 from repro.timing.pipeline import PipelineModel
 from repro.trace.injector import MicroOpInjector
-from repro.workloads import build_workload
 
 BODY = ("dyn_uops", "x86_indices", "mem_keys", "block_starts", "raw_load_count")
 
 
 @pytest.fixture(scope="module")
-def vortex():
-    return MicroOpInjector().inject_trace(build_workload("vortex"))
+def vortex(matrix):
+    return MicroOpInjector().inject_trace(matrix.trace("vortex"))
 
 
 @pytest.fixture

@@ -21,23 +21,16 @@ from repro.scenarios.characterize import (
 )
 from repro.timing.config import ProcessorConfig
 from repro.trace.stream import DynamicTrace
-from repro.workloads.base import build_workload
-
-_CACHE: dict[str, object] = {}
 
 
-def _report():
-    if "report" not in _CACHE:
-        trace = build_workload("gzip")
-        _CACHE["trace"] = trace
-        _CACHE["report"] = characterize(
-            trace, CONFIGS["RPO"], workload_name="gzip"
-        )
-    return _CACHE["trace"], _CACHE["report"]
+@pytest.fixture(scope="module")
+def gzip_report(matrix):
+    trace = matrix.trace("gzip")
+    return trace, characterize(trace, CONFIGS["RPO"], workload_name="gzip")
 
 
-def test_headline_counters_match_trace():
-    trace, report = _report()
+def test_headline_counters_match_trace(gzip_report):
+    trace, report = gzip_report
     stats = trace.stats()
     assert report.workload == "gzip"
     assert report.config_name == "RPO"
@@ -49,8 +42,8 @@ def test_headline_counters_match_trace():
     assert report.frames > 0
 
 
-def test_reuse_table_is_consistent():
-    _, report = _report()
+def test_reuse_table_is_consistent(gzip_report):
+    _, report = gzip_report
     assert report.reuse_by_type  # gzip builds frames, so rows exist
     for row in report.reuse_by_type:
         assert 0 <= row.kept_uops <= row.raw_uops
@@ -61,8 +54,8 @@ def test_reuse_table_is_consistent():
     assert report.dynamic_uop_reduction > 0.0
 
 
-def test_loop_structure_accounts_for_every_record():
-    trace, report = _report()
+def test_loop_structure_accounts_for_every_record(gzip_report):
+    trace, report = gzip_report
     assert report.loops  # gzip is loop-driven
     assert sum(report.depth_histogram.values()) == len(trace)
     assert any(row.max_depth >= 1 for row in report.loops)
@@ -70,8 +63,8 @@ def test_loop_structure_accounts_for_every_record():
         assert row.iterations >= 1
 
 
-def test_bias_histogram_covers_static_branches():
-    trace, report = _report()
+def test_bias_histogram_covers_static_branches(gzip_report):
+    trace, report = gzip_report
     assert len(report.bias_histogram) == BIAS_BUCKETS
     static_branches = {
         r.pc for r in trace if r.is_conditional_branch
@@ -79,8 +72,8 @@ def test_bias_histogram_covers_static_branches():
     assert sum(report.bias_histogram) == len(static_branches)
 
 
-def test_latency_table_matches_reference_under_default_config():
-    _, report = _report()
+def test_latency_table_matches_reference_under_default_config(gzip_report):
+    _, report = gzip_report
     assert report.uop_table
     assert all(row.matches_reference for row in report.uop_table)
     by_op = {row.op: row for row in report.uop_table}
@@ -94,16 +87,16 @@ def test_latency_table_flags_config_departures():
     assert not mul.matches_reference  # departure flagged, not hidden
 
 
-def test_report_serializes_to_json():
-    _, report = _report()
+def test_report_serializes_to_json(gzip_report):
+    _, report = gzip_report
     payload = json.loads(json.dumps(report.to_json(), sort_keys=True))
     assert payload["workload"] == "gzip"
     assert len(payload["uop_table"]) == len(report.uop_table)
     assert all(row["ok"] for row in payload["uop_table"])
 
 
-def test_format_renders_every_section():
-    _, report = _report()
+def test_format_renders_every_section(gzip_report):
+    _, report = gzip_report
     text = format_characterization(report)
     for heading in (
         "reuse by instruction type",
@@ -114,8 +107,8 @@ def test_format_renders_every_section():
         assert heading in text
 
 
-def test_characterize_requires_replay_frontend():
-    trace, _ = _report()
+def test_characterize_requires_replay_frontend(gzip_report):
+    trace, _ = gzip_report
     with pytest.raises(ValueError, match="replay"):
         characterize(trace, CONFIGS["IC"], workload_name="gzip")
 

@@ -14,7 +14,6 @@ import pytest
 from repro.harness.experiment import CONFIGS, run_experiment
 from repro.timing import FetchBlock, PipelineModel, default_config
 from repro.uops import Uop, UopOp, UReg
-from repro.workloads import build_workload
 
 
 class ScriptedFetcher:
@@ -37,15 +36,6 @@ def icache_block(uops, pc=0x1000):
     )
 
 
-_TRACES = {}
-
-
-def _trace(name):
-    if name not in _TRACES:
-        _TRACES[name] = build_workload(name)
-    return _TRACES[name]
-
-
 #: (workload, config) cells: every fetch source (icache/tcache/frame),
 #: optimized and unoptimized frames, and firing-frame recovery.
 AB_CELLS = [
@@ -59,18 +49,17 @@ AB_CELLS = [
 
 
 @pytest.mark.parametrize("workload,config_name", AB_CELLS)
-def test_template_matches_reference_on_workload(workload, config_name):
-    trace = _trace(workload)
+def test_template_matches_reference_on_workload(matrix, workload, config_name):
+    trace = matrix.trace(workload)
     config = CONFIGS[config_name]
     reference = run_experiment(trace, config, scheduling="reference")
     template = run_experiment(trace, config, scheduling="template")
     assert template.sim == reference.sim
 
 
-def test_fired_frames_present_in_ab_sample():
+def test_fired_frames_present_in_ab_sample(matrix):
     """The A/B sample must actually exercise firing-frame recovery."""
-    result = run_experiment(_trace("parser"), CONFIGS["RPO"])
-    assert result.sim.frames_fired > 0
+    assert matrix.run("parser", CONFIGS["RPO"]).sim.frames_fired > 0
 
 
 def test_template_matches_reference_on_scripted_blocks():

@@ -105,7 +105,7 @@ def test_instances_share_uops_keep_own_addresses(loop_asm):
     assert set(first.addresses) == {None}
 
 
-def test_rpo_run_leaves_static_uops_unannotated(monkeypatch):
+def test_rpo_run_leaves_static_uops_unannotated(monkeypatch, matrix):
     """Only the frame constructor's copies carry addresses: an RPO run
     writes nothing into the Translator's shared decode flows."""
     injectors = []
@@ -117,7 +117,7 @@ def test_rpo_run_leaves_static_uops_unannotated(monkeypatch):
 
     monkeypatch.setattr(injector_module, "MicroOpInjector", RecordingInjector)
     monkeypatch.setattr(injector_module, "_memo", ())
-    result = experiment.run_experiment(build_workload("vortex"), CONFIGS["RPO"])
+    result = experiment.run_experiment(matrix.trace("vortex"), CONFIGS["RPO"])
     assert result.sequencer_stats.frame_dispatches > 0
     (injector,) = injectors
     flows = list(injector.translator._cache.values())
