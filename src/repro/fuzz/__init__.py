@@ -16,11 +16,12 @@ differentially checking randomly generated programs:
   frame replay plus :class:`~repro.verify.verifier.StateVerifier`
   checks against the unoptimized emulation;
 * :mod:`repro.fuzz.shrink` — a delta-debugging shrinker that minimizes
-  divergent programs;
+  divergent cases;
 * :mod:`repro.fuzz.corpus` — minimized repros in the content-addressed
   artifact store;
 * :mod:`repro.fuzz.campaign` — seed-derived, byte-reproducible
-  campaigns fanned out over the parallel runner.
+  campaigns fanned out over the parallel runner, one engine for both
+  axes.
 
 The **configuration axis** gets the same treatment:
 
@@ -55,7 +56,6 @@ from repro.fuzz.campaign import (
     CampaignConfig,
     CampaignResult,
     ConfigCampaignConfig,
-    ConfigCampaignResult,
     run_campaign,
     run_config_campaign,
 )
@@ -70,14 +70,13 @@ from repro.fuzz.configgen import (
     config_to_json,
     generate_config,
 )
-from repro.fuzz.shrink import shrink_config_case, shrink_program
+from repro.fuzz.shrink import shrink_case
 from repro.fuzz.corpus import FuzzCorpus
 
 __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "ConfigCampaignConfig",
-    "ConfigCampaignResult",
     "ConfigDivergence",
     "ConfigOracleConfig",
     "ConfigPairReport",
@@ -98,6 +97,5 @@ __all__ = [
     "run_config_campaign",
     "run_config_differential",
     "run_differential",
-    "shrink_config_case",
-    "shrink_program",
+    "shrink_case",
 ]

@@ -3,7 +3,6 @@
 ::
 
     python -m repro.harness fuzz run --seed 1 --iterations 10000 --jobs 4
-    python -m repro.harness fuzz run --seed 7 --duration 30
     python -m repro.harness fuzz config run --seed 1 --iterations 200
     python -m repro.harness fuzz repro 3f2a91c0
     python -m repro.harness fuzz corpus ls
@@ -27,17 +26,37 @@ import sys
 import time
 
 from repro.artifacts.store import ArtifactStore
-from repro.metrics import build_run_ledger, get_registry, profiled, write_ledger
+from repro.metrics import emit_run_ledger, get_registry, profiled
 
 from repro.fuzz.campaign import (
+    CONFIG_AXIS,
+    PROGRAM_AXIS,
     CampaignConfig,
-    ConfigCampaignConfig,
     run_campaign,
-    run_config_campaign,
 )
+from repro.fuzz.config_oracle import ConfigOracleConfig, run_config_differential
+from repro.fuzz.configgen import config_from_json, config_to_json
 from repro.fuzz.corpus import CorpusError, FuzzCorpus
+from repro.fuzz.generator import program_from_json
 from repro.fuzz.oracle import OracleConfig, run_differential
-from repro.fuzz.shrink import shrink_config_case, shrink_program
+from repro.fuzz.shrink import shrink_case
+
+#: Per-axis campaign report: the headline, and a suffix to the rate
+#: line, both formatted over the result's totals.
+_REPORT = {
+    "program": (
+        "campaign seed={seed}: {count} programs, {frames} frames, "
+        "{instances} frame instances ({verified} verified), "
+        "{trace_length} trace records",
+        "",
+    ),
+    "pair": (
+        "config campaign seed={seed}: {count} pairs, {simulations} "
+        "simulations, {frames_fired} frames fired, {trace_length} trace "
+        "records",
+        " (optimized slower on {optimized_slower} pairs, advisory)",
+    ),
+}
 
 
 def fuzz_main(argv: list[str]) -> int:
@@ -48,26 +67,6 @@ def fuzz_main(argv: list[str]) -> int:
     sub = parser.add_subparsers(dest="action", required=True)
 
     run_p = sub.add_parser("run", help="run a fuzz campaign")
-    run_p.add_argument("--seed", type=int, default=1, help="campaign seed")
-    group = run_p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--iterations", type=int, default=1000, help="programs to run"
-    )
-    group.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="run whole batches until this many seconds have elapsed",
-    )
-    run_p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = serial)"
-    )
-    run_p.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="store divergent programs unminimized",
-    )
-
     config_p = sub.add_parser(
         "config", help="config-axis differential fuzzing"
     )
@@ -75,30 +74,26 @@ def fuzz_main(argv: list[str]) -> int:
     config_run_p = config_sub.add_parser(
         "run", help="run a config-axis fuzz campaign"
     )
-    config_run_p.add_argument(
-        "--seed", type=int, default=1, help="campaign seed"
-    )
-    config_group = config_run_p.add_mutually_exclusive_group()
-    config_group.add_argument(
-        "--iterations",
-        type=int,
-        default=200,
-        help="(program, config) pairs to run",
-    )
-    config_group.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="run whole batches until this many seconds have elapsed",
-    )
-    config_run_p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = serial)"
-    )
-    config_run_p.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="store divergent pairs unminimized",
-    )
+    for p, axis, oracle in (
+        (run_p, PROGRAM_AXIS, OracleConfig()),
+        (config_run_p, CONFIG_AXIS, ConfigOracleConfig()),
+    ):
+        p.set_defaults(oracle=oracle)
+        p.add_argument("--seed", type=int, default=1, help="campaign seed")
+        p.add_argument(
+            "--iterations",
+            type=int,
+            default=axis.iterations,
+            help=f"{axis.unit}s to run",
+        )
+        p.add_argument(
+            "--jobs", type=int, default=1, help="worker processes (1 = serial)"
+        )
+        p.add_argument(
+            "--no-shrink",
+            action="store_true",
+            help=f"store divergent {axis.unit}s unminimized",
+        )
 
     repro_p = sub.add_parser("repro", help="replay a stored divergent case")
     repro_p.add_argument("case", help="case id (any unambiguous prefix)")
@@ -128,41 +123,34 @@ def fuzz_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     store = ArtifactStore(args.cache_dir)
     with profiled(enabled=args.profile):
-        if args.action == "run":
-            status = _run(args, store)
-        elif args.action == "config":
-            status = _config_run(args, store)
-        elif args.action == "repro":
+        if args.action == "repro":
             status = _repro(args, store)
-        else:
+        elif args.action == "corpus":
             status = _corpus(args, store)
+        else:
+            status = _run(args, store)
     if args.emit_stats:
-        _emit_ledger(argv, args, store)
+        emit_run_ledger(
+            args.emit_stats, argv, [f"fuzz-{args.action}"], store=store
+        )
     return status
 
 
 def _run(args, store: ArtifactStore) -> int:
+    """Run a campaign on either axis; shrink and store divergent cases."""
     config = CampaignConfig(
         seed=args.seed,
         iterations=args.iterations,
-        duration=args.duration,
         jobs=args.jobs,
+        oracle=args.oracle,
     )
-    registry = get_registry()
-
-    def progress(done: int, total: int | None) -> None:
-        target = f"/{total}" if total else ""
-        print(f"[fuzz] {done}{target} programs", file=sys.stderr)
-
-    result = run_campaign(config, metrics=registry, progress=progress)
-    print(
-        f"campaign seed={result.seed}: {result.programs} programs, "
-        f"{result.frames} frames, {result.instances} frame instances "
-        f"({result.verified} verified), {result.trace_records} trace records"
-    )
+    result = run_campaign(config, metrics=get_registry())
+    unit = result.axis.unit
+    headline, advisory = _REPORT[unit]
+    print(headline.format(seed=result.seed, count=result.count, **result.totals))
     print(
         f"{result.seconds:.1f}s at jobs={result.jobs} = "
-        f"{result.programs_per_sec:.1f} programs/sec"
+        f"{result.rate:.1f} {unit}s/sec" + advisory.format(**result.totals)
     )
     print(f"campaign digest: {result.digest}")
     if result.ok:
@@ -170,161 +158,93 @@ def _run(args, store: ArtifactStore) -> int:
         return 0
 
     corpus = FuzzCorpus(store)
-    print(f"{len(result.divergent)} divergent program(s):")
+    print(f"{len(result.divergent)} divergent {unit}(s):")
     for item in result.divergent:
-        genome = item.genome
-        note = ""
+        genome, config_json, note = item.genome, item.config_json, ""
         if not args.no_shrink:
-            shrunk = shrink_program(genome, config.oracle)
+            processor = config_from_json(config_json) if config_json else None
+            shrunk = shrink_case(genome, processor, config.oracle)
             genome = shrunk.genome
+            fields = ""
+            if shrunk.config is not None:
+                config_json = config_to_json(shrunk.config)
+                fields = (
+                    f", {shrunk.original_fields}->{shrunk.final_fields} "
+                    "config fields"
+                )
             note = (
-                f" (shrunk {shrunk.original_ops}->{shrunk.final_ops} ops "
-                f"in {shrunk.attempts} attempts)"
+                f" (shrunk {shrunk.original_ops}->{shrunk.final_ops} ops"
+                f"{fields} in {shrunk.attempts} attempts)"
             )
+        found = {
+            "campaign_seed": result.seed,
+            "index": item.index,
+            "program_seed": item.program_seed,
+        }
+        seeds = str(item.program_seed)
+        if item.config_seed is not None:
+            found["config_seed"] = item.config_seed
+            seeds += f"/{item.config_seed}"
         case_id = corpus.save_case(
-            genome,
-            item.divergences,
-            found={
-                "campaign_seed": result.seed,
-                "index": item.index,
-                "program_seed": item.program_seed,
-            },
+            genome, item.divergences, found=found, config_json=config_json
         )
         kinds = ", ".join(sorted({d.kind for d in item.divergences}))
-        print(f"  {case_id[:16]}  seed={item.program_seed}  {kinds}{note}")
-    return 1
-
-
-def _config_run(args, store: ArtifactStore) -> int:
-    from repro.fuzz.configgen import config_from_json, config_to_json
-
-    config = ConfigCampaignConfig(
-        seed=args.seed,
-        iterations=args.iterations,
-        duration=args.duration,
-        jobs=args.jobs,
-    )
-    registry = get_registry()
-
-    def progress(done: int, total: int | None) -> None:
-        target = f"/{total}" if total else ""
-        print(f"[fuzz.config] {done}{target} pairs", file=sys.stderr)
-
-    result = run_config_campaign(config, metrics=registry, progress=progress)
-    print(
-        f"config campaign seed={result.seed}: {result.pairs} pairs, "
-        f"{result.simulations} simulations, {result.frames_fired} frames "
-        f"fired, {result.trace_records} trace records"
-    )
-    print(
-        f"{result.seconds:.1f}s at jobs={result.jobs} = "
-        f"{result.pairs_per_sec:.1f} pairs/sec "
-        f"(optimized slower on {result.optimized_slower} pairs, advisory)"
-    )
-    print(f"campaign digest: {result.digest}")
-    if result.ok:
-        print("no divergences")
-        return 0
-
-    corpus = FuzzCorpus(store)
-    print(f"{len(result.divergent)} divergent pair(s):")
-    for item in result.divergent:
-        genome = item.genome
-        config_json = item.config_json
-        note = ""
-        if not args.no_shrink:
-            shrunk = shrink_config_case(
-                genome, config_from_json(config_json), config.oracle
-            )
-            genome = shrunk.genome
-            config_json = config_to_json(shrunk.config)
-            note = (
-                f" (shrunk {shrunk.original_ops}->{shrunk.final_ops} ops, "
-                f"{shrunk.original_fields}->{shrunk.final_fields} config "
-                f"fields in {shrunk.attempts} attempts)"
-            )
-        case_id = corpus.save_config_case(
-            genome,
-            config_json,
-            item.divergences,
-            found={
-                "campaign_seed": result.seed,
-                "index": item.index,
-                "program_seed": item.program_seed,
-                "config_seed": item.config_seed,
-            },
-        )
-        kinds = ", ".join(sorted({d.kind for d in item.divergences}))
-        print(
-            f"  {case_id[:16]}  seed={item.program_seed}"
-            f"/{item.config_seed}  {kinds}{note}"
-        )
+        print(f"  {case_id[:16]}  seed={seeds}  {kinds}{note}")
     return 1
 
 
 def _repro(args, store: ArtifactStore) -> int:
-    corpus = FuzzCorpus(store)
+    """Replay a stored case through the oracle that produced it."""
     try:
-        case = corpus.load_case(args.case)
+        case = FuzzCorpus(store).load_case(args.case)
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from repro.fuzz.generator import program_from_json
-
     genome = program_from_json(case["program"])
-    if "config" in case:
-        return _repro_config_case(case, genome)
-    start = time.perf_counter()
-    report = run_differential(genome, OracleConfig(), metrics=get_registry())
-    elapsed = time.perf_counter() - start
     found = case.get("found", {})
-    print(
-        f"case seed={genome.seed} ops={len(genome.ops)} "
+    origin = (
+        f"seed={genome.seed} ops={len(genome.ops)} "
         f"(found in campaign {found.get('campaign_seed')}, "
         f"index {found.get('index')})"
     )
-    print(
-        f"trace={report.trace_length} frames={report.frames_constructed} "
-        f"instances={report.instances_committed} "
-        f"verified={report.instances_verified} in {elapsed:.2f}s"
-    )
-    if report.ok:
-        print("no divergence: this case no longer reproduces (fixed)")
-        return 0
-    for d in report.divergences:
-        where = f" @ {d.frame_pc:#x}" if d.frame_pc is not None else ""
-        print(f"  [{d.variant}] {d.kind}{where}: {d.detail}")
-    return 1
-
-
-def _repro_config_case(case: dict, genome) -> int:
-    """Replay a stored (program, config) pair through the config oracle."""
-    from repro.fuzz.config_oracle import ConfigOracleConfig, run_config_differential
-    from repro.fuzz.configgen import config_from_json
-
-    processor = config_from_json(case["config"])
     start = time.perf_counter()
-    report = run_config_differential(
-        genome, processor, ConfigOracleConfig(), metrics=get_registry()
-    )
-    elapsed = time.perf_counter() - start
-    found = case.get("found", {})
-    fields = ", ".join(report.config_fields) or "all-default"
-    print(
-        f"config case seed={genome.seed} ops={len(genome.ops)} "
-        f"(found in campaign {found.get('campaign_seed')}, "
-        f"index {found.get('index')})"
-    )
-    print(f"config delta: {fields}")
-    print(
-        f"trace={report.trace_length} simulations={report.simulations} "
-        f"frames_fired={report.frames_fired} in {elapsed:.2f}s"
-    )
+    if "config" not in case:
+        report = run_differential(genome, OracleConfig(), metrics=get_registry())
+        elapsed = time.perf_counter() - start
+        print(f"case {origin}")
+        print(
+            f"trace={report.trace_length} frames={report.frames_constructed} "
+            f"instances={report.instances_committed} "
+            f"verified={report.instances_verified} in {elapsed:.2f}s"
+        )
+        lines = [
+            f"[{d.variant}] {d.kind}"
+            + (f" @ {d.frame_pc:#x}" if d.frame_pc is not None else "")
+            + f": {d.detail}"
+            for d in report.divergences
+        ]
+    else:
+        report = run_config_differential(
+            genome,
+            config_from_json(case["config"]),
+            ConfigOracleConfig(),
+            metrics=get_registry(),
+        )
+        elapsed = time.perf_counter() - start
+        print(f"config case {origin}")
+        print(f"config delta: {', '.join(report.config_fields) or 'all-default'}")
+        print(
+            f"trace={report.trace_length} simulations={report.simulations} "
+            f"frames_fired={report.frames_fired} in {elapsed:.2f}s"
+        )
+        lines = [
+            f"[{d.frontend}] {d.kind}: {d.detail}" for d in report.divergences
+        ]
     if report.ok:
         print("no divergence: this case no longer reproduces (fixed)")
         return 0
-    for d in report.divergences:
-        print(f"  [{d.frontend}] {d.kind}: {d.detail}")
+    for line in lines:
+        print(f"  {line}")
     return 1
 
 
@@ -334,13 +254,3 @@ def _corpus(args, store: ArtifactStore) -> int:
         print(f"{case['id'][:16]}  {case['size_bytes']:>7,}B  {case['label']}")
     print(f"{len(cases)} fuzz case(s) in {store.root}")
     return 0
-
-
-def _emit_ledger(argv: list[str], args, store: ArtifactStore) -> None:
-    from repro.harness.cli import _NoMatrix
-
-    ledger = build_run_ledger(
-        argv, [f"fuzz-{args.action}"], _NoMatrix(store), registry=get_registry()
-    )
-    write_ledger(args.emit_stats, ledger)
-    print(f"[repro.metrics] run ledger written to {args.emit_stats}", file=sys.stderr)

@@ -25,7 +25,6 @@ import json
 from repro.artifacts.store import KIND_FUZZ, ArtifactStore, content_key
 
 from repro.fuzz.generator import FuzzProgram, program_from_json, program_to_json
-from repro.fuzz.oracle import Divergence
 
 CASE_FORMAT = 1
 CONFIG_CASE_FORMAT = 2
@@ -47,54 +46,34 @@ class FuzzCorpus:
     def save_case(
         self,
         genome: FuzzProgram,
-        divergences: list[Divergence],
+        divergences: list,
         found: dict | None = None,
+        config_json: dict | None = None,
     ) -> str:
-        """Persist one case; returns its content key (the case id)."""
+        """Persist one case; returns its content key (the case id).
+
+        ``divergences`` are the oracle's :class:`~repro.fuzz.oracle.
+        Divergence` items, or :class:`~repro.fuzz.config_oracle.
+        ConfigDivergence` items when ``config_json`` is given.  A
+        (program, config) pair is keyed by both halves, so the same
+        program under two configs is two cases.
+        """
         program_json = program_to_json(genome)
-        case_id = content_key("fuzz", {"program": program_json})
-        kinds = sorted({d.kind for d in divergences})
+        material = {"program": program_json}
         payload = {
             "format": CASE_FORMAT,
             "program": program_json,
             "found": found or {},
             "divergences": [d.to_json() for d in divergences],
         }
+        label = f"seed={genome.seed} ops={len(genome.ops)} "
+        if config_json is not None:
+            material["config"] = payload["config"] = config_json
+            payload["format"] = CONFIG_CASE_FORMAT
+            label += "config "
+        label += ",".join(sorted({d.kind for d in divergences}))
+        case_id = content_key("fuzz", material)
         body = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-        label = f"seed={genome.seed} ops={len(genome.ops)} {','.join(kinds)}"
-        self.store.put_bytes(KIND_FUZZ, case_id, body, label=label)
-        return case_id
-
-    def save_config_case(
-        self,
-        genome: FuzzProgram,
-        config_json: dict,
-        divergences: list,
-        found: dict | None = None,
-    ) -> str:
-        """Persist one (program, config) pair; returns its content key.
-
-        ``divergences`` are :class:`~repro.fuzz.config_oracle.
-        ConfigDivergence` items; the key covers both the genome and the
-        config so the same program under two configs is two cases.
-        """
-        program_json = program_to_json(genome)
-        case_id = content_key(
-            "fuzz", {"program": program_json, "config": config_json}
-        )
-        kinds = sorted({d.kind for d in divergences})
-        payload = {
-            "format": CONFIG_CASE_FORMAT,
-            "program": program_json,
-            "config": config_json,
-            "found": found or {},
-            "divergences": [d.to_json() for d in divergences],
-        }
-        body = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-        label = (
-            f"seed={genome.seed} ops={len(genome.ops)} "
-            f"config {','.join(kinds)}"
-        )
         self.store.put_bytes(KIND_FUZZ, case_id, body, label=label)
         return case_id
 

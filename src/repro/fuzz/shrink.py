@@ -1,4 +1,4 @@
-"""Delta-debugging shrinker for divergent fuzz programs and configs.
+"""Delta-debugging shrinker for divergent fuzz cases.
 
 Given a genome the oracle flags, the shrinker searches for the smallest
 edited genome that *still* diverges, so the stored repro and the derived
@@ -13,20 +13,20 @@ regression test exercise one miscompile instead of a 16-op haystack:
    register seeds, collapse ``alias_delta`` to 0, and simplify op
    immediates/displacements toward 0.
 
+A (program, config) pair from the config-differential oracle adds the
+**config axis**: non-default config fields are greedily restored to
+their :func:`default_config` values (whole cache levels as a unit),
+before and after the program-axis passes above, so a minimized case
+names the smallest knob set — and smallest program — that still breaks
+the timing model.
+
 Every candidate is judged by re-running the oracle that flagged it; a
 candidate "still diverges" only if it reports at least one divergence
 whose *kind* appeared in the original report (so shrinking cannot walk
 from an optimizer miscompile to an unrelated artifact).  Candidates
 that fail to render or halt count as non-divergent and are skipped.
-The attempt budget bounds worst-case shrink cost on pathological
-genomes.
-
-For (program, config) pairs from the config-differential oracle,
-:func:`shrink_config_case` adds the **config axis**: non-default config
-fields are greedily restored to their :func:`default_config` values
-(whole cache levels as a unit), interleaved with the program-axis
-passes above, so a minimized case names the smallest knob set — and
-smallest program — that still breaks the timing model.
+The attempt budget, shared by every phase, bounds worst-case shrink
+cost on pathological genomes.
 """
 
 from __future__ import annotations
@@ -41,85 +41,113 @@ from repro.fuzz.configgen import config_delta, shrink_steps
 from repro.fuzz.generator import FuzzProgram
 from repro.fuzz.oracle import OracleConfig, run_differential
 
+#: Default oracle-run budgets: a pair's candidates each run ~7 full
+#: simulations, so its budget is smaller.
+PROGRAM_ATTEMPTS = 400
+PAIR_ATTEMPTS = 250
+
 
 @dataclass
 class ShrinkResult:
-    """Outcome of one shrink run."""
+    """Outcome of one shrink run; ``config`` is None for program cases."""
 
     genome: FuzzProgram
+    config: ProcessorConfig | None
     attempts: int
     reductions: int
     original_ops: int
     final_ops: int
+    original_fields: int = 0  # config fields departing from default, before
+    final_fields: int = 0  # ... and after
 
     @property
     def reduced(self) -> bool:
         return self.reductions > 0
 
 
-def shrink_program(
+def shrink_case(
     genome: FuzzProgram,
-    oracle_config: OracleConfig | None = None,
-    max_attempts: int = 400,
+    processor: ProcessorConfig | None = None,
+    oracle_config: OracleConfig | ConfigOracleConfig | None = None,
+    max_attempts: int | None = None,
 ) -> ShrinkResult:
-    """Minimize ``genome`` while it keeps diverging; returns the smallest
-    divergent genome found within ``max_attempts`` oracle runs."""
-    oracle_config = oracle_config or OracleConfig()
+    """Minimize a divergent case while it keeps diverging.
 
-    def kinds_of(candidate: FuzzProgram) -> set[str]:
-        try:
-            report = run_differential(candidate, oracle_config)
-        except Exception:  # noqa: BLE001 - unrunnable candidate
-            return set()
-        return {d.kind for d in report.divergences}
+    Without ``processor`` the genome is a program case for the semantic
+    oracle; with one, a (program, config) pair for the config oracle,
+    shrunk on both axes.  Returns the smallest divergent case found
+    within ``max_attempts`` oracle runs (default: the axis budget).
+    """
+    if processor is None:
+        oracle_config = oracle_config or OracleConfig()
+        budget = PROGRAM_ATTEMPTS
 
-    shrinker = _Shrinker(genome, kinds_of, max_attempts)
-    best = shrinker.run()
-    return ShrinkResult(
-        genome=best,
+        def run(candidate: FuzzProgram, _config):
+            return run_differential(candidate, oracle_config)
+
+    else:
+        oracle_config = oracle_config or ConfigOracleConfig()
+        budget = PAIR_ATTEMPTS
+
+        def run(candidate: FuzzProgram, config: ProcessorConfig):
+            return run_config_differential(candidate, config, oracle_config)
+
+    if max_attempts is None:
+        max_attempts = budget
+    shrinker = _Shrinker(genome, processor, run, max_attempts)
+    shrinker.run()
+    result = ShrinkResult(
+        genome=shrinker.best,
+        config=shrinker.config,
         attempts=shrinker.attempts,
         reductions=shrinker.reductions,
         original_ops=len(genome.ops),
-        final_ops=len(best.ops),
+        final_ops=len(shrinker.best.ops),
     )
+    if processor is not None:
+        result.original_fields = len(config_delta(processor))
+        result.final_fields = len(config_delta(shrinker.config))
+    return result
 
 
 class _Shrinker:
-    """Program-axis ddmin against any genome -> divergence-kinds oracle."""
+    """ddmin over a genome (and its config, when it has one) against the
+    oracle that flagged it."""
 
     def __init__(
         self,
         genome: FuzzProgram,
-        kinds_of: Callable[[FuzzProgram], set[str]],
+        config: ProcessorConfig | None,
+        run: Callable,
         max_attempts: int,
-        target_kinds: set[str] | None = None,
-        attempts: int = 0,
     ) -> None:
-        self._kinds_of = kinds_of
+        self._run = run
         self.max_attempts = max_attempts
-        self.attempts = attempts
+        self.attempts = 0
         self.reductions = 0
-        self.target_kinds = (
-            target_kinds if target_kinds is not None else kinds_of(genome)
-        )
-        if not self.target_kinds:
-            raise ValueError("shrinker called on a non-divergent genome")
         self.best = genome.copy()
+        self.config = config
+        self.target_kinds = self._kinds(genome, config)
+        if not self.target_kinds:
+            raise ValueError("shrink_case called on a non-divergent case")
 
     # ---------------------------------------------------------- predicate
 
-    def _divergence_kinds(self, genome: FuzzProgram) -> set[str]:
-        return self._kinds_of(genome)
+    def _kinds(self, genome: FuzzProgram, config) -> set[str]:
+        try:
+            report = self._run(genome, config)
+        except Exception:  # noqa: BLE001 - unrunnable candidate
+            return set()
+        return {d.kind for d in report.divergences}
 
-    def _still_diverges(self, candidate: FuzzProgram) -> bool:
+    def _still_diverges(self, candidate: FuzzProgram, config) -> bool:
         if self.attempts >= self.max_attempts:
             return False
         self.attempts += 1
-        kinds = self._divergence_kinds(candidate)
-        return bool(kinds & self.target_kinds)
+        return bool(self._kinds(candidate, config) & self.target_kinds)
 
     def _accept(self, candidate: FuzzProgram) -> bool:
-        if self._still_diverges(candidate):
+        if self._still_diverges(candidate, self.config):
             self.best = candidate
             self.reductions += 1
             return True
@@ -127,13 +155,30 @@ class _Shrinker:
 
     # --------------------------------------------------------------- run
 
-    def run(self) -> FuzzProgram:
+    def run(self) -> None:
+        # Config first: each restored field removes a whole sampled
+        # dimension, the cheapest big win.
+        self._shrink_config()
         self._ddmin_ops()
         self._shrink_iterations()
         self._simplify_fields()
-        # Dropping ops can unlock further drops after simplification.
+        # Dropping ops can unlock further drops after simplification,
+        # and can make more config fields irrelevant.
         self._ddmin_ops()
-        return self.best
+        self._shrink_config()
+
+    def _shrink_config(self) -> None:
+        """Restore config fields to their defaults, front-most first,
+        restarting after every success."""
+        progressed = self.config is not None
+        while progressed:
+            progressed = False
+            for candidate in shrink_steps(self.config):
+                if self._still_diverges(self.best, candidate):
+                    self.config = candidate
+                    self.reductions += 1
+                    progressed = True
+                    break
 
     def _ddmin_ops(self) -> None:
         """Drop chunks of body ops, halving chunk size on failure."""
@@ -197,94 +242,3 @@ class _Shrinker:
                     candidate = self.best.copy()
                     candidate.ops[index] = {**op, key: {"imm": 0}}
                     self._accept(candidate)
-
-
-# ----------------------------------------------------------- config axis
-
-
-@dataclass
-class ConfigShrinkResult:
-    """Outcome of one (program, config) shrink run."""
-
-    genome: FuzzProgram
-    config: ProcessorConfig
-    attempts: int
-    reductions: int
-    original_ops: int
-    final_ops: int
-    original_fields: int  # config fields departing from default, before
-    final_fields: int  # ... and after
-
-
-def shrink_config_case(
-    genome: FuzzProgram,
-    processor: ProcessorConfig,
-    oracle_config: ConfigOracleConfig | None = None,
-    max_attempts: int = 250,
-) -> ConfigShrinkResult:
-    """Minimize a divergent (program, config) pair on both axes.
-
-    Config first (each restored field removes a whole sampled dimension,
-    the cheapest big win), then the program-axis ddmin under the shrunk
-    config, then the config again — dropping ops can make more fields
-    irrelevant.  Budget is shared across all phases.
-    """
-    oracle_config = oracle_config or ConfigOracleConfig()
-    state = {"attempts": 0}
-
-    def kinds_for(candidate: FuzzProgram, config: ProcessorConfig) -> set[str]:
-        try:
-            report = run_config_differential(candidate, config, oracle_config)
-        except Exception:  # noqa: BLE001 - unrunnable candidate
-            return set()
-        return {d.kind for d in report.divergences}
-
-    target_kinds = kinds_for(genome, processor)
-    if not target_kinds:
-        raise ValueError("shrink_config_case called on a non-divergent pair")
-
-    best_genome = genome.copy()
-    best_config = processor
-    reductions = 0
-
-    def shrink_config_axis() -> None:
-        nonlocal best_config, reductions
-        progressed = True
-        while progressed and state["attempts"] < max_attempts:
-            progressed = False
-            for candidate in shrink_steps(best_config):
-                if state["attempts"] >= max_attempts:
-                    return
-                state["attempts"] += 1
-                if kinds_for(best_genome, candidate) & target_kinds:
-                    best_config = candidate
-                    reductions += 1
-                    progressed = True
-                    break  # restart from the front-most field
-
-    shrink_config_axis()
-
-    if state["attempts"] < max_attempts:
-        shrinker = _Shrinker(
-            best_genome,
-            lambda candidate: kinds_for(candidate, best_config),
-            max_attempts,
-            target_kinds=target_kinds,
-            attempts=state["attempts"],
-        )
-        best_genome = shrinker.run()
-        reductions += shrinker.reductions
-        state["attempts"] = shrinker.attempts
-
-    shrink_config_axis()
-
-    return ConfigShrinkResult(
-        genome=best_genome,
-        config=best_config,
-        attempts=state["attempts"],
-        reductions=reductions,
-        original_ops=len(genome.ops),
-        final_ops=len(best_genome.ops),
-        original_fields=len(config_delta(processor)),
-        final_fields=len(config_delta(best_config)),
-    )

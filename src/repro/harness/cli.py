@@ -36,12 +36,10 @@ from repro.artifacts.store import ArtifactStore
 from repro.harness import figures, report
 from repro.metrics import (
     LedgerError,
-    build_run_ledger,
+    emit_run_ledger,
     format_ledger,
-    get_registry,
     profiled,
     read_ledger,
-    write_ledger,
 )
 
 EXPERIMENTS = ("table1", "table2", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "table3")
@@ -138,7 +136,9 @@ def cache_main(argv: list[str]) -> int:
     with profiled(enabled=args.profile):
         _cache_action(parser, args, store)
     if args.emit_stats:
-        _emit_cache_ledger(argv, args, store)
+        emit_run_ledger(
+            args.emit_stats, argv, [f"cache-{args.action}"], store=store
+        )
     return 0
 
 
@@ -189,28 +189,6 @@ def _cache_action(parser, args, store: ArtifactStore) -> None:
                 f"evicted {removed} entries ({removed_bytes / (1024 * 1024):.2f} MB) "
                 f"from {store.root}"
             )
-
-
-class _NoMatrix:
-    """Stand-in for :class:`figures.ResultMatrix` on runs without one
-    (the ``cache`` subcommand), so every subcommand can ledger."""
-
-    telemetry: list = []
-    _results: dict = {}
-    jobs = 1
-    scale = None
-    seed = None
-
-    def __init__(self, store: ArtifactStore | None) -> None:
-        self.store = store
-
-
-def _emit_cache_ledger(argv: list[str], args, store: ArtifactStore) -> None:
-    ledger = build_run_ledger(
-        argv, [f"cache-{args.action}"], _NoMatrix(store), registry=get_registry()
-    )
-    write_ledger(args.emit_stats, ledger)
-    print(f"[repro.metrics] run ledger written to {args.emit_stats}", file=sys.stderr)
 
 
 def stats_main(argv: list[str]) -> int:
@@ -289,12 +267,7 @@ def main(argv: list[str] | None = None) -> int:
             print()
     print(matrix.summary(), file=sys.stderr)
     if args.emit_stats:
-        ledger = build_run_ledger(argv, names, matrix, registry=get_registry())
-        write_ledger(args.emit_stats, ledger)
-        print(
-            f"[repro.metrics] run ledger written to {args.emit_stats}",
-            file=sys.stderr,
-        )
+        emit_run_ledger(args.emit_stats, argv, names, matrix)
     return 0
 
 

@@ -15,6 +15,7 @@ from repro.metrics.ledger import (
     SUPPORTED_VERSIONS,
     LedgerError,
     build_run_ledger,
+    emit_run_ledger,
     format_ledger,
     read_ledger,
     result_entry,
@@ -39,6 +40,7 @@ __all__ = [
     "MetricsRegistry",
     "SUPPORTED_VERSIONS",
     "build_run_ledger",
+    "emit_run_ledger",
     "format_ledger",
     "get_registry",
     "profiled",

@@ -20,8 +20,11 @@ about the keys downstream tooling reads.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
+
+from repro.metrics.registry import get_registry
 
 SCHEMA_NAME = "repro-uopt/run-ledger"
 LEDGER_VERSION = 1
@@ -91,10 +94,27 @@ def result_entry(workload: str, config_name: str, result) -> dict:
 def build_run_ledger(
     argv: list[str],
     experiments: list[str],
-    matrix,
+    matrix=None,
     registry=None,
+    store=None,
 ) -> dict:
-    """Assemble a ledger dict from a finished :class:`ResultMatrix` run."""
+    """Assemble a ledger dict from a finished :class:`ResultMatrix` run.
+
+    Runs without a matrix (``cache``, ``fuzz``, ``scenarios``) pass
+    ``matrix=None`` and their ``store``: their ledger has no cells or
+    results, ``jobs`` 1, no scale or seed, and the store's stats.
+    """
+    if matrix is None:
+        command = {"jobs": 1, "scale": None, "seed": None}
+        telemetry, cell_results = [], {}
+    else:
+        command = {
+            "jobs": matrix.jobs,
+            "scale": matrix.scale,
+            "seed": matrix.seed,
+        }
+        telemetry, cell_results = matrix.telemetry, matrix._results
+        store = matrix.store
     cells = [
         {
             "workload": t.workload,
@@ -106,11 +126,11 @@ def build_run_ledger(
             "simulated": t.simulated,
             "worker_pid": t.worker_pid,
         }
-        for t in matrix.telemetry
+        for t in telemetry
     ]
     results = [
         result_entry(workload, config_name, result)
-        for (workload, config_name), result in sorted(matrix._results.items())
+        for (workload, config_name), result in sorted(cell_results.items())
     ]
     passes: dict[str, int] = {}
     uops_removed_total = 0
@@ -130,9 +150,7 @@ def build_run_ledger(
         "command": {
             "argv": list(argv),
             "experiments": list(experiments),
-            "jobs": matrix.jobs,
-            "scale": matrix.scale,
-            "seed": matrix.seed,
+            **command,
         },
         "cells": cells,
         "results": results,
@@ -142,9 +160,25 @@ def build_run_ledger(
             "loads_removed": loads_removed_total,
         },
         "metrics": (registry.snapshot() if registry is not None else None),
-        "store": (matrix.store.stats() if matrix.store is not None else None),
+        "store": (store.stats() if store is not None else None),
     }
     return ledger
+
+
+def emit_run_ledger(
+    path: str | Path,
+    argv: list[str],
+    experiments: list[str],
+    matrix=None,
+    store=None,
+) -> None:
+    """Write the ledger of a finished run over the process-wide metrics
+    registry, and say where on stderr."""
+    ledger = build_run_ledger(
+        argv, experiments, matrix, registry=get_registry(), store=store
+    )
+    write_ledger(path, ledger)
+    print(f"[repro.metrics] run ledger written to {path}", file=sys.stderr)
 
 
 def write_ledger(path: str | Path, ledger: dict) -> Path:

@@ -16,7 +16,7 @@ import json
 import sys
 
 from repro.artifacts.store import ArtifactStore
-from repro.metrics import build_run_ledger, get_registry, profiled, write_ledger
+from repro.metrics import emit_run_ledger, profiled
 
 
 def scenarios_main(argv: list[str]) -> int:
@@ -62,7 +62,9 @@ def scenarios_main(argv: list[str]) -> int:
     with profiled(enabled=args.profile):
         status = _characterize(args, store)
     if args.emit_stats:
-        _emit_ledger(argv, args, store)
+        emit_run_ledger(
+            args.emit_stats, argv, [f"scenarios-{args.action}"], store=store
+        )
     return status
 
 
@@ -95,16 +97,3 @@ def _characterize(args, store: ArtifactStore) -> int:
     else:
         print(format_characterization(report))
     return 0
-
-
-def _emit_ledger(argv: list[str], args, store: ArtifactStore) -> None:
-    from repro.harness.cli import _NoMatrix
-
-    ledger = build_run_ledger(
-        argv,
-        [f"scenarios-{args.action}"],
-        _NoMatrix(store),
-        registry=get_registry(),
-    )
-    write_ledger(args.emit_stats, ledger)
-    print(f"[repro.metrics] run ledger written to {args.emit_stats}", file=sys.stderr)

@@ -126,11 +126,11 @@ def test_fuzz_repro_replays_stored_config_case(tmp_path, capsys):
 
     corpus = FuzzCorpus(ArtifactStore(tmp_path))
     genome = generate_program(21)
-    case_id = corpus.save_config_case(
+    case_id = corpus.save_case(
         genome,
-        config_to_json(generate_config(21)),
         [ConfigDivergence(kind="schedule-ab", frontend="IC", detail="old")],
         found={"campaign_seed": 1, "index": 20, "config_seed": 21},
+        config_json=config_to_json(generate_config(21)),
     )
     status = main(
         ["fuzz", "repro", case_id[:10], "--cache-dir", str(tmp_path)]
@@ -161,46 +161,22 @@ def test_fuzz_config_run_emit_stats_ledger(tmp_path, capsys):
 def test_fuzz_config_run_divergent_pair_is_shrunk_and_stored(
     tmp_path, capsys, monkeypatch
 ):
-    import repro.fuzz.cli as cli_mod
-    from repro.fuzz.campaign import ConfigCampaignResult, DivergentPair
-    from repro.fuzz.config_oracle import ConfigDivergence
-    from repro.fuzz.configgen import config_to_json, generate_config
+    # A config oracle that flags every pair: the campaign folds it into
+    # a divergent case, the shrinker minimizes it on both axes, and the
+    # corpus stores it as a (program, config) case.
+    import repro.fuzz.campaign as campaign_mod
+    import repro.fuzz.shrink as shrink_mod
+    from repro.fuzz.config_oracle import ConfigDivergence, ConfigPairReport
 
-    genome = generate_program(3)
-    config = generate_config(3)
-    result = ConfigCampaignResult(
-        seed=1, pairs=1, simulations=7, jobs=1, digest="d" * 64, seconds=0.1
-    )
-    result.divergent.append(
-        DivergentPair(
-            index=0,
-            program_seed=3,
-            config_seed=3,
-            genome=genome,
-            config_json=config_to_json(config),
-            divergences=[
-                ConfigDivergence(
-                    kind="schedule-ab", frontend="IC", detail="synthetic"
-                )
-            ],
+    def flag_every_pair(genome, processor, config=None, metrics=None):
+        report = ConfigPairReport(program_seed=genome.seed, simulations=7)
+        report.divergences.append(
+            ConfigDivergence(kind="schedule-ab", frontend="IC", detail="synthetic")
         )
-    )
+        return report
 
-    class FakeShrunk:
-        pass
-
-    FakeShrunk.genome = genome
-    FakeShrunk.config = config
-    FakeShrunk.original_ops = FakeShrunk.final_ops = len(genome.ops)
-    FakeShrunk.original_fields = FakeShrunk.final_fields = 3
-    FakeShrunk.attempts = 1
-
-    monkeypatch.setattr(
-        cli_mod, "run_config_campaign", lambda *a, **k: result
-    )
-    monkeypatch.setattr(
-        cli_mod, "shrink_config_case", lambda *a, **k: FakeShrunk()
-    )
+    monkeypatch.setattr(campaign_mod, "run_config_differential", flag_every_pair)
+    monkeypatch.setattr(shrink_mod, "run_config_differential", flag_every_pair)
     status = main(
         [
             "fuzz", "config", "run", "--seed", "1", "--iterations", "1",
@@ -209,10 +185,59 @@ def test_fuzz_config_run_divergent_pair_is_shrunk_and_stored(
     )
     out = capsys.readouterr().out
     assert status == 1
+    assert "1 pairs, 7 simulations" in out
     assert "1 divergent pair(s)" in out
     assert "schedule-ab" in out
+    assert "->1 ops, " in out and "->0 config fields" in out
     (case,) = FuzzCorpus(ArtifactStore(tmp_path)).list_cases()
     assert "config" in case["label"]
+    stored = FuzzCorpus(ArtifactStore(tmp_path)).load_case(case["id"])
+    assert stored["format"] == 2
+    assert set(stored["found"]) == {
+        "campaign_seed", "index", "program_seed", "config_seed"
+    }
+
+
+def test_fuzz_run_divergent_program_is_shrunk_and_stored(
+    tmp_path, capsys, monkeypatch
+):
+    import repro.fuzz.campaign as campaign_mod
+    import repro.fuzz.shrink as shrink_mod
+    from repro.fuzz.oracle import ProgramReport
+
+    def flag_every_program(genome, config=None, metrics=None):
+        report = ProgramReport(seed=genome.seed)
+        report.divergences.append(
+            Divergence(kind="verifier", variant="full", detail="synthetic")
+        )
+        return report
+
+    monkeypatch.setattr(campaign_mod, "run_differential", flag_every_program)
+    monkeypatch.setattr(shrink_mod, "run_differential", flag_every_program)
+    status = main(
+        [
+            "fuzz", "run", "--seed", "1", "--iterations", "2",
+            "--cache-dir", str(tmp_path),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert status == 1
+    assert "2 divergent program(s)" in out
+    assert "->1 ops in " in out
+    assert "config fields" not in out
+    cases = FuzzCorpus(ArtifactStore(tmp_path)).list_cases()
+    assert len(cases) == 2
+    stored = FuzzCorpus(ArtifactStore(tmp_path)).load_case(cases[0]["id"])
+    assert stored["format"] == 1
+    assert "config" not in stored
+
+
+def test_fuzz_run_duration_flag_removed(capsys):
+    for command in (["fuzz", "run"], ["fuzz", "config", "run"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--duration", "5"])
+        assert excinfo.value.code == 2
+    capsys.readouterr()
 
 
 def test_fuzz_repro_workload_flag_removed(capsys):

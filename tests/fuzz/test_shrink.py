@@ -14,7 +14,7 @@ from repro.fuzz.config_oracle import ConfigDivergence, ConfigPairReport
 from repro.fuzz.configgen import config_delta
 from repro.fuzz.generator import FuzzProgram
 from repro.fuzz.oracle import Divergence, ProgramReport
-from repro.fuzz.shrink import shrink_config_case, shrink_program
+from repro.fuzz.shrink import shrink_case
 from repro.timing.config import default_config
 
 
@@ -50,7 +50,7 @@ def test_shrinks_to_the_single_marker_op(monkeypatch):
     _marker_oracle(monkeypatch)
     filler = [{"kind": "cdq"} for _ in range(15)]
     genome = _genome(filler[:7] + [{"kind": "cdq", "marker": True}] + filler[7:])
-    result = shrink_program(genome)
+    result = shrink_case(genome)
     assert result.reduced
     assert result.final_ops == 1
     assert result.genome.ops[0].get("marker")
@@ -83,7 +83,7 @@ def test_shrink_preserves_divergence_kind(monkeypatch):
     genome = _genome(
         [{"kind": "cdq", "marker": True}] + [{"kind": "cdq"} for _ in range(5)]
     )
-    result = shrink_program(genome)
+    result = shrink_case(genome)
     assert any(op.get("marker") for op in result.genome.ops)
 
 
@@ -92,7 +92,7 @@ def test_attempt_budget_is_respected(monkeypatch):
     genome = _genome(
         [{"kind": "cdq", "marker": True}] + [{"kind": "cdq"} for _ in range(30)]
     )
-    result = shrink_program(genome, max_attempts=10)
+    result = shrink_case(genome, max_attempts=10)
     # One call classifies the original; at most 10 more judge candidates.
     assert calls["count"] <= 11
     assert result.attempts <= 10
@@ -102,7 +102,7 @@ def test_non_divergent_genome_is_rejected(monkeypatch):
     _marker_oracle(monkeypatch)
     genome = _genome([{"kind": "cdq"}])  # no marker: never diverges
     with pytest.raises(ValueError, match="non-divergent"):
-        shrink_program(genome)
+        shrink_case(genome)
 
 
 def test_unrunnable_candidates_count_as_non_divergent(monkeypatch):
@@ -123,7 +123,7 @@ def test_unrunnable_candidates_count_as_non_divergent(monkeypatch):
     genome = _genome(
         [{"kind": "cdq", "marker": True}] + [{"kind": "cdq"} for _ in range(7)]
     )
-    result = shrink_program(genome)
+    result = shrink_case(genome)
     # Cannot go below 2 ops (the oracle "crashes" there), but the marker
     # plus one filler survive.
     assert result.final_ops == 2
@@ -167,7 +167,7 @@ def test_config_shrink_isolates_the_guilty_knob_and_op(monkeypatch):
         + [{"kind": "cdq", "marker": True}]
         + [{"kind": "cdq"} for _ in range(5)]
     )
-    result = shrink_config_case(genome, processor)
+    result = shrink_case(genome, processor)
     assert result.final_ops == 1
     assert result.genome.ops[0].get("marker")
     assert config_delta(result.config) == ["memory_latency"]
@@ -180,7 +180,7 @@ def test_config_shrink_rejects_clean_pair(monkeypatch):
     _config_marker_oracle(monkeypatch)
     genome = _genome([{"kind": "cdq"}])  # no marker
     with pytest.raises(ValueError, match="non-divergent"):
-        shrink_config_case(genome, default_config())
+        shrink_case(genome, default_config())
 
 
 def test_config_shrink_respects_the_attempt_budget(monkeypatch):
@@ -192,7 +192,7 @@ def test_config_shrink_respects_the_attempt_budget(monkeypatch):
         [{"kind": "cdq", "marker": True}]
         + [{"kind": "cdq"} for _ in range(30)]
     )
-    result = shrink_config_case(genome, processor, max_attempts=10)
+    result = shrink_case(genome, processor, max_attempts=10)
     assert result.attempts <= 10
     # One classifying call plus at most max_attempts candidate calls.
     assert calls["count"] <= 11
