@@ -6,12 +6,7 @@ on disk and fanned out across processes.  See ``DESIGN.md`` §"Artifact
 store".
 """
 
-from repro.artifacts.codec import (
-    CODEC_VERSION,
-    decode_trace,
-    encode_trace,
-    roundtrip_binary,
-)
+from repro.artifacts.codec import CODEC_VERSION, decode_trace, encode_trace
 from repro.artifacts.store import (
     ArtifactStore,
     EntryInfo,
@@ -49,7 +44,6 @@ __all__ = [
     "default_cache_dir",
     "encode_trace",
     "result_key",
-    "roundtrip_binary",
     "run_matrix",
     "trace_key",
 ]

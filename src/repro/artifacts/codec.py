@@ -362,8 +362,3 @@ def decode_trace(data: bytes, filename: str | None = None) -> DynamicTrace:
             f"{where}: binary trace has {end - pos} trailing bytes"
         )
     return DynamicTrace(records, name=name)
-
-
-def roundtrip_binary(trace: DynamicTrace) -> DynamicTrace:
-    """Encode and decode in memory (testing convenience)."""
-    return decode_trace(encode_trace(trace))

@@ -24,7 +24,7 @@ import json
 
 from repro.artifacts.store import KIND_FUZZ, ArtifactStore, content_key
 
-from repro.fuzz.generator import FuzzProgram, program_from_json, program_to_json
+from repro.fuzz.generator import FuzzProgram, program_to_json
 
 CASE_FORMAT = 1
 CONFIG_CASE_FORMAT = 2
@@ -113,9 +113,6 @@ class FuzzCorpus:
                 f"{', '.join(str(f) for f in _SUPPORTED_FORMATS)})"
             )
         return payload
-
-    def load_genome(self, case_id: str) -> FuzzProgram:
-        return program_from_json(self.load_case(case_id)["program"])
 
     def list_cases(self) -> list[dict]:
         """Summaries of every stored case (id, label, created, size)."""

@@ -12,7 +12,8 @@ and is checked two complementary ways:
   enforces the paper's three §5.1.3 rules (loads covered by the initial
   memory map, final memory map equal, register/flag state equal at the
   frame boundary) against the true architectural state;
-* **replay leg** — the whole trace is re-executed by a *frame machine*:
+* **replay leg** — the whole trace is re-executed by a
+  :class:`~repro.verify.state.FrameMachine`:
   wherever a frame path-matches (same commit rule the sequencer uses —
   path match and no unsafe-store conflict) the optimized
   frame executes against the machine's live state via
@@ -44,13 +45,11 @@ from repro.replay.constructor import ConstructorConfig, FrameConstructor
 from repro.replay.frame import Frame
 from repro.replay.sequencer import unsafe_store_conflict
 from repro.trace.injector import InjectedInstruction, MicroOpInjector
-from repro.trace.record import TraceRecord
-from repro.uops.uop import ARCH_REGS, UReg
 from repro.verify.frame_exec import FrameExecutionError, execute_frame
-from repro.verify.state import ArchTracker
+from repro.verify.state import ArchTracker, FrameMachine, initial_image
 from repro.verify.verifier import StateVerifier, VerificationError
 from repro.x86.emulator import Emulator
-from repro.x86.registers import MASK32, Flag, Reg
+from repro.x86.registers import MASK32, Reg
 
 from repro.fuzz.generator import FuzzProgram, render_program
 
@@ -163,15 +162,6 @@ class ProgramReport:
         return not self.divergences
 
 
-def _unpack_flags(word: int) -> tuple[bool, bool, bool, bool]:
-    return (
-        bool(word & (1 << Flag.CF)),
-        bool(word & (1 << Flag.ZF)),
-        bool(word & (1 << Flag.SF)),
-        bool(word & (1 << Flag.OF)),
-    )
-
-
 def _construct_frames(
     injected: list[InjectedInstruction], config: ConstructorConfig
 ) -> list[Frame]:
@@ -213,64 +203,6 @@ def _path_matches(
     )
 
 
-class _FrameMachine:
-    """Architectural state advanced by frames where they commit and by
-    raw trace records everywhere else (the replay leg's state)."""
-
-    def __init__(self, initial_regs: tuple[int, ...], initial_flags: int,
-                 initial_image: dict[int, int]) -> None:
-        self.regs = list(initial_regs)
-        self.flags = initial_flags
-        self._image = initial_image
-        self.overlay: dict[int, int] = {}
-
-    def read_byte(self, address: int) -> int:
-        # Total memory (unwritten bytes read as 0, like x86.memory.Memory),
-        # so paper rule 1 cannot fire here; the verifier leg checks it.
-        if address in self.overlay:
-            return self.overlay[address]
-        return self._image.get(address, 0)
-
-    def live_in_regs(self) -> dict[UReg, int]:
-        return dict(zip(ARCH_REGS, self.regs))
-
-    def live_in_flags(self) -> tuple[bool, bool, bool, bool]:
-        return _unpack_flags(self.flags)
-
-    def apply_record(self, record: TraceRecord) -> None:
-        for reg, value in record.reg_writes.items():
-            self.regs[int(reg)] = value
-        if record.flags_after is not None:
-            self.flags = record.flags_after
-        for mem_op in record.mem_ops:
-            if mem_op.is_store:
-                for i in range(mem_op.size):
-                    address = (mem_op.address + i) & MASK32
-                    self.overlay[address] = (mem_op.data >> (8 * i)) & 0xFF
-
-    def apply_outcome(self, outcome) -> None:
-        for reg, value in outcome.final_regs.items():
-            self.regs[int(reg)] = value
-        self.flags = outcome.final_flags
-        for address, size, value in outcome.stores:
-            for i in range(size):
-                self.overlay[(address + i) & MASK32] = (value >> (8 * i)) & 0xFF
-
-
-def _initial_image(program, emulator: Emulator) -> dict[int, int]:
-    """Byte image of memory at program start (data + pushed exit address)."""
-    image: dict[int, int] = {}
-    for address, blob in program.data.items():
-        for i, byte in enumerate(blob):
-            image[(address + i) & MASK32] = byte
-    esp = emulator.regs[Reg.ESP]  # after the exit-address push
-    from repro.x86.emulator import EXIT_ADDRESS
-
-    for i in range(4):
-        image[(esp + i) & MASK32] = (EXIT_ADDRESS >> (8 * i)) & 0xFF
-    return image
-
-
 def run_differential(
     genome: FuzzProgram,
     config: OracleConfig | None = None,
@@ -284,7 +216,7 @@ def run_differential(
     emulator = Emulator(program)
     initial_regs = emulator.reg_snapshot()
     initial_flags = emulator.flags_word()
-    image = _initial_image(program, emulator)
+    image = initial_image(program, emulator)
     records = emulator.run(max_instructions=config.max_instructions)
     if not emulator.halted:
         # A genome the generator should never produce (shrinker edits
@@ -372,7 +304,7 @@ def _run_variant(
     tracker = ArchTracker(
         {Reg(i): initial_regs[i] for i in range(8)}, flags=initial_flags
     )
-    machine = _FrameMachine(initial_regs, initial_flags, image)
+    machine = FrameMachine(initial_regs, initial_flags, image)
     verified_paths: set[tuple] = set()
     committed = 0
 

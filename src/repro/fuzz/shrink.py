@@ -60,10 +60,6 @@ class ShrinkResult:
     original_fields: int = 0  # config fields departing from default, before
     final_fields: int = 0  # ... and after
 
-    @property
-    def reduced(self) -> bool:
-        return self.reductions > 0
-
 
 def shrink_case(
     genome: FuzzProgram,

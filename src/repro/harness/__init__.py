@@ -4,7 +4,6 @@ from repro.harness.experiment import (
     CONFIGS,
     ExperimentConfig,
     ExperimentResult,
-    run_configs,
     run_experiment,
 )
 from repro.harness.figures import (
@@ -29,7 +28,6 @@ __all__ = [
     "FIG10_WORKLOADS",
     "PAPER_ORDER",
     "ResultMatrix",
-    "run_configs",
     "run_experiment",
     "run_fig6",
     "run_fig7_8",

@@ -13,7 +13,7 @@ sequencer, and the timing model together and returns an :class:`ExperimentResult
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from repro.metrics import MetricsRegistry, get_registry
 from repro.trace.injector import inject_once
@@ -38,9 +38,6 @@ class ExperimentConfig:
     constructor: ConstructorConfig = field(default_factory=ConstructorConfig)
     processor: ProcessorConfig = field(default_factory=default_config)
     verify: bool = False
-
-    def with_optimizer(self, optimizer: OptimizerConfig) -> "ExperimentConfig":
-        return replace(self, optimizer=optimizer)
 
     def fingerprint(self) -> dict:
         """Every field that determines simulation output, as plain data.
@@ -223,15 +220,3 @@ def _publish_metrics(
         cycles=sim.cycles,
         ipc_x86=round(sim.ipc_x86, 4),
     )
-
-
-def run_configs(
-    trace: DynamicTrace,
-    configs: list[ExperimentConfig],
-    workload_name: str | None = None,
-) -> dict[str, ExperimentResult]:
-    """Run several configurations over one trace."""
-    return {
-        config.name: run_experiment(trace, config, workload_name)
-        for config in configs
-    }

@@ -40,7 +40,7 @@ _FOLDABLE_ALU = frozenset(
 
 
 def _eval_alu(op: UopOp, a: int, b: int) -> int:
-    """Constant evaluation matching the uop interpreter's value semantics."""
+    """Constant evaluation matching ``verify.frame_exec``'s value semantics."""
     if op is UopOp.ADD:
         return (a + b) & MASK32
     if op is UopOp.SUB:

@@ -173,6 +173,6 @@ def _wrap(imm: int | None, delta: int) -> int:
 
     Displacements are kept as small signed Python ints so that symbolic
     address comparison (literal displacement equality) behaves naturally;
-    the interpreter masks to 32 bits at evaluation time.
+    ``verify.frame_exec`` masks to 32 bits at evaluation time.
     """
     return (imm or 0) + delta

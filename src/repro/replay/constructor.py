@@ -147,12 +147,6 @@ class FrameConstructor:
         self.frames_emitted += 1
         return Frame.from_region(pending, end_next_pc)
 
-    def abandon(self) -> None:
-        """Discard the pending region (its continuation won't be retired
-        contiguously, e.g. because a frame covered the next instructions)."""
-        self._pending = []
-        self._pending_uops = 0
-
     def build_frame(
         self, instructions: list[InjectedInstruction], end_next_pc: int
     ) -> Frame:

@@ -9,61 +9,17 @@ caches exist to beat).
 from __future__ import annotations
 
 from repro.trace.injector import InjectedInstruction
-from repro.uops.uop import UopOp
-from repro.x86.instructions import Mnemonic
 from repro.timing.config import ProcessorConfig
 from repro.timing.pipeline import BranchEvent, FetchBlock
 
 
-def branch_event_for(
-    instr: InjectedInstruction, uop_offset: int
-) -> BranchEvent | None:
-    """Build the prediction event for an instruction's control uop."""
-    record = instr.record
-    mnemonic = record.instruction.mnemonic
-    control_index = None
-    for i, uop in enumerate(instr.uops):
-        if uop.op in (UopOp.BR, UopOp.JMP, UopOp.JMPI):
-            control_index = uop_offset + i
-            break
-    if control_index is None:
-        return None
-    if mnemonic is Mnemonic.JCC:
-        return BranchEvent(
-            uop_index=control_index,
-            kind="cond",
-            pc=record.pc,
-            taken=bool(record.branch_taken),
-            target=record.next_pc,
-        )
-    if mnemonic is Mnemonic.CALL:
-        return_address = record.pc + record.instruction.length
-        kind = "callind" if record.instruction.is_indirect else "call"
-        return BranchEvent(
-            uop_index=control_index,
-            kind=kind,
-            pc=record.pc,
-            target=record.next_pc,
-            return_address=return_address,
-        )
-    if mnemonic is Mnemonic.RET:
-        return BranchEvent(
-            uop_index=control_index, kind="ret", pc=record.pc, target=record.next_pc
-        )
-    if mnemonic is Mnemonic.JMP and record.instruction.is_indirect:
-        return BranchEvent(
-            uop_index=control_index, kind="jmpi", pc=record.pc, target=record.next_pc
-        )
-    return None  # direct JMP: next-line predicted, no event
-
-
 def event_from_decode(decode, record, uop_base: int) -> BranchEvent | None:
-    """Build a prediction event from cached static decode facts.
+    """Build the prediction event for one dynamic instruction instance.
 
-    Equivalent to :func:`branch_event_for` (event kind and control-uop
-    offset are static per instruction; outcome, target, and return
-    address come from the dynamic ``record``) without re-scanning the
-    instruction's uops per dynamic instance.
+    ``decode`` (from ``ScheduleBuilder.instr_decode``) supplies the static
+    facts: event kind and control-uop offset.  The outcome, target
+    and return address come from the dynamic ``record``; ``uop_base`` is
+    the instruction's first uop index in the enclosing block.
     """
     kind = decode.event_kind
     if kind is None:
@@ -102,23 +58,23 @@ def build_icache_block(
     injected: list[InjectedInstruction],
     index: int,
     config: ProcessorConfig,
+    builder,
     stop_probe=None,
-    builder=None,
 ) -> tuple[FetchBlock, int]:
     """Build one ICache fetch group starting at ``index``.
 
-    ``stop_probe(pc)`` (if given) truncates the group before a PC the
-    caller wants to fetch from elsewhere — e.g. a frame-cache hit.
-    ``builder`` (a :class:`repro.timing.schedule.ScheduleBuilder`, if
-    given) attaches the group's schedule tuples from its per-instruction
-    decode cache, so decode and branch-event classification run once per
-    static instruction instead of once per fetch.
+    ``builder`` (the caller's :class:`repro.timing.schedule.ScheduleBuilder`)
+    supplies the group's schedule tuples and branch events from its
+    per-instruction decode cache, so decode and branch-event
+    classification run once per static instruction instead of once per
+    fetch.  ``stop_probe(pc)`` (if given) truncates the group before a PC
+    the caller wants to fetch from elsewhere — e.g. a frame-cache hit.
     Returns the block and the number of x86 instructions consumed.
     """
     uops: list = []
     addresses: list = []
     events: list[BranchEvent] = []
-    sched: list | None = [] if builder is not None else None
+    sched: list = []
     count = 0
     first = injected[index].record
     byte_start = first.pc
@@ -130,12 +86,9 @@ def build_icache_block(
         if count and stop_probe is not None and stop_probe(instr.record.pc):
             break
         record = instr.record
-        if builder is not None:
-            decode = builder.instr_decode(instr)
-            event = event_from_decode(decode, record, len(uops))
-            sched.extend(decode.sched)
-        else:
-            event = branch_event_for(instr, len(uops))
+        decode = builder.instr_decode(instr)
+        event = event_from_decode(decode, record, len(uops))
+        sched.extend(decode.sched)
         if event is not None:
             events.append(event)
         uops.extend(instr.uops)

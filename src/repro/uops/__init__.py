@@ -1,27 +1,19 @@
-"""rePLay micro-operation ISA: uop format, x86 decode flows, interpreter."""
+"""rePLay micro-operation ISA: uop format and x86 decode flows.
 
-from repro.uops.interp import (
-    AssertionFired,
-    UopExecutionError,
-    UopState,
-    execute_sequence,
-    execute_uop,
-)
+Uops execute in :mod:`repro.verify.frame_exec`, the one executor the
+State Verifier, the fuzz oracle and the decode-flow tests share.
+"""
+
 from repro.uops.translate import TranslationError, Translator
 from repro.uops.uop import ARCH_REGS, TEMP_REGS, Uop, UopOp, UReg, format_uop
 
 __all__ = [
     "ARCH_REGS",
-    "AssertionFired",
     "TEMP_REGS",
     "TranslationError",
     "Translator",
     "Uop",
-    "UopExecutionError",
     "UopOp",
-    "UopState",
     "UReg",
-    "execute_sequence",
-    "execute_uop",
     "format_uop",
 ]

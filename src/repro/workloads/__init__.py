@@ -4,18 +4,14 @@ from repro.workloads.base import (
     Workload,
     all_workloads,
     build_workload,
-    desktop_workloads,
     get_workload,
     register,
-    spec_workloads,
 )
 
 __all__ = [
     "Workload",
     "all_workloads",
     "build_workload",
-    "desktop_workloads",
     "get_workload",
     "register",
-    "spec_workloads",
 ]

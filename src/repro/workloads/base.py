@@ -71,14 +71,6 @@ def all_workloads() -> list[Workload]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-def spec_workloads() -> list[Workload]:
-    return [w for w in all_workloads() if w.category == "SPECint"]
-
-
-def desktop_workloads() -> list[Workload]:
-    return [w for w in all_workloads() if w.category in ("Business", "Content")]
-
-
 def build_workload(
     name: str,
     scale: int | None = None,

@@ -83,6 +83,12 @@ def pack_flags(cf: bool, zf: bool, sf: bool, of: bool) -> int:
     )
 
 
-def unpack_flags(word: int) -> dict[Flag, bool]:
-    """Unpack an EFLAGS-style word into a flag->bool mapping."""
-    return {flag: bool(word & (1 << flag)) for flag in ALL_FLAGS}
+def unpack_flags(word: int) -> tuple[bool, bool, bool, bool]:
+    """Unpack an EFLAGS-style word into ``(cf, zf, sf, of)``: the inverse
+    of :func:`pack_flags`, in the shape ``execute_frame`` takes."""
+    return (
+        bool(word & _CF_BIT),
+        bool(word & _ZF_BIT),
+        bool(word & _SF_BIT),
+        bool(word & _OF_BIT),
+    )

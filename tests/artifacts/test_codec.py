@@ -19,7 +19,6 @@ from repro.artifacts.codec import (
     TraceVersionError,
     decode_trace,
     encode_trace,
-    roundtrip_binary,
 )
 from repro.harness.figures import PAPER_ORDER
 from repro.trace.record import MemOp, TraceRecord
@@ -31,7 +30,7 @@ from repro.x86.registers import Reg
 @pytest.mark.parametrize("name", PAPER_ORDER)
 def test_binary_roundtrip_all_workloads(matrix, name):
     trace = matrix.trace(name)
-    decoded = roundtrip_binary(trace)
+    decoded = decode_trace(encode_trace(trace))
     assert decoded.name == trace.name
     assert decoded.records == trace.records
 
@@ -70,7 +69,7 @@ def test_decoded_instructions_carry_is_branch():
     asm.label("done")
     asm.ret()
     trace = DynamicTrace(Emulator(asm.assemble()).run())
-    decoded = roundtrip_binary(trace).records
+    decoded = decode_trace(encode_trace(trace)).records
     branches = {Mnemonic.JCC, Mnemonic.JMP, Mnemonic.CALL, Mnemonic.RET}
     seen = {r.instruction.mnemonic: r.instruction.is_branch for r in decoded}
     assert seen == {
@@ -166,6 +165,6 @@ def _records(draw):
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_property(records):
     trace = DynamicTrace(records, name="prop")
-    decoded = roundtrip_binary(trace)
+    decoded = decode_trace(encode_trace(trace))
     assert decoded.records == records
     assert decoded.name == "prop"

@@ -54,7 +54,7 @@ def test_result_key_config_change_is_a_miss():
     base = result_key("bzip2", rpo)
     assert result_key("bzip2", CONFIGS["RP"]) != base
     # Any nested config field participates in the key.
-    tweaked = rpo.with_optimizer(replace(rpo.optimizer, enable_cse=False))
+    tweaked = replace(rpo, optimizer=replace(rpo.optimizer, enable_cse=False))
     assert result_key("bzip2", tweaked) != base
     assert result_key("bzip2", rpo) == base
 

@@ -51,7 +51,7 @@ def test_shrinks_to_the_single_marker_op(monkeypatch):
     filler = [{"kind": "cdq"} for _ in range(15)]
     genome = _genome(filler[:7] + [{"kind": "cdq", "marker": True}] + filler[7:])
     result = shrink_case(genome)
-    assert result.reduced
+    assert result.reductions > 0
     assert result.final_ops == 1
     assert result.genome.ops[0].get("marker")
     # Iterations halved down to the floor; fields zeroed.

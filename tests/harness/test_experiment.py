@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import run_program
-from repro.harness import CONFIGS, run_configs, run_experiment
+from repro.harness import CONFIGS, run_experiment
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
 
 
@@ -51,11 +51,6 @@ def test_ic64_larger_icache_helps_or_ties(trace):
     ic = run_experiment(trace, CONFIGS["IC"])
     ic64 = run_experiment(trace, CONFIGS["IC64"])
     assert ic64.sim.bins["miss"] <= ic.sim.bins["miss"]
-
-
-def test_run_configs_returns_by_name(trace):
-    results = run_configs(trace, [CONFIGS["IC"], CONFIGS["RP"]])
-    assert set(results) == {"IC", "RP"}
 
 
 def test_unknown_frontend_rejected(trace):

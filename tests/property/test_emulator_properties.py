@@ -1,15 +1,14 @@
-"""Property tests: emulator vs uop-interpreter agreement on random ALU code.
+"""Property tests: emulator vs executed decode flows on random ALU code.
 
 Generates random straight-line arithmetic programs and checks that the
-decode flows + uop interpreter reproduce the emulator's architectural
-effects exactly — the decode-flow half of the State Verifier, explored
-randomly.
+decode flows, executed through ``verify.frame_exec``, reproduce the
+emulator's architectural effects exactly — the decode-flow half of the
+State Verifier, explored randomly.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.trace import DynamicTrace, MicroOpInjector
-from repro.uops import UopState, UReg, execute_uop
+from helpers import assert_decode_flows_match
 from repro.x86 import Assembler, Emulator, Imm, Reg, mem
 
 _regs = st.sampled_from(list(Reg))
@@ -79,18 +78,4 @@ def test_random_alu_programs_agree(instructions, seeds):
     asm.ret()
 
     program = asm.assemble()
-    emulator = Emulator(program)
-    trace = DynamicTrace(emulator.run(10_000))
-
-    shadow = Emulator(program)
-    state = UopState()
-    state.regs[UReg.ESP] = shadow.regs[Reg.ESP]
-    state.memory_fallback = lambda address: shadow.memory.read(address, 1)
-    injector = MicroOpInjector()
-    for record in trace:
-        for uop in injector.inject(record).uops:
-            execute_uop(state, uop)
-        for reg, expected in record.reg_writes.items():
-            assert state.regs[int(reg)] == expected
-        if record.flags_after is not None:
-            assert state.flags_word() == record.flags_after
+    assert_decode_flows_match(program, Emulator(program).run(10_000))

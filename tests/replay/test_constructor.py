@@ -153,15 +153,6 @@ def test_mid_frame_indirect_becomes_value_assert(loop_asm):
     assert not assertion.writes_flags
 
 
-def test_abandon_clears_pending():
-    constructor = FrameConstructor()
-    injected = loop_trace()
-    for instr in injected[:3]:
-        constructor.retire(instr)
-    constructor.abandon()
-    assert constructor._pending == []
-
-
 def test_jcc_without_direction_fails_at_retire():
     # Checked at retire, not at frame-ification: most emitted frames are
     # never frame-ified, and a JCC may end a region without becoming an

@@ -1,8 +1,13 @@
 """ICache fetch-group construction."""
 
 from helpers import inject, run_program
-from repro.replay.fetch_groups import branch_event_for, build_icache_block, is_taken_transfer
+from repro.replay.fetch_groups import (
+    build_icache_block,
+    event_from_decode,
+    is_taken_transfer,
+)
 from repro.timing.config import default_config
+from repro.timing.schedule import ScheduleBuilder
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
 
 
@@ -15,10 +20,17 @@ def straight_line_injected(n=12):
     return inject(trace)
 
 
+def icache_block(injected, index, config=None, stop_probe=None):
+    config = config or default_config()
+    return build_icache_block(
+        injected, index, config, ScheduleBuilder(config), stop_probe=stop_probe
+    )
+
+
 def test_group_limited_by_decode_width():
     injected = straight_line_injected()
     config = default_config()
-    block, count = build_icache_block(injected, 0, config)
+    block, count = icache_block(injected, 0, config)
     assert count == config.x86_decode_width == 4
     assert block.x86_count == 4
 
@@ -33,7 +45,7 @@ def test_group_limited_by_uop_budget():
     asm.ret()
     _, _, trace = run_program(asm)
     injected = inject(trace)
-    block, count = build_icache_block(injected, 0, default_config())
+    block, count = icache_block(injected, 0)
     assert len(block.uops) <= default_config().fetch_width
     assert count == 4
 
@@ -48,7 +60,7 @@ def test_group_breaks_at_taken_branch():
     asm.ret()
     _, _, trace = run_program(asm)
     injected = inject(trace)
-    block, count = build_icache_block(injected, 0, default_config())
+    block, count = icache_block(injected, 0)
     assert count == 2  # mov + jmp; fetch redirects
 
 
@@ -62,24 +74,23 @@ def test_not_taken_branch_does_not_break_group():
     asm.ret()
     _, _, trace = run_program(asm)
     injected = inject(trace)
-    block, count = build_icache_block(injected, 1, default_config())
+    block, count = icache_block(injected, 1)
     assert count >= 3  # test, jcc(nt), mov flow together
 
 
 def test_stop_probe_truncates():
     injected = straight_line_injected()
     target = injected[2].record.pc
-    block, count = build_icache_block(
-        injected, 0, default_config(), stop_probe=lambda pc: pc == target
-    )
+    block, count = icache_block(injected, 0, stop_probe=lambda pc: pc == target)
     assert count == 2
 
 
 def test_branch_event_kinds(loop_asm):
     _, _, trace = run_program(loop_asm)
+    builder = ScheduleBuilder(default_config())
     kinds = set()
     for instr in inject(trace):
-        event = branch_event_for(instr, 0)
+        event = event_from_decode(builder.instr_decode(instr), instr.record, 0)
         if event is not None:
             kinds.add(event.kind)
     assert {"cond", "call", "ret"} <= kinds
@@ -99,7 +110,7 @@ def test_is_taken_transfer(loop_asm):
 
 def test_byte_extent_covers_group():
     injected = straight_line_injected()
-    block, count = build_icache_block(injected, 0, default_config())
+    block, count = icache_block(injected, 0)
     assert block.byte_start == injected[0].record.pc
     last = injected[count - 1].record
     assert block.byte_end == last.pc + last.instruction.length

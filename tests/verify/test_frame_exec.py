@@ -6,6 +6,7 @@ from helpers import buffer_from_uops
 from repro.uops import Uop, UopOp, UReg
 from repro.verify.frame_exec import FrameExecutionError, execute_frame
 from repro.x86.instructions import Cond
+from repro.x86.registers import pack_flags
 
 ZERO_FLAGS = (False, False, False, False)
 
@@ -101,3 +102,138 @@ def test_division_by_zero_is_an_error():
     buffer = buffer_from_uops([div])
     with pytest.raises(FrameExecutionError, match="division"):
         execute_frame(buffer, regs(), ZERO_FLAGS, lambda a: 0)
+
+
+def case(id, uops, live_in=None, flags=ZERO_FLAGS, memory=None, out=None,
+         out_flags=None, fired=False, error=None):
+    """One semantics row: a frame, its entry state, and what it must yield."""
+    return pytest.param(
+        uops, live_in or {}, flags, memory or {}, out or {}, out_flags, fired,
+        error, id=id,
+    )
+
+
+SEMANTICS = [
+    case(
+        "limm_and_mov",
+        [Uop(UopOp.LIMM, dst=UReg.EAX, imm=42),
+         Uop(UopOp.MOV, dst=UReg.EBX, src_a=UReg.EAX)],
+        out={"EAX": 42, "EBX": 42},
+    ),
+    case(
+        "add_carry_and_zf",
+        [Uop(UopOp.ADD, dst=UReg.EAX, src_a=UReg.EAX, imm=1, writes_flags=True)],
+        live_in={"EAX": 0xFFFFFFFF},
+        out={"EAX": 0},
+        out_flags=(True, True, False, False),
+    ),
+    case(
+        "preserves_cf",  # INC: CF survives a carry-free add
+        [Uop(UopOp.ADD, dst=UReg.EAX, src_a=UReg.EAX, imm=1, writes_flags=True,
+             preserves_cf=True)],
+        live_in={"EAX": 1},
+        flags=(True, False, False, False),
+        out={"EAX": 2},
+        out_flags=(True, False, False, False),
+    ),
+    case(
+        "load_sign_extension",
+        [Uop(UopOp.LOAD, dst=UReg.EAX, src_a=UReg.ESI, size=1, sign_extend=True)],
+        live_in={"ESI": 0x100},
+        memory={0x100: 0xFF},
+        out={"EAX": 0xFFFFFFFF},
+    ),
+    case(
+        "scale_plus_displacement",
+        [Uop(UopOp.LOAD, dst=UReg.EAX, src_a=UReg.ESI, src_b=UReg.EDI, scale=4,
+             imm=4, size=1)],
+        live_in={"ESI": 0x100, "EDI": 3},
+        memory={0x100 + 12 + 4: 0x77},
+        out={"EAX": 0x77},
+    ),
+    case(
+        "load_store_roundtrip",
+        [Uop(UopOp.STORE, src_a=UReg.ESI, imm=8, src_data=UReg.EAX),
+         Uop(UopOp.LOAD, dst=UReg.EBX, src_a=UReg.ESI, imm=8)],
+        live_in={"ESI": 0x1000, "EAX": 0xBEEF},
+        out={"EBX": 0xBEEF},
+    ),
+    case(
+        "load_reads_entry_memory",  # bytes no frame store wrote
+        [Uop(UopOp.LOAD, dst=UReg.EAX, imm=0x500)],
+        memory={0x500 + i: 0x11 for i in range(4)},
+        out={"EAX": 0x11111111},
+    ),
+    case(
+        "divq_divr",
+        [Uop(UopOp.DIVQ, dst=UReg.ECX, src_a=UReg.EAX, src_b=UReg.EBX,
+             src_data=UReg.EDX),
+         Uop(UopOp.DIVR, dst=UReg.ESI, src_a=UReg.EAX, src_b=UReg.EBX,
+             src_data=UReg.EDX)],
+        live_in={"EAX": 17, "EDX": 0, "EBX": 5},
+        out={"ECX": 3, "ESI": 2},
+    ),
+    case(
+        "divq_by_zero",
+        [Uop(UopOp.DIVQ, dst=UReg.ECX, src_a=UReg.EAX, src_b=UReg.EBX,
+             src_data=UReg.EDX)],
+        live_in={"EAX": 17, "EDX": 0, "EBX": 0},
+        error="division",
+    ),
+    case(
+        "shift_by_zero_keeps_flags",
+        [Uop(UopOp.SHL, dst=UReg.EAX, src_a=UReg.EAX, src_b=UReg.ECX,
+             writes_flags=True)],
+        live_in={"EAX": 4, "ECX": 0},
+        flags=(False, True, False, False),
+        out={"EAX": 4},
+        out_flags=(False, True, False, False),
+    ),
+    case(
+        "mul",  # in order: (2 + 2) * 3
+        [Uop(UopOp.LIMM, dst=UReg.EAX, imm=2),
+         Uop(UopOp.ADD, dst=UReg.EAX, src_a=UReg.EAX, src_b=UReg.EAX),
+         Uop(UopOp.MUL, dst=UReg.EAX, src_a=UReg.EAX, imm=3)],
+        out={"EAX": 12},
+    ),
+    case(
+        "assert_holds",
+        [Uop(UopOp.ASSERT, cond=Cond.Z)],
+        flags=(False, True, False, False),
+    ),
+    case(
+        "assert_fires",
+        [Uop(UopOp.ASSERT, cond=Cond.Z)],
+        fired=True,
+    ),
+    case(
+        "assert_cmp_holds",
+        [Uop(UopOp.ASSERT_CMP, cond=Cond.Z, cmp_kind=UopOp.SUB, src_a=UReg.EAX,
+             imm=5)],
+        live_in={"EAX": 5},
+    ),
+    case(
+        "assert_cmp_fires",
+        [Uop(UopOp.ASSERT_CMP, cond=Cond.Z, cmp_kind=UopOp.SUB, src_a=UReg.EAX,
+             imm=6)],
+        live_in={"EAX": 5},
+        fired=True,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "uops,live_in,flags,memory,out,out_flags,fired,error", SEMANTICS
+)
+def test_uop_semantics(uops, live_in, flags, memory, out, out_flags, fired,
+                       error):
+    if error is not None:
+        with pytest.raises(FrameExecutionError, match=error):
+            run(uops, live_in=regs(**live_in), flags=flags, memory=memory)
+        return
+    _, outcome = run(uops, live_in=regs(**live_in), flags=flags, memory=memory)
+    assert outcome.fired == fired
+    for name, value in out.items():
+        assert outcome.final_regs[UReg[name]] == value, name
+    if out_flags is not None:
+        assert outcome.final_flags == pack_flags(*out_flags)

@@ -2,20 +2,17 @@
 
 import pytest
 
-from repro.workloads import (
-    all_workloads,
-    build_workload,
-    desktop_workloads,
-    get_workload,
-    spec_workloads,
-)
+from collections import Counter
+
+from repro.workloads import all_workloads, build_workload, get_workload
 
 
 def test_fourteen_workloads_registered():
     workloads = all_workloads()
     assert len(workloads) == 14
-    assert len(spec_workloads()) == 7
-    assert len(desktop_workloads()) == 7
+    categories = Counter(w.category for w in workloads)
+    assert categories["SPECint"] == 7
+    assert categories["Business"] + categories["Content"] == 7
 
 
 def test_paper_names_present():
