@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from helpers import fuzz_frames  # noqa: E402
 from repro.harness.figures import ResultMatrix  # noqa: E402
 from repro.x86 import Assembler, Cond, Imm, Reg, mem  # noqa: E402
 
@@ -23,6 +24,13 @@ def matrix() -> ResultMatrix:
     of re-emulating it.  Shared traces and results must not be mutated.
     """
     return ResultMatrix()
+
+
+@pytest.fixture(scope="session")
+def oracle_frames():
+    """The frames the differential oracle constructs for programs 0-49
+    of fuzz campaign seed 1.  Shared: remap or copy them, never mutate."""
+    return fuzz_frames(1, 50)
 
 
 @pytest.fixture

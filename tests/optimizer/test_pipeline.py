@@ -2,7 +2,13 @@
 
 import pytest
 
-from helpers import buffer_from_uops
+from helpers import (
+    OPTIMIZER_OUTPUT_DIGEST,
+    buffer_from_uops,
+    output_digest,
+    remap,
+    variant_outputs,
+)
 from repro.harness.fig2 import build_figure2_frame, optimize_at_scopes
 from repro.optimizer import FrameOptimizer, OptimizerConfig
 from repro.uops import Uop, UopOp, UReg
@@ -104,3 +110,13 @@ def test_reduction_property():
     assert result.uops_removed == 7
     assert result.loads_removed == 2
     assert abs(result.reduction - 7 / 17) < 1e-9
+
+
+def test_optimizer_output_is_pinned(oracle_frames):
+    # Every fuzz frame of programs 0-49 (seed 1) optimized under all 11
+    # oracle variants.  The campaign digest hashes only counts, so it can
+    # miss a changed optimized frame; this hash covers the uops, unsafe
+    # guards and every live-out binding.
+    assert len(oracle_frames) == 178
+    outputs = variant_outputs(oracle_frames, remap)
+    assert output_digest(outputs) == OPTIMIZER_OUTPUT_DIGEST
