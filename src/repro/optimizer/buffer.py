@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.uops.uop import ARCH_REGS, Uop, UopOp, UReg
+from repro.uops.uop import ARCH_REGS, Uop, UReg
 from repro.optimizer.optuop import DefRef, LiveIn, Operand, OPERAND_FIELDS, OptUop, from_dyn_uop
 
 
@@ -143,6 +143,29 @@ class OptimizationBuffer:
             if opt.reads_flags and opt.flags_src is not None:
                 self.flags_children[opt.flags_src].add(slot)
 
+    def copy(self) -> OptimizationBuffer:
+        """An independent buffer in the same state.
+
+        Remapping depends only on the frame, so one remap can be copied
+        and each copy optimized under a different configuration; every
+        mutable part (uops, dependency lists, live-out maps) is new.
+        """
+        clone = OptimizationBuffer.__new__(OptimizationBuffer)
+        clone.uops = [uop.copy() for uop in self.uops]
+        clone.value_children = [set(children) for children in self.value_children]
+        clone.flags_children = [set(children) for children in self.flags_children]
+        clone.live_out = dict(self.live_out)
+        clone.flags_live_out_slot = self.flags_live_out_slot
+        clone.flags_live_out_written = self.flags_live_out_written
+        clone.block_boundaries = [
+            BlockBoundary(
+                b.end_x86_index, dict(b.live_out), b.flags_slot, b.flags_written
+            )
+            for b in self.block_boundaries
+        ]
+        clone._block_starts = self._block_starts  # never mutated
+        return clone
+
     # ------------------------------------------------------- navigation
 
     def __len__(self) -> int:
@@ -203,15 +226,14 @@ class OptimizationBuffer:
                 if isinstance(operand, DefRef) and operand.slot == slot:
                     self.rewrite_operand(child, name, new)
                     count += 1
-        old_ref = DefRef(slot)
-        for reg, operand in list(self.live_out.items()):
-            if operand == old_ref:
-                self.live_out[reg] = new
-                count += 1
-        for boundary in self.block_boundaries:
-            for reg, operand in list(boundary.live_out.items()):
-                if operand == old_ref:
-                    boundary.live_out[reg] = new
+        # Live-out bindings: a class-identity test, not a DefRef built
+        # and compared through the dataclass ``__eq__`` (a hot loop).
+        maps = [self.live_out]
+        maps.extend(b.live_out for b in self.block_boundaries)
+        for live_out in maps:
+            for reg, operand in live_out.items():
+                if operand.__class__ is DefRef and operand.slot == slot:
+                    live_out[reg] = new
                     count += 1
         return count
 

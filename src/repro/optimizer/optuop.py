@@ -86,6 +86,39 @@ class OptUop:
     unsafe_guards: list[int] = field(default_factory=list)
     position: int = 0  # cleanup-stage ordering field (paper §4)
 
+    def copy(self) -> OptUop:
+        """An independent copy (operands are immutable and shared).
+
+        Positional, in field order: keyword construction of this
+        24-field dataclass costs more than twice as much.
+        """
+        return OptUop(
+            self.op,
+            self.slot,
+            self.valid,
+            self.src_a,
+            self.src_b,
+            self.src_data,
+            self.imm,
+            self.scale,
+            self.size,
+            self.sign_extend,
+            self.cond,
+            self.cmp_kind,
+            self.target,
+            self.writes_flags,
+            self.preserves_cf,
+            self.arch_dst,
+            self.flags_src,
+            self.x86_pc,
+            self.x86_index,
+            self.mem_key,
+            self.observed_address,
+            self.unsafe,
+            list(self.unsafe_guards),
+            self.position,
+        )
+
     @property
     def is_load(self) -> bool:
         return self.op is UopOp.LOAD

@@ -16,11 +16,10 @@ consumer's flag output is dead.
 
 from __future__ import annotations
 
-from repro.x86.registers import MASK32
 from repro.uops.uop import UopOp
 from repro.optimizer.buffer import OptimizationBuffer
-from repro.optimizer.optuop import DefRef, Operand, OptUop
-from repro.optimizer.passes.base import OptContext, Pass, operand_slot
+from repro.optimizer.optuop import DefRef, OptUop
+from repro.optimizer.passes.base import OptContext, Pass
 
 
 def _chain_delta(uop: OptUop) -> int | None:

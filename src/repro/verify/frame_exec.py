@@ -10,7 +10,7 @@ instruction stream did (paper §5.1.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.x86.instructions import cond_holds
@@ -62,20 +62,26 @@ def execute_frame(
     loads: list[tuple[int, int]] = []
 
     def value_of(operand: Operand | None) -> int:
-        if isinstance(operand, LiveIn):
+        if operand.__class__ is DefRef:
+            try:
+                return slot_values[operand.slot]
+            except KeyError:
+                raise FrameExecutionError(
+                    f"use of unset slot {operand.slot}"
+                ) from None
+        if operand.__class__ is LiveIn:
             return live_in_regs.get(operand.reg, 0)
-        if isinstance(operand, DefRef):
-            if operand.slot not in slot_values:
-                raise FrameExecutionError(f"use of unset slot {operand.slot}")
-            return slot_values[operand.slot]
         raise FrameExecutionError(f"cannot evaluate operand {operand!r}")
 
     def flags_of(uop: OptUop) -> Flags:
         if uop.flags_src is None:
             return live_in_flags
-        if uop.flags_src not in slot_flags:
-            raise FrameExecutionError(f"use of unset flags slot {uop.flags_src}")
-        return slot_flags[uop.flags_src]
+        try:
+            return slot_flags[uop.flags_src]
+        except KeyError:
+            raise FrameExecutionError(
+                f"use of unset flags slot {uop.flags_src}"
+            ) from None
 
     def address_of(uop: OptUop) -> int:
         address = uop.imm or 0
@@ -85,56 +91,58 @@ def execute_frame(
             address += value_of(uop.src_b) * uop.scale
         return address & MASK32
 
-    def read_bytes(address: int, size: int) -> int:
-        value = 0
-        for i in range(size):
-            byte_address = (address + i) & MASK32
-            if byte_address in local_memory:
-                byte = local_memory[byte_address]
-            else:
-                byte = read_memory(byte_address)
-                if byte is None:
-                    raise FrameExecutionError(
-                        f"load from {byte_address:#x} not covered by the "
-                        f"initial memory map"
-                    )
-            value |= (byte & 0xFF) << (8 * i)
-        return value
-
     fired_slot: int | None = None
     for uop in buffer.uops:
         if not uop.valid:
             continue
-        result, flags = _evaluate(uop, value_of, flags_of, address_of, read_bytes)
-        if uop.is_store:
+        op = uop.op
+        if op is _STORE:
             address = address_of(uop)
-            value = value_of(uop.src_data) & ((1 << (8 * uop.size)) - 1)
-            for i in range(uop.size):
+            size = uop.size
+            value = value_of(uop.src_data) & ((1 << (8 * size)) - 1)
+            for i in range(size):
                 local_memory[(address + i) & MASK32] = (value >> (8 * i)) & 0xFF
-            stores.append((address, uop.size, value))
-        elif uop.is_load:
-            loads.append((address_of(uop), uop.size))
-        if result is not None:
-            slot_values[uop.slot] = result
-        if flags is not None:
-            slot_flags[uop.slot] = flags
-        if uop.is_assertion and result == _FIRE:
-            fired_slot = uop.slot
-            break
+            stores.append((address, size, value))
+        elif op is _LOAD:
+            address = address_of(uop)
+            size = uop.size
+            loads.append((address, size))
+            value = 0
+            for i in range(size):
+                byte_address = (address + i) & MASK32
+                byte = local_memory.get(byte_address)
+                if byte is None:
+                    byte = read_memory(byte_address)
+                    if byte is None:
+                        raise FrameExecutionError(
+                            f"load from {byte_address:#x} not covered by the "
+                            f"initial memory map"
+                        )
+                value |= (byte & 0xFF) << (8 * i)
+            if uop.sign_extend:
+                value = to_signed(value, 8 * size) & MASK32
+            slot_values[uop.slot] = value
+        else:
+            result, flags = _evaluate(uop, value_of, flags_of, address_of)
+            if result is _FIRE:
+                fired_slot = uop.slot
+                break
+            if result is not None:
+                slot_values[uop.slot] = result
+            if flags is not None:
+                slot_flags[uop.slot] = flags
 
+    # Unwritten registers keep their live-in value, and a fired frame
+    # rolls every register and the flags back to the frame entry
+    # (atomicity, paper §2).
+    live_out = buffer.live_out if fired_slot is None else {}
     final_regs: dict[UReg, int] = {}
     for reg in ARCH_REGS:
-        bound = buffer.live_out.get(reg)
-        if bound is None or fired_slot is not None:
-            # Unwritten register — or a fired frame, whose state rolls
-            # back to the frame entry (atomicity, paper §2).
-            final_regs[reg] = live_in_regs.get(reg, 0)
-        else:
-            final_regs[reg] = value_of(bound)
+        bound = live_out.get(reg)
+        final_regs[reg] = (
+            live_in_regs.get(reg, 0) if bound is None else value_of(bound)
+        )
     if buffer.flags_live_out_slot is not None and fired_slot is None:
-        # A fired frame rolls flags back to the entry state too —
-        # atomicity (paper §2) covers the whole architectural state,
-        # not just registers.
         cf, zf, sf, of = slot_flags.get(buffer.flags_live_out_slot, live_in_flags)
     else:
         cf, zf, sf, of = live_in_flags
@@ -149,13 +157,15 @@ def execute_frame(
 
 
 _FIRE = object()  # sentinel returned by firing assertions
+_LOAD, _STORE = UopOp.LOAD, UopOp.STORE
 
 
-def _evaluate(uop, value_of, flags_of, address_of, read_bytes):
-    """Evaluate one uop: returns (value | _FIRE | None, flags | None)."""
+def _evaluate(uop, value_of, flags_of, address_of):
+    """Evaluate one non-memory uop: returns (value | _FIRE | None,
+    flags | None).  Loads and stores run in :func:`execute_frame`."""
     op = uop.op
 
-    if op in (UopOp.NOP, UopOp.JMP, UopOp.JMPI, UopOp.BR, UopOp.STORE):
+    if op in (UopOp.NOP, UopOp.JMP, UopOp.JMPI, UopOp.BR):
         return None, None
 
     if op is UopOp.ASSERT:
@@ -190,11 +200,6 @@ def _evaluate(uop, value_of, flags_of, address_of, read_bytes):
         return address_of(uop), None
     if op is UopOp.SEXT:
         return to_signed(value_of(uop.src_a), 8 * uop.size) & MASK32, None
-    if op is UopOp.LOAD:
-        raw = read_bytes(address_of(uop), uop.size)
-        if uop.sign_extend:
-            raw = to_signed(raw, 8 * uop.size) & MASK32
-        return raw, None
     if op in (UopOp.DIVQ, UopOp.DIVR):
         low = value_of(uop.src_a)
         divisor = to_signed(

@@ -4,9 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import run_program
 from repro.harness import CONFIGS, run_experiment
-from repro.x86 import Assembler, Cond, Imm, Reg, mem
 
 
 @pytest.fixture(scope="module")

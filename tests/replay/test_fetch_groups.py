@@ -8,7 +8,7 @@ from repro.replay.fetch_groups import (
 )
 from repro.timing.config import default_config
 from repro.timing.schedule import ScheduleBuilder
-from repro.x86 import Assembler, Cond, Imm, Reg, mem
+from repro.x86 import Assembler, Cond, Imm, Reg
 
 
 def straight_line_injected(n=12):
