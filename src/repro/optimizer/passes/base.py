@@ -66,6 +66,8 @@ class OptContext:
         return buf.flags_dead(slot, self.protected_flags(buf))
 
     def value_dead(self, buf: OptimizationBuffer, slot: int) -> bool:
+        if buf.uops[slot].has_value_dst and buf.value_children[slot]:
+            return False  # consumed: no need to build the protected set
         return buf.value_dead(slot, self.protected_values(buf))
 
 
