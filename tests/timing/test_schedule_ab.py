@@ -9,10 +9,13 @@ front-end configurations, including runs with firing frames (parser's
 RPO run fires >100 frames, exercising the rollback path in both modes).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.harness.experiment import CONFIGS, run_experiment
-from repro.timing import FetchBlock, PipelineModel, default_config
+from repro.optimizer.optuop import DefRef, LiveIn, OptUop
+from repro.timing import BranchEvent, FetchBlock, PipelineModel, default_config
 from repro.uops import Uop, UopOp, UReg
 
 
@@ -24,7 +27,7 @@ class ScriptedFetcher:
         return self.blocks.pop(0) if self.blocks else None
 
 
-def icache_block(uops, pc=0x1000):
+def icache_block(uops, pc=0x1000, events=()):
     return FetchBlock(
         source="icache",
         uops=uops,
@@ -33,6 +36,7 @@ def icache_block(uops, pc=0x1000):
         pc=pc,
         byte_start=pc,
         byte_end=pc + 4 * len(uops),
+        branch_events=list(events),
     )
 
 
@@ -86,6 +90,153 @@ def test_template_matches_reference_on_scripted_blocks():
         ScriptedFetcher(blocks())
     )
     assert template == reference
+
+
+# ------------------------------------------------------------ prune paths
+#
+# The model bounds two tables by pruning them: a functional-unit table
+# past 16,384 cycle entries keeps only cycles >= ``cycle``, and the
+# store-word table past 65,536 words keeps only stores completing after
+# ``cycle``.  Real workloads almost never get there, so these scripted
+# streams drive both prunes on purpose, each right after a mispredict has
+# moved ``cycle`` in the middle of a fetch chunk: a scheduler that read a
+# stale ``cycle`` (or kept writing a table the prune replaced) would
+# diverge from the reference here.
+
+FU_PRUNE_AT = 16384
+MEM_PRUNE_AT = 1 << 16
+
+
+def mispredict(uop_index, n):
+    """An indirect jump to a never-seen target: always mispredicted."""
+    return BranchEvent(
+        uop_index=uop_index, kind="jmpi", pc=0x40000 + 4 * n, target=0x80000 + 4 * n
+    )
+
+
+def simulate_both(make_blocks, config):
+    """(reference model, reference result, template result) of one stream."""
+    reference = PipelineModel(config, scheduling="reference")
+    reference_result = reference.simulate(ScriptedFetcher(make_blocks()))
+    template = PipelineModel(config, scheduling="template").simulate(
+        ScriptedFetcher(make_blocks())
+    )
+    return reference, reference_result, template
+
+
+def fu_prune_blocks():
+    """~16.8k single-ALU issues, each chunk bracketed by two mispredicts.
+
+    The three-uop lead block shifts the 16,385th functional-unit cycle
+    entry to the middle of a chunk, after its first mispredict.
+    """
+    lead = [Uop(UopOp.ADD, dst=UReg.EAX, imm=1) for _ in range(3)]
+    blocks = [icache_block(lead)]
+    for k in range(2100):
+        uops = [Uop(UopOp.BR, cond=None, target=0)]
+        uops += [Uop(UopOp.ADD, dst=UReg(j % 4), imm=1) for j in range(6)]
+        uops.append(Uop(UopOp.BR, cond=None, target=0))
+        events = [mispredict(0, 2 * k), mispredict(7, 2 * k + 1)]
+        blocks.append(icache_block(uops, pc=0x2000 + 64 * (k % 4), events=events))
+    return blocks
+
+
+def test_fu_table_prune_after_mid_chunk_mispredict_matches_reference():
+    config = dataclasses.replace(default_config(), simple_alus=1)
+    reference, result, template = simulate_both(fu_prune_blocks, config)
+    issued = sum(len(block.uops) for block in fu_prune_blocks())
+    assert issued > FU_PRUNE_AT
+    assert len(reference._fu_used["simple"]) < FU_PRUNE_AT // 2  # pruned
+    assert result.bins["mispred"] > 0
+    assert template == result
+
+
+def mem_prune_blocks(then_store):
+    """4 KiB stores, each after a mispredict and before a dependent load.
+
+    Every big store records 1,024 words, so the store-word table crosses
+    65,536 words about every 64th of them, each time inside a chunk whose
+    first uop moved ``cycle``.  The load feeds a second mispredicted
+    branch, so its ready time shows.  It reads the big store's words, or
+    with ``then_store`` those of a small store issued after the big one
+    in the same chunk (which must land in the pruned table).
+    """
+    blocks = []
+    for k in range(140):
+        big = Uop(UopOp.STORE, src_a=UReg.ESP, src_data=UReg.EAX, size=4096)
+        big.mem_address = 0x100000 + 4096 * k
+        uops = [Uop(UopOp.BR, cond=None, target=0), big]
+        address = big.mem_address
+        if then_store:
+            small = Uop(UopOp.STORE, src_a=UReg.EBP, src_data=UReg.EAX)
+            small.mem_address = address = 0x900000 + 4 * k
+            uops.append(small)
+        load = Uop(UopOp.LOAD, dst=UReg.EDI, src_a=UReg.ESI)
+        load.mem_address = address
+        uops += [load, Uop(UopOp.BR, cond=None, src_a=UReg.EDI, target=0)]
+        events = [mispredict(0, 2 * k), mispredict(len(uops) - 1, 2 * k + 1)]
+        blocks.append(icache_block(uops, pc=0x2000 + 64 * (k % 4), events=events))
+    return blocks
+
+
+@pytest.mark.parametrize("then_store", [False, True])
+def test_store_table_prune_after_mid_chunk_mispredict_matches_reference(then_store):
+    reference, result, template = simulate_both(
+        lambda: mem_prune_blocks(then_store), default_config()
+    )
+    assert len(reference._mem_ready) < MEM_PRUNE_AT // 2  # 140 * 1024 recorded
+    assert template == result
+
+
+def frame_prune_blocks():
+    """Frame blocks (committing and firing) that drive both prunes.
+
+    Each frame holds seven independent ALU uops, a 4 KiB store and a load
+    of the stored words; every fifth instance fires and rolls back.  With
+    one simple ALU the ALU uops back up, so the functional-unit table
+    grows by about one cycle entry per uop.
+    """
+    blocks = []
+    for k in range(2400):
+        address = 0x100000 + 4096 * k
+        uops = [
+            OptUop(UopOp.ADD, slot=j, src_a=LiveIn(UReg(j % 4)), imm=1)
+            for j in range(7)
+        ]
+        uops.append(
+            OptUop(
+                UopOp.STORE,
+                slot=7,
+                src_a=LiveIn(UReg.ESP),
+                src_data=LiveIn(UReg.EAX),
+                size=4096,
+                observed_address=address,
+            )
+        )
+        uops.append(
+            OptUop(UopOp.LOAD, slot=8, src_a=DefRef(0), observed_address=address)
+        )
+        fires = k % 5 == 4
+        blocks.append(
+            FetchBlock(
+                source="frame",
+                uops=uops,
+                addresses=[u.observed_address for u in uops],
+                x86_count=0 if fires else 4,
+                pc=0x3000,
+                fires=fires,
+            )
+        )
+    return blocks
+
+
+def test_frame_block_prunes_match_reference():
+    config = dataclasses.replace(default_config(), simple_alus=1)
+    reference, result, template = simulate_both(frame_prune_blocks, config)
+    assert result.frames_fired > 0
+    assert len(reference._fu_used["simple"]) < FU_PRUNE_AT // 2
+    assert len(reference._mem_ready) <= MEM_PRUNE_AT  # 2400 * 1024 recorded
+    assert template == result
 
 
 def test_unknown_scheduling_mode_rejected():
