@@ -9,15 +9,14 @@ simulated once per process.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.artifacts.runner import MatrixTask, TaskTelemetry, compute_trace, run_matrix
 from repro.artifacts.store import ArtifactStore
-from repro.harness.experiment import CONFIGS, ExperimentConfig, ExperimentResult, run_experiment
+from repro.harness.experiment import CONFIGS, ExperimentConfig, ExperimentResult
 from repro.optimizer.pipeline import OptimizerConfig
-from repro.timing.pipeline import BINS
 from repro.trace.stream import DynamicTrace
-from repro.workloads import all_workloads, build_workload, get_workload
+from repro.workloads import get_workload
 
 #: Workload order used throughout the paper's figures.
 PAPER_ORDER = [

@@ -9,7 +9,7 @@ dead-code elimination is always enabled, as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.optimizer.buffer import OptimizationBuffer
 from repro.optimizer.passes.base import OptContext, PassStats

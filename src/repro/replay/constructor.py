@@ -8,13 +8,18 @@ consecutive executions; indirect jumps are promoted on a stable target.
 An unbiased control transfer terminates the frame and remains its exit
 branch.  A closed region is handed over as a :class:`Frame` that is
 frame-ified only when its body is first read (see :mod:`repro.replay.frame`).
+
+The constructor sees only the in-order retired stream, so the regions it
+closes depend on nothing but the stream and its config:
+:func:`closed_regions` walks a stream once per config and every rePLay
+run over that stream reuses the list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
-from repro.trace.injector import InjectedInstruction
+from repro.trace.injector import InjectedInstruction, InjectedTrace
 from repro.replay.frame import Frame
 
 
@@ -157,3 +162,32 @@ class FrameConstructor:
         region is copied, so the caller may reuse its list.
         """
         return Frame.from_region(list(instructions), end_next_pc)
+
+
+def closed_regions(
+    injected: InjectedTrace, config: ConstructorConfig | None = None
+) -> list[tuple[int, int, int, int]]:
+    """Every region :meth:`FrameConstructor.retire` closes over a stream.
+
+    Entries are ``(retire index, start, stop, end_next_pc)``: retiring
+    ``injected[retire index]`` returns a frame over ``injected[start:stop]``
+    exiting to ``end_next_pc``.  The list is built by walking ``retire``
+    over the whole stream once per config (keyed by its field values) and
+    memoized on the stream, so it is dropped with it.
+    """
+    config = config or ConstructorConfig()
+    key = astuple(config)
+    regions = injected.regions.get(key)
+    if regions is None:
+        constructor = FrameConstructor(config)
+        regions = []
+        for index, instr in enumerate(injected):
+            frame = constructor.retire(instr)
+            if frame is not None:
+                region = frame._region
+                # An overflowing instruction may close the region before
+                # itself (and start the next one).
+                stop = index + 1 if region[-1] is instr else index
+                regions.append((index, stop - len(region), stop, frame.end_next_pc))
+        injected.regions[key] = regions
+    return regions

@@ -11,10 +11,10 @@ re-executing the region from the ICache.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.trace.injector import InjectedInstruction, InjectedTrace
-from repro.replay.constructor import ConstructorConfig, FrameConstructor
+from repro.replay.constructor import ConstructorConfig, closed_regions
 from repro.replay.fetch_groups import build_icache_block, event_from_decode
 from repro.replay.frame import Frame
 from repro.replay.frame_cache import FrameCache
@@ -162,7 +162,10 @@ class RePLaySequencer(ICacheSequencer):
         verifier: StateVerifier | None = None,
     ) -> None:
         super().__init__(injected, config)
-        self.constructor = FrameConstructor(constructor_config)
+        #: the frame constructor's closed regions over the retired stream,
+        #: and the next one to submit.
+        self._regions = closed_regions(injected, constructor_config)
+        self._next_region = 0
         self.frame_cache = FrameCache(config.frame_cache_uops)
         cycles_per_uop = 10
         depth = 3
@@ -279,15 +282,15 @@ class RePLaySequencer(ICacheSequencer):
         addresses = self._frame_addresses(template)
         events = self._exit_event(frame, template)
         train_events = self._train_events(frame)
-        base = self.index
-        records = [
-            self.injected[base + k].record for k in range(frame.x86_count)
-        ]
         if (
             self.verifier is not None
             and frame.opt_result is not None
             and frame.path_key not in self._verified_paths
         ):
+            base = self.index
+            records = [
+                self.injected[base + k].record for k in range(frame.x86_count)
+            ]
             self.verifier.verify_frame_instance(frame, records, self.tracker)
             self._verified_paths.add(frame.path_key)
         stats = self.stats
@@ -335,12 +338,19 @@ class RePLaySequencer(ICacheSequencer):
     # --------------------------------------------------------- retirement
 
     def _retire_region(self, count: int, cycle: int) -> None:
-        """Feed retired instructions to the tracker and frame constructor."""
-        for _ in range(count):
-            instr = self.injected[self.index]
-            new_frame = self.constructor.retire(instr)
-            if new_frame is not None:
-                self.queue.submit(new_frame, cycle)
-            if self.tracker is not None:
-                self.tracker.apply(instr.record)
-            self.index += 1
+        """Retire ``count`` instructions: feed them to the tracker and
+        submit a fresh frame for each region the constructor closes."""
+        injected = self.injected
+        stop = self.index + count
+        if self.tracker is not None:
+            for index in range(self.index, stop):
+                self.tracker.apply(injected[index].record)
+        regions = self._regions
+        k = self._next_region
+        while k < len(regions) and regions[k][0] < stop:
+            _, start, end, end_next_pc = regions[k]
+            frame = Frame.from_region(injected[start:end], end_next_pc)
+            self.queue.submit(frame, cycle)
+            k += 1
+        self._next_region = k
+        self.index = stop

@@ -27,7 +27,7 @@ from repro.harness.experiment import CONFIGS, ExperimentConfig
 from repro.replay.sequencer import RePLaySequencer
 from repro.timing.config import ProcessorConfig
 from repro.timing.pipeline import PipelineModel
-from repro.timing.schedule import KIND_ALU, KIND_LOAD, KIND_STORE, ScheduleBuilder
+from repro.timing.schedule import KIND_LOAD, KIND_STORE, ScheduleBuilder
 from repro.trace.injector import inject_once
 from repro.trace.stream import DynamicTrace
 from repro.uops.uop import UopOp

@@ -11,9 +11,11 @@ dynamic instance.  This module precomputes them once:
   on instruction content, never on the dynamic record) and a
   :class:`FrameSchedule` per optimized frame (stored on the frame, whose
   buffer is immutable once it enters the frame cache);
-* uop schedules are flat tuples consumed by
-  ``PipelineModel._execute_dyn_sched``/``_execute_opt_sched`` without any
-  per-instance attribute chasing;
+* every uop — pre-rename or frame — gets one flat tuple of the same
+  layout, so a single block kernel, ``PipelineModel._schedule_block``,
+  schedules a whole fetch block per call: window wait, dependence scan,
+  functional-unit issue, D-cache latency, store recording and in-order
+  retirement run inline over the block, with no per-uop method call;
 * frame slots use dense lists indexed by slot number instead of the
   original per-instance ``slot_values``/``slot_flags`` dicts.
 
@@ -22,21 +24,27 @@ the same :class:`~repro.timing.pipeline.SimResult` as the reference
 object-walking path for every block stream.  ``PipelineModel`` keeps the
 reference implementation selectable (``scheduling="reference"``) and the
 golden A/B test (`tests/timing/test_schedule_ab.py`) pins the equivalence
-on real workloads.
+on real workloads and on scripted streams that drive the model's table
+prunes.
 
-Dyn (ICache/trace-cache) schedule tuple layout::
+Schedule tuple layout::
 
-    (fu, srcs, reads_flags, kind, latency, dst, writes_flags, size)
+    (fu, regs, slots, reads_flags, flags_src, kind, latency, dst, slot,
+     writes_flags, size)
 
-Opt (frame) schedule tuple layout::
+``regs`` are the architectural registers the uop reads (a pre-rename
+uop's sources, a frame uop's live-ins) and ``slots`` the frame slots it
+reads (always empty for a pre-rename uop).  A pre-rename uop writes
+register ``dst`` and, with ``writes_flags``, the architectural flags; its
+``slot`` and ``flags_src`` are ``None``.  A frame uop writes slot
+``slot`` (and that slot's flags) and reads its flags from slot
+``flags_src``, or from the architectural flags when that is ``None``;
+its ``dst`` is ``None``.
 
-    (fu, deps, reads_flags, flags_src, kind, latency, slot, writes_flags,
-     size)
-
-``kind`` is 0 for fixed-latency ops (``latency`` holds the resolved cycle
-count), 1 for loads, 2 for stores (latency resolved dynamically against
-the D-cache).  ``deps`` entries are ``(is_slot, key)``: a buffer-slot
-reference or a live-in architectural register number.
+``kind`` is 0 for ALU ops, 1 for loads and 2 for stores.  ``latency`` is
+the fixed cycle count: the op's latency for ALU ops, an L1 hit for loads
+(replaced by the D-cache's answer when the address is known) and 1 for
+stores.
 """
 
 from __future__ import annotations
@@ -161,9 +169,9 @@ class ScheduleBuilder:
     def _fu_and_latency(self, op: UopOp) -> tuple[str, int, int]:
         """(fu class, kind code, fixed latency) of an opcode."""
         if op is UopOp.LOAD:
-            return "load", KIND_LOAD, 0
+            return "load", KIND_LOAD, self.config.dcache.hit_latency
         if op is UopOp.STORE:
-            return "store", KIND_STORE, 0
+            return "store", KIND_STORE, 1
         if op is UopOp.MUL:
             return "complex", KIND_ALU, self.config.mul_latency
         if op in (UopOp.DIVQ, UopOp.DIVR):
@@ -173,18 +181,21 @@ class ScheduleBuilder:
     def dyn_sched(self, uop: Uop) -> tuple:
         """Schedule tuple of one pre-rename uop (static fields only)."""
         fu, kind, latency = self._fu_and_latency(uop.op)
-        srcs = tuple(
+        regs = tuple(
             int(r)
             for r in (uop.src_a, uop.src_b, uop.src_data)
             if r is not None
         )
         return (
             fu,
-            srcs,
+            regs,
+            (),
             uop.reads_flags,
+            None,
             kind,
             latency,
             int(uop.dst) if uop.dst is not None else None,
+            None,
             uop.writes_flags,
             uop.size,
         )
@@ -192,19 +203,16 @@ class ScheduleBuilder:
     def opt_sched(self, uop: OptUop) -> tuple:
         """Schedule tuple of one remapped frame uop."""
         fu, kind, latency = self._fu_and_latency(uop.op)
-        deps = tuple(
-            (True, operand.slot)
-            if isinstance(operand, DefRef)
-            else (False, int(operand.reg))
-            for _, operand in uop.operands()
-        )
+        operands = [operand for _, operand in uop.operands()]
         return (
             fu,
-            deps,
+            tuple(int(o.reg) for o in operands if not isinstance(o, DefRef)),
+            tuple(o.slot for o in operands if isinstance(o, DefRef)),
             uop.reads_flags,
             uop.flags_src,
             kind,
             latency,
+            None,
             uop.slot,
             uop.writes_flags,
             uop.size,
@@ -313,14 +321,14 @@ def _slot_span(sched, live_out_plan, flags_out_slot) -> int:
     """Dense-list size covering every slot a frame schedule references."""
     top = -1 if flags_out_slot is None else flags_out_slot
     for entry in sched:
-        if entry[6] > top:
-            top = entry[6]
-        flags_src = entry[3]
+        if entry[8] > top:
+            top = entry[8]
+        flags_src = entry[4]
         if flags_src is not None and flags_src > top:
             top = flags_src
-        for is_slot, key in entry[1]:
-            if is_slot and key > top:
-                top = key
+        for slot in entry[2]:
+            if slot > top:
+                top = slot
     for _, slot in live_out_plan:
         if slot > top:
             top = slot

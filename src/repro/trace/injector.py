@@ -48,6 +48,13 @@ class InjectedTrace(list):
     uop_count = 0
     load_count = 0
 
+    def __init__(self, instructions=()) -> None:
+        super().__init__(instructions)
+        #: the frame constructor's closed regions over this stream, per
+        #: config (``repro.replay.constructor.closed_regions``): computed
+        #: once and dropped with the stream.
+        self.regions: dict = {}
+
     @property
     def uops_per_x86(self) -> float:
         """Observed expansion ratio (paper reports 1.4)."""

@@ -15,7 +15,6 @@ instance's memory addresses beside it; nothing writes to these uops.
 from __future__ import annotations
 
 from repro.x86.instructions import (
-    Cond,
     Imm,
     Instruction,
     Label,

@@ -36,7 +36,6 @@ class FrameOutcome:
     final_regs: dict[UReg, int]
     final_flags: int
     stores: list[tuple[int, int, int]]  # (address, size, value)
-    loads: list[tuple[int, int]]  # (address, size)
 
     @property
     def committed(self) -> bool:
@@ -59,7 +58,6 @@ def execute_frame(
     slot_flags: dict[int, Flags] = {}
     local_memory: dict[int, int] = {}
     stores: list[tuple[int, int, int]] = []
-    loads: list[tuple[int, int]] = []
 
     def value_of(operand: Operand | None) -> int:
         if operand.__class__ is DefRef:
@@ -106,7 +104,6 @@ def execute_frame(
         elif op is _LOAD:
             address = address_of(uop)
             size = uop.size
-            loads.append((address, size))
             value = 0
             for i in range(size):
                 byte_address = (address + i) & MASK32
@@ -152,7 +149,6 @@ def execute_frame(
         final_regs=final_regs,
         final_flags=pack_flags(cf, zf, sf, of),
         stores=stores,
-        loads=loads,
     )
 
 

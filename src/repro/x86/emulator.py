@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.trace.record import MemOp, TraceRecord
 from repro.x86.assembler import Program
 from repro.x86.instructions import (
-    Cond,
     Imm,
     Instruction,
     Label,

@@ -5,8 +5,16 @@ from dataclasses import replace
 import pytest
 
 from helpers import inject, run_program
-from repro.replay import BranchBiasTable, ConstructorConfig, FrameConstructor
-from repro.trace.injector import InjectedInstruction
+from repro.replay import (
+    BranchBiasTable,
+    ConstructorConfig,
+    FrameConstructor,
+    RePLaySequencer,
+)
+from repro.replay.constructor import closed_regions
+from repro.timing import PipelineModel, default_config
+from repro.trace.injector import InjectedInstruction, inject_once
+from repro.workloads import all_workloads
 from repro.uops import UopOp
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
 from repro.x86.instructions import Mnemonic
@@ -165,3 +173,83 @@ def test_jcc_without_direction_fails_at_retire():
     )
     with pytest.raises(AssertionError):
         FrameConstructor().retire(undirected)
+
+
+# ------------------------------------------------- shared region stream
+#
+# A rePLay sequencer walks the constructor once per (stream, config) and
+# replays the closed regions from that list.  It must submit exactly what
+# a fresh constructor retiring the stream one instruction at a time
+# returns, including at an overflowing instruction that closes two regions
+# at once, where ``retire`` returns only the first.
+
+#: Tiny frames with no size floor: an overflowing instruction that ends a
+#: region closes a second, one-instruction region right behind the first.
+OVERFLOW_CONFIG = ConstructorConfig(min_uops=1, max_uops=16)
+
+
+def fresh_walk(injected, config):
+    """``(path_key, end_next_pc)`` of every frame ``retire`` returns, and
+    the number of instructions at which two regions closed."""
+    constructor = FrameConstructor(config)
+    finish = constructor._finish
+    closed = []
+
+    def recording_finish(end_next_pc):
+        frame = finish(end_next_pc)
+        closed.append(frame)
+        return frame
+
+    constructor._finish = recording_finish
+    returned = []
+    double_closes = 0
+    for instr in injected:
+        closed.clear()
+        frame = constructor.retire(instr)
+        if frame is not None:
+            returned.append((frame.path_key, frame.end_next_pc))
+        double_closes += sum(f is not None for f in closed) == 2
+    return returned, double_closes
+
+
+def submitted_regions(injected, config, pass_through):
+    """``(path_key, end_next_pc)`` of every frame an RP run submits.
+
+    With ``pass_through`` the frames reach the queue, so the run also
+    dispatches frames and retires whole regions at a time.
+    """
+    processor = default_config()
+    sequencer = RePLaySequencer(injected, processor, None, constructor_config=config)
+    submit = sequencer.queue.submit
+    submitted = []
+
+    def recording_submit(frame, now):
+        submitted.append((frame.path_key, frame.end_next_pc))
+        return submit(frame, now) if pass_through else False
+
+    sequencer.queue.submit = recording_submit
+    result = PipelineModel(processor).simulate(sequencer)
+    assert result.x86_retired == len(injected)
+    return submitted, result
+
+
+@pytest.mark.parametrize("workload", [w.name for w in all_workloads()])
+def test_memoized_regions_submit_what_retire_returns(matrix, workload):
+    injected = inject_once(matrix.trace(workload))
+    expected, _ = fresh_walk(injected, ConstructorConfig())
+    submitted, result = submitted_regions(injected, ConstructorConfig(), True)
+    assert submitted == expected
+    assert result.frames_fetched > 0
+    expected, _ = fresh_walk(injected, OVERFLOW_CONFIG)
+    submitted, _ = submitted_regions(injected, OVERFLOW_CONFIG, False)
+    assert submitted == expected
+
+
+def test_overflow_closing_two_regions_is_covered(matrix):
+    injected = inject_once(matrix.trace("crafty"))
+    returned, double_closes = fresh_walk(injected, OVERFLOW_CONFIG)
+    assert double_closes > 100
+    assert closed_regions(injected, OVERFLOW_CONFIG) is closed_regions(
+        injected, replace(OVERFLOW_CONFIG)
+    )
+    assert len(closed_regions(injected, OVERFLOW_CONFIG)) == len(returned)

@@ -70,39 +70,40 @@ def test_retire_frameifies_nothing(vortex, frameify_calls):
 
 
 def simulate_rpo(injected, eager=False):
+    """An RPO run, with every frame the sequencer submits to the queue."""
     config = default_config()
     sequencer = RePLaySequencer(injected, config, FrameOptimizer())
-    if eager:
-        retire = sequencer.constructor.retire
+    submitted = []
+    submit = sequencer.queue.submit
 
-        def retire_and_frameify(instr):
-            frame = retire(instr)
-            if frame is not None:
-                frame.body
-            return frame
+    def recording_submit(frame, now):
+        submitted.append(frame)
+        if eager:
+            frame.body
+        return submit(frame, now)
 
-        sequencer.constructor.retire = retire_and_frameify
+    sequencer.queue.submit = recording_submit
     result = PipelineModel(config).simulate(sequencer)
-    return sequencer, result
+    return sequencer, result, submitted
 
 
 def test_only_kept_frames_are_frameified(vortex, frameify_calls):
-    sequencer, result = simulate_rpo(vortex)
+    sequencer, result, submitted = simulate_rpo(vortex)
     totals = sequencer.queue.totals
     assert frameify_calls and len(frameify_calls) == totals.frames_optimized
-    assert sequencer.constructor.frames_emitted > 2 * totals.frames_optimized
+    assert len(submitted) > 2 * totals.frames_optimized
     assert totals.frames_dropped > 0
 
     frameify_calls.clear()
-    eager, eager_result = simulate_rpo(vortex, eager=True)
-    assert len(frameify_calls) == eager.constructor.frames_emitted
+    eager, eager_result, eager_submitted = simulate_rpo(vortex, eager=True)
+    assert len(frameify_calls) == len(eager_submitted)
     assert eager_result == result
     assert eager.stats == sequencer.stats
     assert eager.queue.totals == totals
 
 
 def test_stored_uops_match_resident_buffers(vortex):
-    sequencer, _ = simulate_rpo(vortex)
+    sequencer, _, _ = simulate_rpo(vortex)
     cache = sequencer.frame_cache
     frames = cache.frames()
     assert any(f.sched_template is not None for f in frames)

@@ -24,6 +24,16 @@ def run(uops, live_in=None, flags=ZERO_FLAGS, memory=None):
     return buffer, execute_frame(buffer, live_in or regs(), flags, reader)
 
 
+def recording_reader(memory, reads):
+    """A ``read_memory`` over ``memory`` that logs each byte address read."""
+
+    def read(address):
+        reads.append(address)
+        return memory.get(address)
+
+    return read
+
+
 def test_live_out_defaults_to_live_in():
     _, outcome = run([Uop(UopOp.NOP)], live_in=regs(EDI=7))
     assert outcome.final_regs[UReg.EDI] == 7
@@ -48,16 +58,23 @@ def test_load_sees_earlier_frame_store():
         Uop(UopOp.STORE, src_a=UReg.ESI, imm=4, src_data=UReg.ET0),
         Uop(UopOp.LOAD, dst=UReg.EAX, src_a=UReg.ESI, imm=4),
     ]
-    _, outcome = run(uops, live_in=regs(ESI=0x200))
+    reads = []
+    outcome = execute_frame(
+        buffer_from_uops(uops), regs(ESI=0x200), ZERO_FLAGS, recording_reader({}, reads)
+    )
     assert outcome.final_regs[UReg.EAX] == 0x42
-    assert outcome.loads == [(0x204, 4)]
+    # Every loaded byte came from the store at 0x204, none from memory.
+    assert outcome.stores == [(0x204, 4, 0x42)] and reads == []
 
 
 def test_addresses_computed_from_values_not_annotations():
     load = Uop(UopOp.LOAD, dst=UReg.EAX, src_a=UReg.ESI, imm=8)
     memory = {0x308 + i: 0x10 + i for i in range(4)}
-    _, outcome = run([load], live_in=regs(ESI=0x300), memory=memory)
-    assert outcome.loads == [(0x308, 4)]
+    reads = []
+    outcome = execute_frame(
+        buffer_from_uops([load]), regs(ESI=0x300), ZERO_FLAGS, recording_reader(memory, reads)
+    )
+    assert reads == [0x308, 0x309, 0x30A, 0x30B]
     assert outcome.final_regs[UReg.EAX] == 0x13121110
 
 
