@@ -46,10 +46,10 @@ from dataclasses import dataclass, field, replace
 
 from repro.optimizer.buffer import OptimizationBuffer
 from repro.optimizer.pipeline import FrameOptimizer, OptimizerConfig
-from repro.replay.constructor import ConstructorConfig, FrameConstructor
+from repro.replay.constructor import ConstructorConfig, closed_regions
 from repro.replay.frame import Frame
 from repro.replay.sequencer import unsafe_store_conflict
-from repro.trace.injector import InjectedInstruction, MicroOpInjector
+from repro.trace.injector import InjectedTrace, MicroOpInjector
 from repro.verify.frame_exec import FrameExecutionError, execute_frame
 from repro.verify.state import ArchTracker, FrameMachine, initial_image
 from repro.verify.verifier import StateVerifier, VerificationError
@@ -168,15 +168,14 @@ class ProgramReport:
 
 
 def _construct_frames(
-    injected: list[InjectedInstruction], config: ConstructorConfig
+    injected: InjectedTrace, config: ConstructorConfig
 ) -> list[Frame]:
     """All distinct frames the constructor emits over the retired stream."""
-    constructor = FrameConstructor(config)
     frames: list[Frame] = []
     seen: set[tuple] = set()
-    for instr in injected:
-        frame = constructor.retire(instr)
-        if frame is not None and frame.path_key not in seen:
+    for _, start, stop, end_next_pc in closed_regions(injected, config):
+        frame = Frame.from_region(injected[start:stop], end_next_pc)
+        if frame.path_key not in seen:
             seen.add(frame.path_key)
             frames.append(frame)
     return frames
@@ -200,9 +199,9 @@ def _clone_frame(frame: Frame, buffer: OptimizationBuffer) -> Frame:
     return clone
 
 
-def _path_matches(frame: Frame, trace_pcs: list[int], base: int) -> bool:
+def _path_matches(frame: Frame, injected: InjectedTrace, base: int) -> bool:
     """Does the trace from ``base`` retire exactly the frame's x86 path?"""
-    return trace_pcs[base : base + frame.x86_count] == frame.x86_pcs
+    return injected.pcs[base : base + frame.x86_count] == frame.x86_pcs
 
 
 def run_differential(
@@ -229,7 +228,6 @@ def run_differential(
     final_flags = emulator.flags_word()
 
     injected = MicroOpInjector().inject_trace(records)
-    trace_pcs = [instr.record.pc for instr in injected]
 
     # Expected final memory: every store in trace order.
     expected_bytes: dict[int, int] = {}
@@ -262,7 +260,6 @@ def run_differential(
             proto_frames,
             remaps,
             injected,
-            trace_pcs,
             initial_regs,
             initial_flags,
             image,
@@ -283,8 +280,7 @@ def _run_variant(
     variant: str,
     proto_frames: list[Frame],
     remaps: list[OptimizationBuffer | Exception],
-    injected: list[InjectedInstruction],
-    trace_pcs: list[int],
+    injected: InjectedTrace,
     initial_regs: tuple[int, ...],
     initial_flags: int,
     image: dict[int, int],
@@ -332,7 +328,7 @@ def _run_variant(
         record = injected[index].record
         dispatched = None
         for frame in by_pc.get(record.pc, ()):
-            if not _path_matches(frame, trace_pcs, index):
+            if not _path_matches(frame, injected, index):
                 continue
             if unsafe_store_conflict(frame, injected, index):
                 report.unsafe_skips += 1

@@ -222,11 +222,8 @@ class RePLaySequencer(ICacheSequencer):
         """Path match plus unsafe-store alias check for this instance."""
         injected = self.injected
         base = self.index
-        if base + frame.x86_count > len(injected):
+        if injected.pcs[base : base + frame.x86_count] != frame.x86_pcs:
             return False
-        for offset, pc in enumerate(frame.x86_pcs):
-            if injected[base + offset].record.pc != pc:
-                return False
         stores = template.unsafe_stores
         if stores and unsafe_store_conflict(frame, injected, base, stores):
             self.stats.unsafe_aborts += 1
@@ -245,21 +242,6 @@ class RePLaySequencer(ICacheSequencer):
         for position, uop in template.mem_positions:
             addresses[position] = dynamic_address(injected, base, uop)
         return addresses
-
-    def _exit_event(
-        self, frame: Frame, template: FrameSchedule
-    ) -> list[BranchEvent]:
-        """Prediction event for the frame's exit branch, if it kept one."""
-        position = template.exit_control_pos
-        if position is None:
-            return []
-        last_instr = self.injected[self.index + frame.x86_count - 1]
-        decode = self.sched_builder.instr_decode(last_instr)
-        event = event_from_decode(decode, last_instr.record, 0)
-        if event is None:
-            return []
-        event.uop_index = position
-        return [event]
 
     def _train_events(self, frame: Frame) -> list[BranchEvent]:
         """Predictor-training events for the frame's internal transfers."""
@@ -280,7 +262,6 @@ class RePLaySequencer(ICacheSequencer):
     ) -> FetchBlock:
         uops = template.kept
         addresses = self._frame_addresses(template)
-        events = self._exit_event(frame, template)
         train_events = self._train_events(frame)
         if (
             self.verifier is not None
@@ -307,7 +288,6 @@ class RePLaySequencer(ICacheSequencer):
             addresses=addresses,
             x86_count=frame.x86_count,
             pc=frame.start_pc,
-            branch_events=events,
             train_events=train_events,
             frame=frame,
             sched=template,

@@ -6,7 +6,7 @@ from repro.timing.config import CacheConfig
 
 
 class Cache:
-    """A single cache level.  ``access`` returns hit/miss and fills on miss."""
+    """A single cache level.  ``access_range`` returns hit/miss and fills on miss."""
 
     def __init__(self, config: CacheConfig) -> None:
         # Structured geometry validation: associativity=0 used to die
@@ -21,9 +21,6 @@ class Cache:
         self.hits = 0
         self.misses = 0
 
-    def line_of(self, address: int) -> int:
-        return address >> self._line_shift
-
     def _probe_fill(self, line: int) -> bool:
         """Look up one line, refresh LRU, allocate on miss; no counters."""
         ways = self._sets[line % self.num_sets]
@@ -34,14 +31,6 @@ class Cache:
         ways.insert(0, line)
         if len(ways) > self.config.associativity:
             ways.pop()
-        return False
-
-    def access(self, address: int) -> bool:
-        """Access one byte address; True on hit.  Misses allocate."""
-        if self._probe_fill(self.line_of(address)):
-            self.hits += 1
-            return True
-        self.misses += 1
         return False
 
     def access_range(self, address: int, size: int) -> bool:

@@ -28,7 +28,7 @@ from repro.optimizer.optuop import DefRef, OptUop
 from repro.timing.caches import Cache, CacheHierarchy
 from repro.timing.config import ProcessorConfig
 from repro.timing.predictor import FrontEndPredictors
-from repro.timing.schedule import KIND_LOAD, FrameSchedule, ScheduleBuilder
+from repro.timing.schedule import KIND_LOAD
 
 #: Cycle-accounting bins, in the paper's priority order.
 BINS = ("assert", "mispred", "miss", "stall", "wait", "frame", "icache")
@@ -58,6 +58,10 @@ class FetchBlock:
     addresses: list  # per-uop dynamic memory address (None for non-mem)
     x86_count: int
     pc: int
+    #: the schedule the sequencer built: one schedule tuple per uop
+    #: (icache / tcache blocks) or the frame's
+    #: :class:`repro.timing.schedule.FrameSchedule` (frame blocks).
+    sched: object
     byte_start: int = 0
     byte_end: int = 0
     branch_events: list[BranchEvent] = field(default_factory=list)
@@ -67,10 +71,6 @@ class FetchBlock:
     train_events: list[BranchEvent] = field(default_factory=list)
     fires: bool = False  # frame instance whose assertion/unsafe store fires
     frame: object | None = None
-    #: static schedule template: a list of dyn schedule tuples (icache /
-    #: tcache blocks) or a :class:`repro.timing.schedule.FrameSchedule`
-    #: (frame blocks).  ``None`` = the model derives one on the fly.
-    sched: object | None = None
 
 
 @dataclass
@@ -133,7 +133,6 @@ class PipelineModel:
         #: Both must produce identical SimResults — see DESIGN.md §11 and
         #: tests/timing/test_schedule_ab.py.
         self.scheduling = scheduling
-        self._builder = ScheduleBuilder(config)
         self.cycle = 0
         self.result = SimResult()
         self.predictors = FrontEndPredictors(config)
@@ -187,15 +186,12 @@ class PipelineModel:
         if block.fires:
             self._run_firing_frame(block)
             return
-        # Internal transfers precede the exit branch in program order, so
-        # they train the predictors before the exit event is evaluated.
+        # A frame's internal transfers are assertions: they train the
+        # predictors (in program order, before its uops are fetched) but
+        # carry no penalty.
         for event in block.train_events:
             self._train_predictors(event)
-        if block.source == "frame":
-            self._run_frame_block(block)
-        else:
-            bin_name = "frame" if block.source == "tcache" else "icache"
-            self._run_line_block(block, bin_name)
+        self._schedule(block, "icache" if block.source == "icache" else "frame")
         if block.source in ("frame", "tcache"):
             self.result.frame_x86_coverage += block.x86_count
         self.result.uops_fetched += len(block.uops)
@@ -219,99 +215,44 @@ class PipelineModel:
             events[event.uop_index] = event
         return events
 
-    def _run_line_block(self, block: FetchBlock, bin_name: str) -> None:
-        """Fetch/execute an ICache or trace-cache block (dyn uops)."""
-        events = self._event_map(block)
-        uops = block.uops
-        addresses = block.addresses
-        if self.scheduling == "template":
-            sched = block.sched
-            if sched is None:
-                builder = self._builder
-                sched = [builder.dyn_sched(u) for u in uops]
-            self._schedule_block(sched, addresses, bin_name, events, (), ())
-        else:
-            width = self.config.fetch_width
-            n = len(uops)
-            bins = self.result.bins
-            index = 0
-            while index < n:
-                chunk = min(width, n - index)
-                self._wait_for_window(chunk)
-                bins[bin_name] += 1
-                fetch_cycle = self.cycle
-                self.cycle += 1
-                for i in range(index, index + chunk):
-                    complete = self._execute_dyn_uop(
-                        uops[i], addresses[i], fetch_cycle
-                    )
-                    event = events.get(i)
-                    if event is not None:
-                        self._handle_branch(event, complete)
-                index += chunk
+    def _schedule(self, block: FetchBlock, bin_name: str) -> int:
+        """Fetch and schedule one block's uops, tallying ``bin_name``.
 
-    def _frame_template(self, block: FetchBlock) -> FrameSchedule:
-        """The block's FrameSchedule, building one if the sequencer didn't."""
-        template = block.sched
-        if isinstance(template, FrameSchedule) and len(template.sched) == len(
-            block.uops
-        ):
-            return template
-        frame = block.frame
-        if frame is not None and getattr(frame, "buffer", None) is not None:
-            template = self._builder.frame_schedule(frame)
-            if len(template.sched) == len(block.uops):
-                return template
-        return self._builder.adhoc_frame_schedule(block.uops)
-
-    def _run_frame_block(self, block: FetchBlock) -> None:
-        """Fetch/execute a committing frame block (opt uops).
-
-        Frame-internal transfers are assertions: ``branch_events`` carry
-        no penalty here (only ``train_events`` touch the predictors), in
-        both scheduling modes.
+        The model's one scheduling fork: ``"template"`` hands the block's
+        schedule to the ``_schedule_block`` kernel, ``"reference"`` walks
+        its uop objects with ``_walk_block``.  A committing frame block
+        then publishes its live-out registers and flags.  Returns the
+        latest completion cycle in the block.
         """
-        uops = block.uops
+        events = self._event_map(block)
         addresses = block.addresses
+        plan = block.sched
+        frame_block = block.source == "frame"
         if self.scheduling == "template":
-            template = self._frame_template(block)
-            slot_values = [0] * template.nslots
-            slot_flags = [0] * template.nslots
-            self._schedule_block(
-                template.sched, addresses, "frame", _NO_EVENTS, slot_values, slot_flags
+            if not frame_block:
+                return self._schedule_block(plan, addresses, bin_name, events, (), ())
+            slot_values = [0] * plan.nslots
+            slot_flags = [0] * plan.nslots
+            last_complete = self._schedule_block(
+                plan.sched, addresses, bin_name, events, slot_values, slot_flags
             )
-            if block.frame is not None:
+            if not block.fires:
                 reg_ready = self._reg_ready
-                for reg, slot in template.live_out_plan:
+                for reg, slot in plan.live_out_plan:
                     reg_ready[reg] = slot_values[slot]
-                if template.flags_out_slot is not None:
-                    self._flags_ready = slot_flags[template.flags_out_slot]
-        else:
-            width = self.config.fetch_width
-            n = len(uops)
-            bins = self.result.bins
-            index = 0
-            slot_values_map: dict[int, int] = {}
-            slot_flags_map: dict[int, int] = {}
-            while index < n:
-                chunk = min(width, n - index)
-                self._wait_for_window(chunk)
-                bins["frame"] += 1
-                fetch_cycle = self.cycle
-                self.cycle += 1
-                for i in range(index, index + chunk):
-                    self._execute_opt_uop(
-                        uops[i],
-                        addresses[i],
-                        fetch_cycle,
-                        slot_values_map,
-                        slot_flags_map,
-                    )
-                index += chunk
-            if block.frame is not None:
-                self._commit_frame_live_outs(
-                    block.frame, slot_values_map, slot_flags_map
-                )
+                if plan.flags_out_slot is not None:
+                    self._flags_ready = slot_flags[plan.flags_out_slot]
+            return last_complete
+        if not frame_block:
+            return self._walk_block(block.uops, addresses, bin_name, events, None, None)
+        slot_values_map: dict[int, int] = {}
+        slot_flags_map: dict[int, int] = {}
+        last_complete = self._walk_block(
+            block.uops, addresses, bin_name, events, slot_values_map, slot_flags_map
+        )
+        if not block.fires and block.frame is not None:
+            self._commit_frame_live_outs(block.frame, slot_values_map, slot_flags_map)
+        return last_complete
 
     def _switch_source(self, source: str) -> None:
         if source == "tcache":
@@ -652,6 +593,52 @@ class PipelineModel:
         result.window_occupancy_samples += samples
         return last_complete
 
+    # ----------------------------------------------------------- reference
+
+    def _walk_block(
+        self,
+        uops,
+        addresses,
+        bin_name: str,
+        events: dict[int, BranchEvent],
+        slot_values,
+        slot_flags,
+    ) -> int:
+        """Fetch and schedule one block by walking its uop objects.
+
+        The reference path's one chunk walker, with the kernel's
+        signature: per fetch chunk it waits for the window, then runs
+        ``_execute_dyn_uop`` (a line block: ``slot_values`` and
+        ``slot_flags`` are None) or ``_execute_opt_uop`` (a frame block:
+        they are its slot dicts) on each uop.  Returns the latest
+        completion cycle in the block.
+        """
+        width = self.config.fetch_width
+        n = len(uops)
+        bins = self.result.bins
+        last_complete = self.cycle
+        index = 0
+        while index < n:
+            chunk = min(width, n - index)
+            self._wait_for_window(chunk)
+            bins[bin_name] += 1
+            fetch_cycle = self.cycle
+            self.cycle += 1
+            for i in range(index, index + chunk):
+                if slot_values is None:
+                    complete = self._execute_dyn_uop(uops[i], addresses[i], fetch_cycle)
+                else:
+                    complete = self._execute_opt_uop(
+                        uops[i], addresses[i], fetch_cycle, slot_values, slot_flags
+                    )
+                if complete > last_complete:
+                    last_complete = complete
+                event = events.get(i)
+                if event is not None:
+                    self._handle_branch(event, complete)
+            index += chunk
+        return last_complete
+
     def _commit_frame_live_outs(
         self, frame, slot_values: dict[int, int], slot_flags: dict[int, int]
     ) -> None:
@@ -740,42 +727,10 @@ class PipelineModel:
         saved_regs = dict(self._reg_ready)
         saved_flags = self._flags_ready
         saved_mem = self._store_word_snapshot(block)
-        uops = block.uops
-        addresses = block.addresses
-        bins = self.result.bins
-        if self.scheduling == "template":
-            template = self._frame_template(block)
-            nslots = template.nslots
-            last_complete = self._schedule_block(
-                template.sched, addresses, "assert", _NO_EVENTS, [0] * nslots, [0] * nslots
-            )
-        else:
-            width = self.config.fetch_width
-            n = len(uops)
-            last_complete = self.cycle
-            index = 0
-            slot_values_map: dict[int, int] = {}
-            slot_flags_map: dict[int, int] = {}
-            while index < n:
-                chunk = min(width, n - index)
-                self._wait_for_window(chunk)
-                bins["assert"] += 1
-                fetch_cycle = self.cycle
-                self.cycle += 1
-                for i in range(index, index + chunk):
-                    complete = self._execute_opt_uop(
-                        uops[i],
-                        addresses[i],
-                        fetch_cycle,
-                        slot_values_map,
-                        slot_flags_map,
-                    )
-                    if complete > last_complete:
-                        last_complete = complete
-                index += chunk
+        last_complete = self._schedule(block, "assert")
         recovery = last_complete + self.RECOVERY_LATENCY
         if recovery > self.cycle:
-            bins["assert"] += recovery - self.cycle
+            self.result.bins["assert"] += recovery - self.cycle
             self.cycle = recovery
         # Roll back: the frame's register, flags, *and* store-buffer
         # effects are squashed.  Without the _mem_ready restore, the
@@ -786,7 +741,7 @@ class PipelineModel:
         self._reg_ready = saved_regs
         self._flags_ready = saved_flags
         self._restore_store_words(saved_mem)
-        self.result.uops_fetched += len(uops)
+        self.result.uops_fetched += len(block.uops)
 
     def _store_word_snapshot(self, block: FetchBlock) -> dict[int, int | None]:
         """Prior ``_mem_ready`` entries for every word the block's stores touch.

@@ -19,13 +19,18 @@ dynamic instance.  This module precomputes them once:
 * frame slots use dense lists indexed by slot number instead of the
   original per-instance ``slot_values``/``slot_flags`` dicts.
 
+Schedules are built only here, by the sequencers' builder: every
+:class:`~repro.timing.pipeline.FetchBlock` arrives at the model carrying
+its own (a tuple list for an ICache or trace-cache block, the frame's
+:class:`FrameSchedule` for a frame block), and the model derives none.
+
 The contract is **cycle identity**: scheduling from templates must produce
 the same :class:`~repro.timing.pipeline.SimResult` as the reference
 object-walking path for every block stream.  ``PipelineModel`` keeps the
-reference implementation selectable (``scheduling="reference"``) and the
-golden A/B test (`tests/timing/test_schedule_ab.py`) pins the equivalence
-on real workloads and on scripted streams that drive the model's table
-prunes.
+reference implementation selectable (``scheduling="reference"``) behind
+its one scheduling fork, and the golden A/B test
+(`tests/timing/test_schedule_ab.py`) pins the equivalence on real
+workloads and on scripted streams that drive the model's table prunes.
 
 Schedule tuple layout::
 
@@ -98,7 +103,6 @@ class FrameSchedule:
         "nslots",
         "live_out_plan",
         "flags_out_slot",
-        "exit_control_pos",
         "mem_positions",
         "fire_addresses",
         "fetched_loads",
@@ -111,10 +115,8 @@ class FrameSchedule:
         self,
         kept: list[OptUop],
         sched: list[tuple],
-        nslots: int,
         live_out_plan: tuple = (),
         flags_out_slot: int | None = None,
-        exit_control_pos: int | None = None,
         mem_positions: tuple = (),
         fire_addresses: list | None = None,
         fetched_loads: int = 0,
@@ -124,7 +126,6 @@ class FrameSchedule:
     ) -> None:
         self.kept = kept
         self.sched = sched
-        self.nslots = nslots
         #: ``(arch_reg, slot)`` pairs: frame-exit registers bound to a
         #: slot's value (LiveIn bindings leave availability unchanged).
         self.live_out_plan = live_out_plan
@@ -132,8 +133,8 @@ class FrameSchedule:
         #: when the frame leaves the outer flags availability unchanged
         #: (no kept uop writes the live-out flags slot).
         self.flags_out_slot = flags_out_slot
-        #: position (in ``kept``) of the frame's exit control uop.
-        self.exit_control_pos = exit_control_pos
+        #: size of the dense slot lists covering every slot referenced.
+        self.nslots = _slot_span(sched, live_out_plan, flags_out_slot)
         #: ``(position, uop)`` pairs of the kept memory uops.
         self.mem_positions = mem_positions
         #: construction-time addresses, used by firing dispatches.
@@ -276,18 +277,11 @@ class ScheduleBuilder:
                 if uop.slot == live_flags and uop.writes_flags:
                     flags_out_slot = live_flags
                     break
-        exit_control_pos = None
-        for position in range(len(kept) - 1, -1, -1):
-            if kept[position].is_control:
-                exit_control_pos = position
-                break
         template = FrameSchedule(
             kept=kept,
             sched=sched,
-            nslots=_slot_span(sched, live_out_plan, flags_out_slot),
             live_out_plan=live_out_plan,
             flags_out_slot=flags_out_slot,
-            exit_control_pos=exit_control_pos,
             mem_positions=tuple(
                 (i, u) for i, u in enumerate(kept) if u.is_mem
             ),
@@ -301,20 +295,6 @@ class ScheduleBuilder:
         )
         frame.sched_template = template
         return template
-
-    def adhoc_frame_schedule(self, uops: list[OptUop]) -> FrameSchedule:
-        """Template for a bare OptUop list (frame blocks without a frame).
-
-        Used for hand-built test blocks; carries no live-out commit plan
-        (commit requires a frame with a buffer anyway).
-        """
-        kept = list(uops)
-        sched = [self.opt_sched(u) for u in kept]
-        return FrameSchedule(
-            kept=kept,
-            sched=sched,
-            nslots=_slot_span(sched, (), None),
-        )
 
 
 def _slot_span(sched, live_out_plan, flags_out_slot) -> int:

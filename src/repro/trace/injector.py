@@ -50,6 +50,8 @@ class InjectedTrace(list):
 
     def __init__(self, instructions=()) -> None:
         super().__init__(instructions)
+        #: the record PCs in stream order, for path matching.
+        self.pcs: list[int] = [instr.record.pc for instr in self]
         #: the frame constructor's closed regions over this stream, per
         #: config (``repro.replay.constructor.closed_regions``): computed
         #: once and dropped with the stream.

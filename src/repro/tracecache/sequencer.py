@@ -43,11 +43,11 @@ class TraceCacheSequencer(ICacheSequencer):
 
     def _match_length(self, line: TraceLine) -> int:
         """Number of leading line instructions matching the upcoming path."""
-        injected = self.injected
-        base = self.index
+        pcs = line.x86_pcs
+        upcoming = self.injected.pcs[self.index : self.index + len(pcs)]
         matched = 0
-        for offset, pc in enumerate(line.x86_pcs):
-            if base + offset >= len(injected) or injected[base + offset].record.pc != pc:
+        for pc, expected in zip(upcoming, pcs):
+            if pc != expected:
                 break
             matched += 1
         return matched

@@ -48,8 +48,7 @@ def _frames(genome, config):
     emulator = Emulator(render_program(genome))
     records = emulator.run(max_instructions=config.max_instructions)
     assert emulator.halted
-    injector = MicroOpInjector()
-    injected = [injector.inject(record) for record in records]
+    injected = MicroOpInjector().inject_trace(records)
     return injected, _construct_frames(injected, config.constructor_config())
 
 

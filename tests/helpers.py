@@ -9,6 +9,8 @@ from repro.trace import DynamicTrace, MicroOpInjector
 from repro.replay import FrameConstructor
 from repro.replay.frame import Frame
 from repro.optimizer import FrameOptimizer, OptimizationBuffer
+from repro.timing import FetchBlock
+from repro.timing.schedule import FrameSchedule, ScheduleBuilder
 from repro.uops.uop import Uop, UReg
 from repro.verify.frame_exec import execute_frame
 from repro.verify.state import FrameMachine, initial_image
@@ -41,6 +43,43 @@ def frame_from_region(injected, start: int, count: int) -> Frame:
     frame = FrameConstructor().build_frame(region, region[-1].record.next_pc)
     frame.build_buffer()
     return frame
+
+
+def line_block(uops, config, pc=0x1000, events=(), x86_count=None) -> FetchBlock:
+    """An ICache block of hand-built pre-rename uops (by default one x86
+    instruction each), scheduled by a ``ScheduleBuilder`` of ``config``."""
+    builder = ScheduleBuilder(config)
+    return FetchBlock(
+        source="icache",
+        uops=uops,
+        addresses=[u.mem_address for u in uops],
+        x86_count=len(uops) if x86_count is None else x86_count,
+        pc=pc,
+        sched=[builder.dyn_sched(u) for u in uops],
+        byte_start=pc,
+        byte_end=pc + 4 * len(uops),
+        branch_events=list(events),
+    )
+
+
+def frame_block(
+    uops, config, pc=0x1000, x86_count=0, fires=False, addresses=None
+) -> FetchBlock:
+    """A frame block of hand-built frame uops with no frame behind it (so
+    no live-out commit), scheduled by a ``ScheduleBuilder`` of ``config``.
+    ``addresses`` default to the uops' observed addresses."""
+    builder = ScheduleBuilder(config)
+    if addresses is None:
+        addresses = [u.observed_address for u in uops]
+    return FetchBlock(
+        source="frame",
+        uops=uops,
+        addresses=addresses,
+        x86_count=x86_count,
+        pc=pc,
+        sched=FrameSchedule(list(uops), [builder.opt_sched(u) for u in uops]),
+        fires=fires,
+    )
 
 
 def buffer_from_uops(uops: list[Uop], block_starts: list[int] | None = None

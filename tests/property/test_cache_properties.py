@@ -14,7 +14,7 @@ _addresses = st.lists(
 def test_hits_plus_misses_equals_accesses(addresses):
     cache = Cache(CacheConfig(size_bytes=1024, line_bytes=64, associativity=2))
     for address in addresses:
-        cache.access(address)
+        cache.access_range(address, 1)
     assert cache.hits + cache.misses == len(addresses)
 
 
@@ -24,7 +24,7 @@ def test_occupancy_never_exceeds_capacity(addresses):
     config = CacheConfig(size_bytes=512, line_bytes=64, associativity=2)
     cache = Cache(config)
     for address in addresses:
-        cache.access(address)
+        cache.access_range(address, 1)
     for ways in cache._sets:
         assert len(ways) <= config.associativity
 
@@ -34,8 +34,8 @@ def test_occupancy_never_exceeds_capacity(addresses):
 def test_immediate_rereference_always_hits(addresses):
     cache = Cache(CacheConfig(size_bytes=1024, line_bytes=64, associativity=2))
     for address in addresses:
-        cache.access(address)
-        assert cache.access(address)
+        cache.access_range(address, 1)
+        assert cache.access_range(address, 1)
 
 
 @given(st.integers(min_value=0, max_value=0xFFFF),
@@ -52,7 +52,7 @@ def test_access_range_touches_every_line(address, size):
     first = address >> 6
     last = (address + size - 1) >> 6
     for line in range(first, last + 1):
-        assert cache.access(line << 6)
+        assert cache.access_range(line << 6, 1)
     assert cache.hits == last - first + 1
     # And the whole-range re-access is a single hit.
     assert cache.access_range(address, size)

@@ -40,7 +40,7 @@ def test_counters_conserve_under_random_traffic(seed):
     rng = random.Random(seed)
     cache = Cache(_random_geometry(rng))
     for _ in range(300):
-        cache.access(rng.randrange(0, 1 << 20))
+        cache.access_range(rng.randrange(0, 1 << 20), 1)
     assert cache.hits + cache.misses == cache.accesses == 300
 
 
@@ -52,14 +52,14 @@ def test_repeat_access_hits_first_touch_misses(seed):
     for _ in range(200):
         addr = rng.randrange(0, 1 << 16)
         line = addr // cache.config.line_bytes
-        hit = cache.access(addr)
+        hit = cache.access_range(addr, 1)
         if line not in seen_lines:
             # A line never touched before cannot hit... unless an alias
             # evicted nothing (first touch is always a miss).
             assert not hit
         seen_lines.add(line)
         # Immediate re-access of the same address always hits.
-        assert cache.access(addr)
+        assert cache.access_range(addr, 1)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -72,17 +72,17 @@ def test_lru_eviction_order_in_every_geometry(seed):
     # Fill one set with `assoc` distinct lines: all fit, all then hit.
     addrs = [way * set_stride for way in range(assoc)]
     for addr in addrs:
-        assert not cache.access(addr)
+        assert not cache.access_range(addr, 1)
     for addr in addrs:
-        assert cache.access(addr)
+        assert cache.access_range(addr, 1)
     # One more line in the same set evicts exactly the LRU way (addrs[0],
     # the least recently touched after the hit loop above).
     newcomer = assoc * set_stride
-    assert not cache.access(newcomer)
+    assert not cache.access_range(newcomer, 1)
     if assoc > 1:
-        assert cache.access(addrs[1])  # survived (check before the miss
+        assert cache.access_range(addrs[1], 1)  # survived (check before the miss
         # below reinserts addrs[0] and evicts another way)
-    assert not cache.access(addrs[0])  # evicted
+    assert not cache.access_range(addrs[0], 1)  # evicted
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -23,27 +23,27 @@ def test_invalid_geometry_rejected():
 
 def test_first_access_misses_then_hits():
     cache = small_cache()
-    assert not cache.access(0x100)
-    assert cache.access(0x100)
-    assert cache.access(0x13F)  # same 64-byte line
+    assert not cache.access_range(0x100, 1)
+    assert cache.access_range(0x100, 1)
+    assert cache.access_range(0x13F, 1)  # same 64-byte line
 
 
 def test_lru_within_set():
     cache = small_cache(size=256, line=64, assoc=2)  # 2 sets
     set_stride = 2 * 64  # same set every 128 bytes
     a, b, c = 0x0, set_stride, 2 * set_stride
-    cache.access(a)
-    cache.access(b)
-    cache.access(a)  # refresh a
-    cache.access(c)  # evicts b
-    assert cache.access(a)
-    assert not cache.access(b)
+    cache.access_range(a, 1)
+    cache.access_range(b, 1)
+    cache.access_range(a, 1)  # refresh a
+    cache.access_range(c, 1)  # evicts b
+    assert cache.access_range(a, 1)
+    assert not cache.access_range(b, 1)
 
 
 def test_access_range_spanning_lines():
     cache = small_cache()
     assert not cache.access_range(0x3C, 8)  # spans lines 0 and 1
-    assert cache.access(0x0) and cache.access(0x40)
+    assert cache.access_range(0x0, 1) and cache.access_range(0x40, 1)
 
 
 def test_hierarchy_latencies():
@@ -68,7 +68,7 @@ def test_hierarchy_latencies():
 
 def test_hit_miss_counters():
     cache = small_cache()
-    cache.access(0)
-    cache.access(0)
-    cache.access(64)
+    cache.access_range(0, 1)
+    cache.access_range(0, 1)
+    cache.access_range(64, 1)
     assert cache.hits == 1 and cache.misses == 2 and cache.accesses == 3

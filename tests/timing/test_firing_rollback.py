@@ -10,15 +10,16 @@ serialize the post-recovery ICache replay of the very same region.
 
 import pytest
 
+from helpers import frame_block
 from repro.optimizer.optuop import DefRef, LiveIn, OptUop
-from repro.timing import FetchBlock, PipelineModel, default_config
+from repro.timing import PipelineModel, default_config
 from repro.uops import UopOp, UReg
 
 STORE_ADDR = 0xF000
 LOAD_ADDR = 0x9000
 
 
-def firing_block():
+def firing_block(config):
     """A three-uop frame instance that fires: load -> add -> store."""
     load = OptUop(UopOp.LOAD, slot=0, src_a=LiveIn(UReg.ESI))
     add = OptUop(
@@ -31,13 +32,11 @@ def firing_block():
         src_data=DefRef(1),
         observed_address=STORE_ADDR,
     )
-    return FetchBlock(
-        source="frame",
-        uops=[load, add, store],
-        addresses=[LOAD_ADDR, None, STORE_ADDR],
-        x86_count=0,
-        pc=0x1000,
+    return frame_block(
+        [load, add, store],
+        config,
         fires=True,
+        addresses=[LOAD_ADDR, None, STORE_ADDR],
     )
 
 
@@ -52,7 +51,8 @@ class OneBlock:
 
 @pytest.mark.parametrize("scheduling", ["template", "reference"])
 def test_firing_frame_restores_all_availability_state(scheduling):
-    model = PipelineModel(default_config(), scheduling=scheduling)
+    config = default_config()
+    model = PipelineModel(config, scheduling=scheduling)
     # Pre-existing availability state from earlier retired code.
     model._reg_ready = {int(UReg.ESI): 3, int(UReg.EAX): 7}
     model._flags_ready = 5
@@ -60,7 +60,7 @@ def test_firing_frame_restores_all_availability_state(scheduling):
     saved_regs = dict(model._reg_ready)
     saved_flags = model._flags_ready
     saved_mem = dict(model._mem_ready)
-    model.simulate(OneBlock(firing_block()))
+    model.simulate(OneBlock(firing_block(config)))
     assert model._reg_ready == saved_regs
     assert model._flags_ready == saved_flags
     assert model._mem_ready == saved_mem
@@ -73,15 +73,17 @@ def test_firing_store_does_not_leak_into_mem_ready(scheduling):
     On a fresh model the squashed store must leave no forwarding entry
     behind; before the fix the words it touched survived recovery.
     """
-    model = PipelineModel(default_config(), scheduling=scheduling)
-    model.simulate(OneBlock(firing_block()))
+    config = default_config()
+    model = PipelineModel(config, scheduling=scheduling)
+    model.simulate(OneBlock(firing_block(config)))
     assert model._mem_ready == {}
 
 
 @pytest.mark.parametrize("scheduling", ["template", "reference"])
 def test_firing_frame_still_accounts_assert_cycles(scheduling):
-    model = PipelineModel(default_config(), scheduling=scheduling)
-    result = model.simulate(OneBlock(firing_block()))
+    config = default_config()
+    model = PipelineModel(config, scheduling=scheduling)
+    result = model.simulate(OneBlock(firing_block(config)))
     assert result.frames_fired == 1
     assert result.bins["assert"] > 0
     assert result.x86_retired == 0

@@ -11,8 +11,9 @@ it.  All three now delegate to ``repro.uops.uop.uop_reads_flags``.
 
 import pytest
 
+from helpers import line_block
 from repro.optimizer.optuop import LiveIn, OptUop, from_dyn_uop
-from repro.timing import FetchBlock, PipelineModel, default_config
+from repro.timing import PipelineModel, default_config
 from repro.uops import Uop, UopOp, UReg
 from repro.uops.uop import uop_reads_flags
 
@@ -71,18 +72,6 @@ def test_optuop_agrees_with_uop(uop, expected):
     assert opt.reads_flags is expected
 
 
-def _icache_block(uops, pc=0x1000):
-    return FetchBlock(
-        source="icache",
-        uops=uops,
-        addresses=[u.mem_address for u in uops],
-        x86_count=len(uops),
-        pc=pc,
-        byte_start=pc,
-        byte_end=pc + 4 * len(uops),
-    )
-
-
 class _One:
     def __init__(self, block):
         self.block = block
@@ -102,7 +91,7 @@ def test_dynamic_shift_serializes_on_flags(scheduling):
             UopOp.MUL, dst=UReg.EDX, src_a=UReg.EDX, imm=3, writes_flags=True
         )
         model = PipelineModel(config, scheduling=scheduling)
-        model.simulate(_One(_icache_block([producer, shift])))
+        model.simulate(_One(line_block([producer, shift], config)))
         return model._flags_ready  # completion time of the last flags write
 
     dependent = run(

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.timing import FetchBlock, PipelineModel, ProcessorConfig, default_config
+from helpers import frame_block, line_block
+from repro.timing import PipelineModel, default_config
 from repro.timing.pipeline import BranchEvent
 from repro.uops import Uop, UopOp, UReg
 
@@ -19,19 +20,6 @@ class ScriptedFetcher:
         return None
 
 
-def icache_block(uops, x86_count=None, pc=0x1000, events=()):
-    return FetchBlock(
-        source="icache",
-        uops=uops,
-        addresses=[u.mem_address for u in uops],
-        x86_count=x86_count if x86_count is not None else len(uops),
-        pc=pc,
-        byte_start=pc,
-        byte_end=pc + 4 * len(uops),
-        branch_events=list(events),
-    )
-
-
 def independent_alu(n):
     return [
         Uop(UopOp.ADD, dst=UReg(i % 4), src_a=UReg(i % 4), imm=1)
@@ -41,7 +29,7 @@ def independent_alu(n):
 
 def test_fetch_width_bounds_throughput():
     config = default_config()
-    blocks = [icache_block(independent_alu(8), pc=0x1000 + i * 64)
+    blocks = [line_block(independent_alu(8), config, pc=0x1000 + i * 64)
               for i in range(50)]
     result = PipelineModel(config).simulate(ScriptedFetcher(blocks))
     # 400 uops at 8/cycle needs at least 50 fetch cycles.
@@ -56,7 +44,7 @@ def test_serial_chain_bounds_retirement():
     ]
     # Constant pc: a single warm icache line, so fetch runs far ahead of
     # the serial dataflow and the window must fill.
-    blocks = [icache_block(chain[i : i + 8], pc=0x1000)
+    blocks = [line_block(chain[i : i + 8], config, pc=0x1000)
               for i in range(0, 600, 8)]
     result = PipelineModel(config).simulate(ScriptedFetcher(blocks))
     # One ALU op per cycle minimum: total time ~ chain length.
@@ -71,7 +59,7 @@ def test_load_latency_from_dcache():
     load.mem_address = 0x8000
     use = Uop(UopOp.ADD, dst=UReg.EBX, src_a=UReg.EAX, imm=1)
     model = PipelineModel(config)
-    model.simulate(ScriptedFetcher([icache_block([load, use])]))
+    model.simulate(ScriptedFetcher([line_block([load, use], config)]))
     assert model.dcache.l1.misses >= 1
 
 
@@ -85,10 +73,10 @@ def test_store_to_load_dependence():
     load.mem_address = 0xF000
     chain = [producer, store, load]
     result = PipelineModel(config).simulate(
-        ScriptedFetcher([icache_block(chain)])
+        ScriptedFetcher([line_block(chain, config)])
     )
     independent = PipelineModel(config).simulate(
-        ScriptedFetcher([icache_block([producer.copy(), load.copy()])])
+        ScriptedFetcher([line_block([producer.copy(), load.copy()], config)])
     )
     assert result.cycles > 0  # smoke: dependency path exercised
 
@@ -98,8 +86,8 @@ def test_mispredict_penalty_accounted():
     branch = Uop(UopOp.BR, cond=None, target=0x2000)
     event = BranchEvent(uop_index=0, kind="cond", pc=0x1000, taken=True,
                         target=0x2000)
-    block = icache_block([branch], events=[event])
-    filler = icache_block(independent_alu(8), pc=0x3000)
+    block = line_block([branch], config, events=[event])
+    filler = line_block(independent_alu(8), config, pc=0x3000)
     result = PipelineModel(config).simulate(ScriptedFetcher([block, filler]))
     # Cold gshare predicts weakly-taken (correct) but the BTB misses:
     # the paper counts BTB misses in the Mispredict bin.
@@ -113,7 +101,7 @@ def test_correct_prediction_no_penalty():
         branch = Uop(UopOp.BR, cond=None, target=0x1000)
         event = BranchEvent(uop_index=0, kind="cond", pc=0x1000, taken=True,
                             target=0x1000)
-        blocks.append(icache_block([branch], pc=0x1000, events=[event]))
+        blocks.append(line_block([branch], config, pc=0x1000, events=[event]))
     result = PipelineModel(config).simulate(ScriptedFetcher(blocks))
     # After warmup the loop branch predicts perfectly; penalties stop.
     assert result.bins["mispred"] < 3 * config.branch_resolution_depth
@@ -121,19 +109,11 @@ def test_correct_prediction_no_penalty():
 
 def test_cache_switch_wait_cycles():
     config = default_config()
-    frame_uops = independent_alu(4)
-    frame_block = FetchBlock(
-        source="frame",
-        uops=[],
-        addresses=[],
-        x86_count=0,
-        pc=0x1000,
-    )
-    # frame (empty) -> icache -> frame: two switches.
+    # icache -> frame (empty) -> icache: two switches.
     blocks = [
-        icache_block(independent_alu(4), pc=0x1000),
-        FetchBlock(source="frame", uops=[], addresses=[], x86_count=0, pc=0),
-        icache_block(independent_alu(4), pc=0x2000),
+        line_block(independent_alu(4), config, pc=0x1000),
+        frame_block([], config, pc=0),
+        line_block(independent_alu(4), config, pc=0x2000),
     ]
     result = PipelineModel(config).simulate(ScriptedFetcher(blocks))
     assert result.bins["wait"] == 2 * config.cache_switch_penalty
@@ -141,14 +121,14 @@ def test_cache_switch_wait_cycles():
 
 def test_icache_miss_bins():
     config = default_config()
-    blocks = [icache_block(independent_alu(4), pc=0x100000)]
+    blocks = [line_block(independent_alu(4), config, pc=0x100000)]
     result = PipelineModel(config).simulate(ScriptedFetcher(blocks))
     assert result.bins["miss"] > 0
 
 
 def test_x86_ipc_metric():
     config = default_config()
-    blocks = [icache_block(independent_alu(8), x86_count=8, pc=0x1000 + 64 * i)
+    blocks = [line_block(independent_alu(8), config, x86_count=8, pc=0x1000 + 64 * i)
               for i in range(20)]
     result = PipelineModel(config).simulate(ScriptedFetcher(blocks))
     assert result.x86_retired == 160
@@ -164,6 +144,6 @@ def test_duplicate_branch_event_index_rejected():
                     target=0x2000),
         BranchEvent(uop_index=0, kind="ret", pc=0x1004, target=0x3000),
     ]
-    block = icache_block(uops, events=events)
+    block = line_block(uops, config, events=events)
     with pytest.raises(ValueError, match="duplicate branch event"):
         PipelineModel(config).simulate(ScriptedFetcher([block]))

@@ -13,9 +13,10 @@ import dataclasses
 
 import pytest
 
+from helpers import frame_block, line_block
 from repro.harness.experiment import CONFIGS, run_experiment
 from repro.optimizer.optuop import DefRef, LiveIn, OptUop
-from repro.timing import BranchEvent, FetchBlock, PipelineModel, default_config
+from repro.timing import BranchEvent, PipelineModel, default_config
 from repro.uops import Uop, UopOp, UReg
 
 
@@ -25,19 +26,6 @@ class ScriptedFetcher:
 
     def next_block(self, cycle):
         return self.blocks.pop(0) if self.blocks else None
-
-
-def icache_block(uops, pc=0x1000, events=()):
-    return FetchBlock(
-        source="icache",
-        uops=uops,
-        addresses=[u.mem_address for u in uops],
-        x86_count=len(uops),
-        pc=pc,
-        byte_start=pc,
-        byte_end=pc + 4 * len(uops),
-        branch_events=list(events),
-    )
 
 
 #: (workload, config) cells: every fetch source (icache/tcache/frame),
@@ -67,7 +55,8 @@ def test_fired_frames_present_in_ab_sample(matrix):
 
 
 def test_template_matches_reference_on_scripted_blocks():
-    """Blocks without precomputed schedules derive them on the fly."""
+    """Hand-built ICache blocks with loads schedule identically."""
+    config = default_config()
 
     def blocks():
         out = []
@@ -79,10 +68,9 @@ def test_template_matches_reference_on_scripted_blocks():
             load = Uop(UopOp.LOAD, dst=UReg.EDI, src_a=UReg.ESI)
             load.mem_address = 0x8000 + 64 * i
             uops.append(load)
-            out.append(icache_block(uops, pc=0x1000 + 64 * i))
+            out.append(line_block(uops, config, pc=0x1000 + 64 * i))
         return out
 
-    config = default_config()
     reference = PipelineModel(config, scheduling="reference").simulate(
         ScriptedFetcher(blocks())
     )
@@ -117,41 +105,43 @@ def mispredict(uop_index, n):
 def simulate_both(make_blocks, config):
     """(reference model, reference result, template result) of one stream."""
     reference = PipelineModel(config, scheduling="reference")
-    reference_result = reference.simulate(ScriptedFetcher(make_blocks()))
+    reference_result = reference.simulate(ScriptedFetcher(make_blocks(config)))
     template = PipelineModel(config, scheduling="template").simulate(
-        ScriptedFetcher(make_blocks())
+        ScriptedFetcher(make_blocks(config))
     )
     return reference, reference_result, template
 
 
-def fu_prune_blocks():
+def fu_prune_blocks(config):
     """~16.8k single-ALU issues, each chunk bracketed by two mispredicts.
 
     The three-uop lead block shifts the 16,385th functional-unit cycle
     entry to the middle of a chunk, after its first mispredict.
     """
     lead = [Uop(UopOp.ADD, dst=UReg.EAX, imm=1) for _ in range(3)]
-    blocks = [icache_block(lead)]
+    blocks = [line_block(lead, config)]
     for k in range(2100):
         uops = [Uop(UopOp.BR, cond=None, target=0)]
         uops += [Uop(UopOp.ADD, dst=UReg(j % 4), imm=1) for j in range(6)]
         uops.append(Uop(UopOp.BR, cond=None, target=0))
         events = [mispredict(0, 2 * k), mispredict(7, 2 * k + 1)]
-        blocks.append(icache_block(uops, pc=0x2000 + 64 * (k % 4), events=events))
+        blocks.append(
+            line_block(uops, config, pc=0x2000 + 64 * (k % 4), events=events)
+        )
     return blocks
 
 
 def test_fu_table_prune_after_mid_chunk_mispredict_matches_reference():
     config = dataclasses.replace(default_config(), simple_alus=1)
     reference, result, template = simulate_both(fu_prune_blocks, config)
-    issued = sum(len(block.uops) for block in fu_prune_blocks())
+    issued = sum(len(block.uops) for block in fu_prune_blocks(config))
     assert issued > FU_PRUNE_AT
     assert len(reference._fu_used["simple"]) < FU_PRUNE_AT // 2  # pruned
     assert result.bins["mispred"] > 0
     assert template == result
 
 
-def mem_prune_blocks(then_store):
+def mem_prune_blocks(config, then_store):
     """4 KiB stores, each after a mispredict and before a dependent load.
 
     Every big store records 1,024 words, so the store-word table crosses
@@ -175,20 +165,22 @@ def mem_prune_blocks(then_store):
         load.mem_address = address
         uops += [load, Uop(UopOp.BR, cond=None, src_a=UReg.EDI, target=0)]
         events = [mispredict(0, 2 * k), mispredict(len(uops) - 1, 2 * k + 1)]
-        blocks.append(icache_block(uops, pc=0x2000 + 64 * (k % 4), events=events))
+        blocks.append(
+            line_block(uops, config, pc=0x2000 + 64 * (k % 4), events=events)
+        )
     return blocks
 
 
 @pytest.mark.parametrize("then_store", [False, True])
 def test_store_table_prune_after_mid_chunk_mispredict_matches_reference(then_store):
     reference, result, template = simulate_both(
-        lambda: mem_prune_blocks(then_store), default_config()
+        lambda config: mem_prune_blocks(config, then_store), default_config()
     )
     assert len(reference._mem_ready) < MEM_PRUNE_AT // 2  # 140 * 1024 recorded
     assert template == result
 
 
-def frame_prune_blocks():
+def frame_prune_blocks(config):
     """Frame blocks (committing and firing) that drive both prunes.
 
     Each frame holds seven independent ALU uops, a 4 KiB store and a load
@@ -218,13 +210,8 @@ def frame_prune_blocks():
         )
         fires = k % 5 == 4
         blocks.append(
-            FetchBlock(
-                source="frame",
-                uops=uops,
-                addresses=[u.observed_address for u in uops],
-                x86_count=0 if fires else 4,
-                pc=0x3000,
-                fires=fires,
+            frame_block(
+                uops, config, pc=0x3000, x86_count=0 if fires else 4, fires=fires
             )
         )
     return blocks
