@@ -42,9 +42,20 @@ def test_binary_roundtrip_all_workloads(matrix, name):
 #: independent of the Python version and zlib build, which can change the
 #: gzip header and deflate stream.
 _ENCODED_SHA256 = {
+    "bzip2": "f4d43391a435c51528696365d3e8e26e7b818da3ee36ad890828f775ae59919b",
+    "crafty": "9a2d5cabc86d17a2f4d630321dff3fb75f2366e00134a47d6d5163b27bfe3311",
+    "eon": "1fcf32cd0e121151498788e983ea7747d2f8613ec59486109785aac3fab10a68",
+    "gzip": "2e382e653637d766a08dad1d7030d35768629629439e60d2ff4940b7341768a3",
+    "parser": "e09c138c513c4e740af4e93a6437e1d17a5ec223004f5ed715c3023af332e98f",
+    "twolf": "8f143e21dc47af295b11daf907101973ed5aa9fedf2c08f7f05a45ff55ee2813",
     "vortex": "38c262bb96d7861a99f43d06815866e033edac7c90520e8b12ea95e761f015c1",
-    "power": "066926e931c0e0c62bfdcf01dc34f34f1f500ed2c897aa71d9e17495cb2c4abf",
+    "access": "c1bfd347176931244443f4d9dd35d43557c1857b510080a3f412e4047ad83b16",
+    "dream": "f18d336a1c25ac9238ebb0ee9a3e20d7a5594200cc42087a4d4a48483b87e8d1",
     "excel": "a77058fd1eece61d74965efe280a1e4f1d86f9986fd57f5ca2d159b2e5b1e385",
+    "lotus": "548aa4fbda4099b9c186b9f63a4fdc91519fac66a06121f1da3a44905637c6a7",
+    "photo": "ff9f6679482d009fb5b75f49bfbd9fde217b5933969508c760bb8ffa43a4aec7",
+    "power": "066926e931c0e0c62bfdcf01dc34f34f1f500ed2c897aa71d9e17495cb2c4abf",
+    "sound": "dc821345e7c5bba0a78b6fa3909911dde15d31cfcec414bb8bda58cdc565fa2e",
 }
 
 
@@ -99,6 +110,17 @@ def test_version_mismatch_raises_trace_version_error():
     assert excinfo.value.supported == 1
     assert "cached.art" in str(excinfo.value)
     assert "999" in str(excinfo.value)
+
+
+def test_bad_register_code_rejected():
+    instr = _instruction(0x1000)
+    record = TraceRecord(0x1000, instr, 0x1003, {Reg.EAX: 1})
+    raw = bytearray(gzip.decompress(encode_trace(DynamicTrace([record]))))
+    # The record ends: B reg | q value | B n_mem_ops | B branch.
+    assert raw[-11] == Reg.EAX
+    raw[-11] = 8
+    with pytest.raises(TraceFileError):
+        decode_trace(gzip.compress(bytes(raw)))
 
 
 def test_truncated_payload_rejected(matrix):
