@@ -34,7 +34,7 @@ import zlib
 from repro.trace.record import MemOp, TraceRecord
 from repro.trace.stream import DynamicTrace
 from repro.x86.instructions import Cond, Imm, Instruction, Label, Mem, Mnemonic
-from repro.x86.registers import Reg
+from repro.x86.registers import ALL_REGS, Reg
 
 MAGIC = b"RUTB"
 CODEC_VERSION = 1
@@ -321,37 +321,30 @@ def decode_trace(data: bytes, filename: str | None = None) -> DynamicTrace:
                 pos += 1
             reg_writes: dict[Reg, int] = {}
             for _ in range(raw[pos]):
-                reg_writes[Reg(raw[pos + 1])] = i64_unpack(raw, pos + 2)[0]
+                reg_writes[ALL_REGS[raw[pos + 1]]] = i64_unpack(raw, pos + 2)[0]
                 pos += 9
             pos += 1
             mem_ops = []
             for _ in range(raw[pos]):
                 is_store, address, size, mem_data = mem_op_unpack(raw, pos + 1)
-                mem_ops.append(
-                    MemOp(
-                        is_store=bool(is_store),
-                        address=address,
-                        size=size,
-                        data=mem_data,
-                    )
-                )
+                mem_ops.append(MemOp(bool(is_store), address, size, mem_data))
                 pos += mem_op_size
             pos += 1
             branch_byte = raw[pos]
             pos += 1
-            branch_taken = None if branch_byte == 0 else branch_byte == 2
             append(
                 TraceRecord(
-                    pc=pc,
-                    instruction=instructions[pc],
-                    next_pc=next_pc,
-                    reg_writes=reg_writes,
-                    flags_after=flags,
-                    mem_ops=tuple(mem_ops),
-                    branch_taken=branch_taken,
+                    pc,
+                    instructions[pc],
+                    next_pc,
+                    reg_writes,
+                    flags,
+                    tuple(mem_ops),
+                    None if branch_byte == 0 else branch_byte == 2,
                 )
             )
     except (struct.error, IndexError, ValueError) as exc:
+        # IndexError also covers a register code outside ALL_REGS.
         raise TraceFileError(f"{where}: binary trace truncated: {exc}") from exc
     except KeyError as exc:
         raise TraceFileError(

@@ -76,6 +76,10 @@ class Frame:
         #: cached :class:`repro.timing.schedule.FrameSchedule`; valid once the
         #: buffer is final (post-optimization) and for the buffer's lifetime.
         self.sched_template = None
+        #: cached predictor-training events of the internal transfers, with
+        #: the ones whose outcome varies per instance; built by
+        #: ``RePLaySequencer._train_events`` on the first commit.
+        self.train_events = None
 
     @classmethod
     def from_region(
@@ -202,7 +206,7 @@ def _frameify(region: list[InjectedInstruction]) -> FrameBody:
                 mem_index += 1
                 raw_loads += uop.op is UopOp.LOAD
             if uop.is_control and not is_exit_instr:
-                if _degenerate_branch(uop, record):
+                if degenerate_branch(uop, record):
                     # Taken target == fall-through: the direction
                     # cannot change the frame's path, so an assertion
                     # here could only fire spuriously (a rollback
@@ -222,7 +226,7 @@ def _frameify(region: list[InjectedInstruction]) -> FrameBody:
     return FrameBody(dyn_uops, x86_indices, mem_keys, block_starts, raw_loads)
 
 
-def _degenerate_branch(uop: Uop, record) -> bool:
+def degenerate_branch(uop: Uop, record) -> bool:
     """A conditional branch to its own fall-through address.
 
     Both directions retire the same successor, so path matching can

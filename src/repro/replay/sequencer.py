@@ -11,12 +11,12 @@ re-executing the region from the ICache.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.trace.injector import InjectedInstruction, InjectedTrace
 from repro.replay.constructor import ConstructorConfig, closed_regions
 from repro.replay.fetch_groups import build_icache_block, event_from_decode
-from repro.replay.frame import Frame
+from repro.replay.frame import Frame, degenerate_branch
 from repro.replay.frame_cache import FrameCache
 from repro.replay.optqueue import OptimizationQueue
 from repro.optimizer.pipeline import FrameOptimizer
@@ -244,18 +244,47 @@ class RePLaySequencer(ICacheSequencer):
         return addresses
 
     def _train_events(self, frame: Frame) -> list[BranchEvent]:
-        """Predictor-training events for the frame's internal transfers."""
+        """Predictor-training events for the frame's internal transfers.
+
+        A committing instance retires exactly the frame's path, so each
+        event's kind, pc and target are the frame's, and the events are
+        built once, on the first commit.  The exception is a conditional
+        branch whose target equals its fall-through: both directions
+        retire the same path, so its ``taken`` is this instance's.
+        """
+        cached = frame.train_events
+        if cached is None:
+            cached = frame.train_events = self._build_train_events(frame)
+        events, per_instance = cached
+        if not per_instance:
+            return events
+        events = list(events)
+        for k, offset in per_instance:
+            record = self.injected[self.index + offset].record
+            events[k] = replace(events[k], taken=bool(record.branch_taken))
+        return events
+
+    def _build_train_events(
+        self, frame: Frame
+    ) -> tuple[list[BranchEvent], list[tuple[int, int]]]:
+        """The events of this instance, and ``(event, x86 offset)`` of
+        each whose outcome varies per instance."""
         events: list[BranchEvent] = []
+        per_instance: list[tuple[int, int]] = []
         builder = self.sched_builder
         for offset in range(frame.x86_count - 1):
             instr = self.injected[self.index + offset]
-            if instr.record.instruction.is_branch:
-                event = event_from_decode(
-                    builder.instr_decode(instr), instr.record, 0
-                )
+            record = instr.record
+            if record.instruction.is_branch:
+                decode = builder.instr_decode(instr)
+                event = event_from_decode(decode, record, 0)
                 if event is not None:
+                    if event.kind == "cond" and degenerate_branch(
+                        instr.uops[decode.event_offset], record
+                    ):
+                        per_instance.append((len(events), offset))
                     events.append(event)
-        return events
+        return events, per_instance
 
     def _dispatch_frame(
         self, frame: Frame, template: FrameSchedule, cycle: int

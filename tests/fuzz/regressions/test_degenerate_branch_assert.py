@@ -12,7 +12,7 @@ optimizer variant (including all passes disabled).
 
 The fix drops the control uop instead: a branch that cannot change the
 path needs no assertion, and asserting it can only cause spurious
-rollbacks.  See ``repro.replay.frame._degenerate_branch``.
+rollbacks.  See ``repro.replay.frame.degenerate_branch``.
 """
 
 from repro.fuzz.generator import FuzzProgram, generate_program, render_program

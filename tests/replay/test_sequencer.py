@@ -9,6 +9,7 @@ from repro.harness.experiment import CONFIGS, run_experiment
 from repro.metrics import MetricsRegistry
 from repro.optimizer import FrameOptimizer
 from repro.replay import ConstructorConfig, RePLaySequencer
+from repro.replay.fetch_groups import event_from_decode
 from repro.replay.sequencer import ICacheSequencer
 from repro.timing.config import default_config
 from repro.timing.pipeline import PipelineModel
@@ -164,3 +165,55 @@ def test_every_block_carries_its_schedule(matrix, monkeypatch):
                 assert block.sched == [builder.dyn_sched(u) for u in block.uops]
                 kinds[block.source] += 1
     assert all(kinds[kind] > 0 for kind in ("icache", "tcache", "frame", "fire"))
+
+
+def test_cached_train_events_match_each_instance(monkeypatch):
+    """A frame's training events are built once, yet every committing
+    instance gets the events a per-instance build gives, including a
+    branch to its own fall-through whose direction flips mid-run."""
+    asm = Assembler()
+    asm.mov(Reg.ECX, Imm(400))
+    asm.label("loop")
+    asm.cmp(Reg.ECX, Imm(40))
+    asm.jcc(Cond.A, "next")  # target is the fall-through; flips at ECX=40
+    asm.label("next")
+    asm.add(Reg.EBX, Reg.ECX)
+    asm.call("leaf")
+    asm.dec(Reg.ECX)
+    asm.jcc(Cond.NZ, "loop")
+    asm.ret()
+    asm.label("leaf")
+    asm.inc(Reg.EDX)
+    asm.ret()
+
+    builds = Counter()
+    outcomes: dict[int, set] = {}
+    train_events = RePLaySequencer._train_events
+    build = RePLaySequencer._build_train_events
+
+    def counting_build(sequencer, frame):
+        builds[id(frame)] += 1
+        return build(sequencer, frame)
+
+    def checked_train_events(sequencer, frame):
+        events = train_events(sequencer, frame)
+        fresh = []
+        for offset in range(frame.x86_count - 1):
+            instr = sequencer.injected[sequencer.index + offset]
+            if instr.record.instruction.is_branch:
+                event = event_from_decode(
+                    sequencer.sched_builder.instr_decode(instr), instr.record, 0
+                )
+                if event is not None:
+                    fresh.append(event)
+        assert events == fresh
+        for k, _ in frame.train_events[1]:
+            outcomes.setdefault(id(frame), set()).add(events[k].taken)
+        return events
+
+    monkeypatch.setattr(RePLaySequencer, "_build_train_events", counting_build)
+    monkeypatch.setattr(RePLaySequencer, "_train_events", checked_train_events)
+    sequencer, _ = run_sequencer(asm)
+    assert sequencer.stats.frame_dispatches > 100
+    assert builds and max(builds.values()) == 1
+    assert any(taken == {True, False} for taken in outcomes.values())

@@ -1,5 +1,9 @@
 """Trace records and memory-op overlap tests."""
 
+import pickle
+
+import pytest
+
 from repro.trace import MemOp, TraceRecord
 from repro.x86.instructions import Imm, Instruction, Mnemonic
 from repro.x86.registers import Reg
@@ -42,3 +46,17 @@ def test_record_branch_classification():
         pc=0, instruction=Instruction(Mnemonic.ADD, (Reg.EAX, Imm(1))), next_pc=4
     )
     assert not add.instruction.is_branch and not add.is_conditional_branch
+
+
+def test_memop_is_a_value():
+    """Equal, hashable, immutable and picklable by value; loads and stores
+    are told apart by ``is_load``."""
+    load = MemOp(False, 0x100, 4, 7)
+    assert load == MemOp(is_store=False, address=0x100, size=4, data=7)
+    assert load != MemOp(True, 0x100, 4, 7)
+    assert hash(load) == hash(MemOp(False, 0x100, 4, 7))
+    assert len({load, MemOp(False, 0x100, 4, 7)}) == 1
+    assert pickle.loads(pickle.dumps(load)) == load
+    assert load.is_load and not MemOp(True, 0x100, 4, 7).is_load
+    with pytest.raises(AttributeError):
+        load.data = 8
