@@ -1,5 +1,8 @@
 """Functional emulator: ALU semantics, flags, memory, control flow."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.x86 import Assembler, Cond, EmulationError, Emulator, Imm, Reg, mem
@@ -366,3 +369,18 @@ def test_predecoded_facts_are_per_emulator():
     assert first.flags_after is None
     assert second.reg_writes == {Reg.ECX: 1}
     assert second.flags_after == 0 and type(second.flags_after) is int
+
+
+def test_emulator_is_freed_without_a_collection(loop_asm):
+    """Handlers hold no reference back to their emulator, so an emulator
+    and its memory go as soon as the last reference does, not at the next
+    full garbage collection (the fuzz campaigns make one per program)."""
+    emulator = Emulator(loop_asm.assemble())
+    emulator.run()
+    ref = weakref.ref(emulator)
+    gc.disable()
+    try:
+        del emulator
+        assert ref() is None
+    finally:
+        gc.enable()
