@@ -9,9 +9,7 @@ store".
 from repro.artifacts.codec import CODEC_VERSION, decode_trace, encode_trace
 from repro.artifacts.store import (
     ArtifactStore,
-    EntryInfo,
     FORMAT_VERSION,
-    StoreTelemetry,
     content_key,
     default_cache_dir,
 )
@@ -30,12 +28,10 @@ from repro.artifacts.runner import (
 __all__ = [
     "ArtifactStore",
     "CODEC_VERSION",
-    "EntryInfo",
     "FORMAT_VERSION",
     "MatrixRun",
     "MatrixTask",
     "MatrixTaskError",
-    "StoreTelemetry",
     "TaskTelemetry",
     "compute_cell",
     "compute_trace",

@@ -343,9 +343,20 @@ def decode_trace(data: bytes, filename: str | None = None) -> DynamicTrace:
                     None if branch_byte == 0 else branch_byte == 2,
                 )
             )
-    except (struct.error, IndexError, ValueError) as exc:
-        # IndexError also covers a register code outside ALL_REGS.
-        raise TraceFileError(f"{where}: binary trace truncated: {exc}") from exc
+    except (struct.error, IndexError) as exc:
+        # Every byte index and unpack above is bounds-checked by Python,
+        # so a read past the end raises here with pos at or near the end.
+        # The one in-payload byte that can raise is a register code
+        # outside ALL_REGS, at pos + 1 (the value after it unpacks first).
+        if isinstance(exc, IndexError) and pos + 1 < end:
+            raise TraceFileError(
+                f"{where}: corrupt record {len(records)}: register code "
+                f"{raw[pos + 1]} at offset {pos + 1} is outside 0-7"
+            ) from exc
+        raise TraceFileError(
+            f"{where}: binary trace truncated in record {len(records)} "
+            f"of {record_count}"
+        ) from exc
     except KeyError as exc:
         raise TraceFileError(
             f"{where}: record references unknown pc {exc}"

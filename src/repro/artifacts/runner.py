@@ -265,36 +265,19 @@ def compute_cell(
 
 # --------------------------------------------------------------- fan-out
 
-#: Per-worker store, rebuilt lazily from the root path shipped with each
-#: task (ArtifactStore itself is cheap; this just avoids re-reading env).
-_WORKER_STORES: dict[str, ArtifactStore] = {}
-
-
-def resolve_worker_store(store_root: str | None) -> ArtifactStore | None:
-    """Return this process's store for ``store_root``, building it once.
-
-    A worker keeps one :class:`ArtifactStore` per root for its whole
-    lifetime, so telemetry accumulates on a single instance and repeated
-    tasks never re-read the environment.
-    """
-    if store_root is None:
-        return None
-    store = _WORKER_STORES.get(store_root)
-    if store is None:
-        store = _WORKER_STORES[store_root] = ArtifactStore(store_root)
-    return store
-
-
 def _worker(
     payload: tuple[MatrixTask, str | None]
 ) -> tuple[ExperimentResult, TaskTelemetry, dict]:
-    """Pool-side task body: resolve the store, then compute one cell.
+    """Pool-side task body: open the store, then compute one cell.
 
     The payload is a picklable ``(task, store_root)`` pair; the result
-    is ``(result, telemetry, metrics snapshot)``.
+    is ``(result, telemetry, metrics snapshot)``.  The cell's cache
+    accounting travels back in its :class:`TaskTelemetry`, so it is the
+    same under any ``jobs``.
     """
     task, store_root = payload
-    return compute_cell(task, resolve_worker_store(store_root))
+    store = ArtifactStore(store_root) if store_root is not None else None
+    return compute_cell(task, store)
 
 
 #: Exception types that mean "the pool itself is unusable" — the only
@@ -408,12 +391,6 @@ def run_matrix(
     registry = metrics if metrics is not None else get_registry()
     start = time.perf_counter()
     store_root = str(store.root) if store is not None else None
-    if store is not None:
-        # Serial execution (and the degrade-to-serial path) runs _worker
-        # in this process: seed the worker cache with the caller's store
-        # so cache hits and telemetry land on the instance the caller
-        # can see.  Pool children build their own from store_root.
-        _WORKER_STORES[store_root] = store
     outputs, effective_jobs = run_tasks(
         _worker,
         [(task, store_root) for task in tasks],
@@ -432,9 +409,6 @@ def run_matrix(
             registry.merge(snapshot)
     registry.counter("runner.cells").inc(len(tasks))
     registry.gauge("runner.effective_jobs").set(effective_jobs)
-    if store is not None:
-        _publish_store_metrics(registry, store)
-
     return MatrixRun(
         tasks=list(tasks),
         results=results,  # type: ignore[arg-type]
@@ -442,20 +416,4 @@ def run_matrix(
         jobs=effective_jobs,
         seconds=time.perf_counter() - start,
     )
-
-
-def _publish_store_metrics(registry: MetricsRegistry, store: ArtifactStore) -> None:
-    """Fold the store's ad-hoc telemetry deltas into the registry.
-
-    Counts only what changed since the last publication, so repeated
-    ``run_matrix`` calls against one store never double-count.
-    """
-    published = getattr(store, "_published_telemetry", {})
-    current = vars(store.telemetry)
-    for field_name, value in current.items():
-        delta = value - published.get(field_name, 0)
-        if delta > 0:
-            registry.counter(f"store.{field_name}").inc(delta)
-    store._published_telemetry = dict(current)
-
 

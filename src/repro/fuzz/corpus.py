@@ -82,9 +82,7 @@ class FuzzCorpus:
     def resolve(self, prefix: str) -> str:
         """Full case id for an unambiguous id prefix."""
         matches = [
-            entry.key
-            for entry in self.store.entries()
-            if entry.kind == KIND_FUZZ and entry.key.startswith(prefix)
+            case["id"] for case in self.list_cases() if case["id"].startswith(prefix)
         ]
         if not matches:
             raise CorpusError(f"no fuzz case matches {prefix!r}")
@@ -115,18 +113,8 @@ class FuzzCorpus:
         return payload
 
     def list_cases(self) -> list[dict]:
-        """Summaries of every stored case (id, label, created, size)."""
-        cases = []
-        for entry in self.store.entries():
-            if entry.kind != KIND_FUZZ:
-                continue
-            cases.append(
-                {
-                    "id": entry.key,
-                    "label": entry.label,
-                    "created": entry.created,
-                    "size_bytes": entry.size_bytes,
-                }
-            )
-        cases.sort(key=lambda c: c["created"])
-        return cases
+        """Summaries of every stored case (id, size, label), in id order."""
+        return [
+            {"id": key, "size_bytes": size, "label": label}
+            for key, size, label in self.store.listing(KIND_FUZZ)
+        ]

@@ -9,11 +9,8 @@ Usage::
     python -m repro.harness fig6 --emit-stats run.json   # write a run ledger
     python -m repro.harness fig6 --profile        # cProfile hotspots to stderr
     python -m repro.harness stats run.json        # pretty-print a run ledger
-    python -m repro.harness cache stats           # inspect the artifact cache
-    python -m repro.harness cache ls
-    python -m repro.harness cache gc --max-mb 256
-    python -m repro.harness cache gc --max-mb 256 --dry-run
-    python -m repro.harness cache clear
+    python -m repro.harness cache stats           # entries and bytes per kind
+    python -m repro.harness cache clear           # delete every entry
     python -m repro.harness scenarios characterize gzip   # reuse/latency report
     python -m repro.harness fuzz run --seed 1 --iterations 10000 --jobs 4
     python -m repro.harness fuzz config run --seed 1 --iterations 200
@@ -30,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from repro.artifacts.store import ArtifactStore
 from repro.harness import figures, report
@@ -91,50 +87,24 @@ def _add_stats_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _format_age(seconds: float) -> str:
-    """Entry age for ``cache ls``, clamped at zero.
-
-    A future mtime (clock skew, restored backups, touched files) must
-    never render a negative age, and a weeks-old entry renders as
-    ``Nd Hh`` rather than an overflowing raw count.
-    """
-    seconds = max(0.0, seconds)
-    if seconds < 1.0:
-        return "<1s"
-    if seconds < 60.0:
-        return f"{seconds:.0f}s"
-    if seconds < 3600.0:
-        return f"{int(seconds // 60)}m {int(seconds % 60)}s"
-    if seconds < 86400.0:
-        return f"{int(seconds // 3600)}h {int(seconds % 3600 // 60)}m"
-    return f"{int(seconds // 86400)}d {int(seconds % 86400 // 3600)}h"
-
-
 def cache_main(argv: list[str]) -> int:
-    """The ``cache`` subcommand: ls / stats / clear / gc."""
+    """The ``cache`` subcommand: stats / clear."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness cache",
-        description="Inspect or trim the artifact cache.",
+        description="Inspect or reset the artifact cache.",
     )
-    parser.add_argument("action", choices=("ls", "stats", "clear", "gc"))
-    parser.add_argument(
-        "--max-mb",
-        type=float,
-        default=None,
-        help="gc: evict least-recently-used entries down to this size",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="gc: print what would be evicted without deleting anything",
-    )
+    parser.add_argument("action", choices=("stats", "clear"))
     _add_cache_flags(parser)
     _add_stats_flags(parser)
     args = parser.parse_args(argv)
 
     store = ArtifactStore(args.cache_dir)
     with profiled(enabled=args.profile):
-        _cache_action(parser, args, store)
+        if args.action == "stats":
+            _print_stats(store)
+        else:
+            removed = store.clear()
+            print(f"removed {removed} entries from {store.root}")
     if args.emit_stats:
         emit_run_ledger(
             args.emit_stats, argv, [f"cache-{args.action}"], store=store
@@ -142,53 +112,14 @@ def cache_main(argv: list[str]) -> int:
     return 0
 
 
-def _cache_action(parser, args, store: ArtifactStore) -> None:
-    if args.action == "ls":
-        entries = sorted(store.entries(), key=lambda e: (e.kind, e.label, e.key))
-        for entry in entries:
-            age = _format_age(time.time() - entry.mtime)
-            print(
-                f"{entry.kind:<7} {entry.key[:16]}  {entry.size_bytes:>10,}B  "
-                f"{age:>9} old  {entry.label}"
-            )
-        print(f"{len(entries)} entries in {store.root}")
-    elif args.action == "stats":
-        stats = store.stats()
-        print(f"cache root   {stats['root']}")
-        for kind, info in stats["kinds"].items():
-            mb = info["bytes"] / (1024 * 1024)
-            print(f"{kind:<12} {info['entries']} entries, {mb:.2f} MB")
-        total_mb = stats["bytes"] / (1024 * 1024)
-        print(f"total        {stats['entries']} entries, {total_mb:.2f} MB")
-        print(f"quarantined  {stats['quarantined']}")
-        if stats["budget_bytes"] is not None:
-            print(f"budget       {stats['budget_bytes'] / (1024 * 1024):.0f} MB")
-    elif args.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} entries from {store.root}")
-    elif args.action == "gc":
-        if args.max_mb is None:
-            parser.error("gc requires --max-mb")
-        max_bytes = int(args.max_mb * 1024 * 1024)
-        if args.dry_run:
-            plan = store.plan_gc(max_bytes)
-            for entry in plan:
-                age = _format_age(time.time() - entry.mtime)
-                print(
-                    f"would evict {entry.kind:<7} {entry.key[:16]}  "
-                    f"{entry.size_bytes:>10,}B  {age:>9} old  {entry.label}"
-                )
-            plan_bytes = sum(entry.size_bytes for entry in plan)
-            print(
-                f"dry run: would evict {len(plan)} entries "
-                f"({plan_bytes / (1024 * 1024):.2f} MB) from {store.root}"
-            )
-        else:
-            removed, removed_bytes = store.gc(max_bytes)
-            print(
-                f"evicted {removed} entries ({removed_bytes / (1024 * 1024):.2f} MB) "
-                f"from {store.root}"
-            )
+def _print_stats(store: ArtifactStore) -> None:
+    stats = store.stats()
+    print(f"cache root   {stats['root']}")
+    for kind, info in stats["kinds"].items():
+        mb = info["bytes"] / (1024 * 1024)
+        print(f"{kind:<12} {info['entries']} entries, {mb:.2f} MB")
+    total_mb = stats["bytes"] / (1024 * 1024)
+    print(f"total        {stats['entries']} entries, {total_mb:.2f} MB")
 
 
 def stats_main(argv: list[str]) -> int:
@@ -235,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         nargs="+",
         choices=EXPERIMENTS + ("all",),
         help="which tables/figures to regenerate ('cache' subcommand: "
-        "ls/stats/clear/gc the artifact store)",
+        "stats/clear the artifact store)",
     )
     parser.add_argument(
         "--scale", type=int, default=None, help="workload scale factor"

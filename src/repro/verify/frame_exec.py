@@ -205,7 +205,11 @@ def _evaluate(uop, value_of, flags_of, address_of):
         if divisor == 0:
             raise FrameExecutionError(f"division by zero in {uop}")
         dividend = to_signed((high << 32) | low, bits=64)
-        quotient = int(dividend / divisor)
+        quotient = abs(dividend) // abs(divisor)  # exact, toward zero
+        if (dividend < 0) != (divisor < 0):
+            quotient = -quotient
+        if not -0x8000_0000 <= quotient <= 0x7FFF_FFFF:
+            raise FrameExecutionError(f"quotient overflow in {uop}")
         if op is UopOp.DIVQ:
             return quotient & MASK32, None
         return (dividend - quotient * divisor) & MASK32, None

@@ -499,17 +499,20 @@ def _idiv(emu: Emulator, instr: Instruction):
     read = _reader(emu, instr.operands[0], mem_ops)
     regs = emu.regs
     eax, edx = int(Reg.EAX), int(Reg.EDX)
-    where = f"division by zero at {instr.address:#x}"
+    where = f"at {instr.address:#x}"
 
     def idiv() -> None:
         divisor = to_signed(read())
         if divisor == 0:
-            raise EmulationError(where)
+            raise EmulationError(f"division by zero {where}")
         dividend = to_signed((regs[edx] << 32) | regs[eax], bits=64)
-        quotient = int(dividend / divisor)  # truncates toward zero
-        remainder = dividend - quotient * divisor
+        quotient = abs(dividend) // abs(divisor)  # exact, toward zero
+        if (dividend < 0) != (divisor < 0):
+            quotient = -quotient
+        if not -0x8000_0000 <= quotient <= 0x7FFF_FFFF:
+            raise EmulationError(f"quotient overflow (#DE) {where}")
         regs[eax] = quotient & MASK32
-        regs[edx] = remainder & MASK32
+        regs[edx] = (dividend - quotient * divisor) & MASK32
 
     return idiv, (Reg.EAX, Reg.EDX), False, mem_ops
 

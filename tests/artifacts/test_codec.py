@@ -119,15 +119,36 @@ def test_bad_register_code_rejected():
     # The record ends: B reg | q value | B n_mem_ops | B branch.
     assert raw[-11] == Reg.EAX
     raw[-11] = 8
-    with pytest.raises(TraceFileError):
+    offset = len(raw) - 11
+    with pytest.raises(
+        TraceFileError,
+        match=f"corrupt record 0: register code 8 at offset {offset} is outside 0-7",
+    ):
         decode_trace(gzip.compress(bytes(raw)))
 
 
 def test_truncated_payload_rejected(matrix):
     trace = matrix.trace("power")
     raw = gzip.decompress(encode_trace(trace))
-    with pytest.raises(TraceFileError, match="truncated"):
+    with pytest.raises(TraceFileError, match="truncated in record"):
         decode_trace(gzip.compress(raw[: len(raw) // 2]))
+
+
+def test_every_cut_reads_as_truncated():
+    # A cut anywhere past the header is truncation, never a "corrupt"
+    # byte: only bytes inside the payload may be reported as corrupt.
+    instr = _instruction(0x1000)
+    records = [
+        TraceRecord(
+            0x1000, instr, 0x1003, {Reg.EAX: 1, Reg.EDI: 2}, 0x44,
+            (MemOp(False, 0x2000, 4, 7),), True,
+        ),
+        TraceRecord(0x1000, instr, 0x1003, {Reg.EDX: 3}),
+    ]
+    raw = gzip.decompress(encode_trace(DynamicTrace(records)))
+    for cut in range(6, len(raw)):
+        with pytest.raises(TraceFileError, match="truncated"):
+            decode_trace(gzip.compress(raw[:cut]))
 
 
 # ----------------------------------------------------- hypothesis property

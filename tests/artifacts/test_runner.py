@@ -142,14 +142,13 @@ def test_task_error_does_not_count_pool_fallback():
 def _deterministic(counters: dict) -> dict:
     """Counter totals that must not depend on worker/process scheduling.
 
-    Emulation and store counters legitimately differ (each pool worker
-    keeps its own trace memo and store handle); everything a simulation
-    itself measures must not.
+    Emulation counters legitimately differ (each pool worker keeps its
+    own trace memo); everything a simulation itself measures must not.
     """
     return {
         name: value
         for name, value in counters.items()
-        if not name.startswith(("emulator.", "store."))
+        if not name.startswith("emulator.")
     }
 
 
@@ -184,14 +183,22 @@ def test_fig6_parallel_metrics_merge_equals_serial():
     assert serial_reg.counters()["optimizer.pass.dce.changes"] > 0
 
 
-def test_store_telemetry_published_once(tmp_path):
-    registry = MetricsRegistry()
-    store = ArtifactStore(tmp_path)
-    run_matrix(TASKS, jobs=1, store=store, metrics=registry)
-    cold_writes = registry.counters()["store.writes"]
-    assert cold_writes > 0
+def _provenance(run):
+    return [
+        (t.workload, t.config_name, t.result_cache_hit, t.trace_cache_hit,
+         t.emulated, t.simulated)
+        for t in run.telemetry
+    ]
 
-    run_matrix(TASKS, jobs=1, store=store, metrics=registry)
-    counters = registry.counters()
-    assert counters["store.writes"] == cold_writes  # delta-published
-    assert counters["store.hits"] >= len(TASKS)
+
+def test_warm_cache_accounting_same_under_any_jobs(tmp_path):
+    """Each cell ships its cache accounting back in its TaskTelemetry, so
+    a warm run at jobs=2 reports a result hit for every task, exactly as
+    jobs=1 does."""
+    store = ArtifactStore(tmp_path)
+    run_matrix(TASKS, jobs=2, store=store)
+    serial = run_matrix(TASKS, jobs=1, store=store)
+    parallel = run_matrix(TASKS, jobs=2, store=store)
+    assert parallel.jobs == 2
+    assert all(t.result_cache_hit for t in parallel.telemetry)
+    assert _provenance(parallel) == _provenance(serial)

@@ -1,13 +1,11 @@
 """Harness CLI (fast experiments only; fig6 etc. covered by benches)."""
 
 import json
-import os
-import time
 
 import pytest
 
 from repro.artifacts.store import ArtifactStore, content_key
-from repro.harness.cli import EXPERIMENTS, _format_age, cache_main, main
+from repro.harness.cli import EXPERIMENTS, cache_main, main
 from repro.metrics import read_ledger
 
 
@@ -78,11 +76,16 @@ def test_cache_stats(capsys, tmp_path):
     assert "1 entries" in out and str(tmp_path) in out
 
 
+def _rejected(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        cache_main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cache_ls(capsys, tmp_path):
-    _populate(tmp_path)
-    assert cache_main(["ls", "--cache-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "demo" in out and "result" in out
+    """``cache ls`` is gone: the store lists no entries for users."""
+    _rejected(capsys, ["ls", "--cache-dir", str(tmp_path)], "invalid choice: 'ls'")
 
 
 def test_cache_clear(capsys, tmp_path):
@@ -93,81 +96,13 @@ def test_cache_clear(capsys, tmp_path):
 
 
 def test_cache_gc(capsys, tmp_path):
-    _populate(tmp_path)
-    assert cache_main(["gc", "--max-mb", "0", "--cache-dir", str(tmp_path)]) == 0
-    assert "evicted 1" in capsys.readouterr().out
-
-
-def test_cache_gc_requires_budget(tmp_path):
-    with pytest.raises(SystemExit):
-        cache_main(["gc", "--cache-dir", str(tmp_path)])
-
-
-def test_cache_gc_dry_run_deletes_nothing(capsys, tmp_path):
-    store = _populate(tmp_path)
-    assert cache_main(
-        ["gc", "--max-mb", "0", "--dry-run", "--cache-dir", str(tmp_path)]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "would evict result" in out
-    assert "dry run: would evict 1 entries" in out
-    assert "B" in out and "old" in out  # bytes and age per entry
-    assert store.stats()["entries"] == 1  # nothing actually deleted
-
-
-def test_cache_gc_dry_run_empty_plan(capsys, tmp_path):
-    _populate(tmp_path)
-    assert cache_main(
-        ["gc", "--max-mb", "1024", "--dry-run", "--cache-dir", str(tmp_path)]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "would evict 0 entries" in out
-
-
-def test_cache_gc_dry_run_matches_real_gc(capsys, tmp_path):
-    store = _populate(tmp_path)
-    plan = store.plan_gc(0)
-    removed, removed_bytes = store.gc(0)
-    assert removed == len(plan) == 1
-    assert removed_bytes == sum(e.size_bytes for e in plan)
-
-
-# ------------------------------------------------------------ entry ages
-
-
-def test_format_age_clamps_future_mtimes():
-    assert _format_age(-120.0) == "<1s"
-    assert _format_age(0.4) == "<1s"
-    assert _format_age(42.0) == "42s"
-
-
-def test_format_age_tiers():
-    assert _format_age(90.0) == "1m 30s"
-    assert _format_age(3600.0) == "1h 0m"
-    assert _format_age(5432.0) == "1h 30m"
-    # Ages of a day or more render as `Nd Hh` instead of overflowing.
-    assert _format_age(86400.0) == "1d 0h"
-    assert _format_age(13 * 86400.0 + 5 * 3600.0) == "13d 5h"
-
-
-def test_cache_ls_renders_day_scale_ages(capsys, tmp_path):
-    store = _populate(tmp_path)
-    entry = next(store.entries())
-    old = time.time() - 3 * 86400 - 2 * 3600
-    os.utime(entry.path, (old, old))
-    assert cache_main(["ls", "--cache-dir", str(tmp_path)]) == 0
-    assert "3d 2h old" in capsys.readouterr().out
-
-
-def test_cache_ls_future_mtime_never_negative(capsys, tmp_path):
-    store = _populate(tmp_path)
-    entry = next(store.entries())
-    future = time.time() + 3600
-    os.utime(entry.path, (future, future))
-    assert cache_main(["ls", "--cache-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "-" not in out.split("old")[0].split("B")[-1]
-    assert "<1s old" in out
+    """``cache gc`` and its budget flags are gone: the store has no budget."""
+    _rejected(capsys, ["gc", "--cache-dir", str(tmp_path)], "invalid choice: 'gc'")
+    _rejected(
+        capsys,
+        ["stats", "--max-mb", "1", "--dry-run", "--cache-dir", str(tmp_path)],
+        "unrecognized arguments: --max-mb 1 --dry-run",
+    )
 
 
 # ------------------------------------------------------------ run ledger

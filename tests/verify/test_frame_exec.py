@@ -191,6 +191,30 @@ SEMANTICS = [
         out={"ECX": 3, "ESI": 2},
     ),
     case(
+        # A dividend wider than a double's mantissa: exact division.
+        "divq_divr_wide_dividend",
+        [Uop(UopOp.DIVQ, dst=UReg.ECX, src_a=UReg.EAX, src_b=UReg.EBX,
+             src_data=UReg.EDX),
+         Uop(UopOp.DIVR, dst=UReg.ESI, src_a=UReg.EAX, src_b=UReg.EBX,
+             src_data=UReg.EDX)],
+        live_in={"EAX": 0x9299168D, "EDX": 0x1FDAB34E, "EBX": 0x5132D8FA},
+        out={"ECX": 1684919826, "ESI": 0x5132D8F9},
+    ),
+    case(
+        "divq_overflow",  # -2^31 / -1
+        [Uop(UopOp.DIVQ, dst=UReg.ECX, src_a=UReg.EAX, src_b=UReg.EBX,
+             src_data=UReg.EDX)],
+        live_in={"EAX": 0x80000000, "EDX": 0xFFFFFFFF, "EBX": 0xFFFFFFFF},
+        error="quotient overflow",
+    ),
+    case(
+        "divr_overflow",  # (2^63 - 1) / 3
+        [Uop(UopOp.DIVR, dst=UReg.ESI, src_a=UReg.EAX, src_b=UReg.EBX,
+             src_data=UReg.EDX)],
+        live_in={"EAX": 0xFFFFFFFF, "EDX": 0x7FFFFFFF, "EBX": 3},
+        error="quotient overflow",
+    ),
+    case(
         "divq_by_zero",
         [Uop(UopOp.DIVQ, dst=UReg.ECX, src_a=UReg.EAX, src_b=UReg.EBX,
              src_data=UReg.EDX)],

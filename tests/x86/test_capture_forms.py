@@ -171,9 +171,13 @@ def _idiv(kind: str):
         (7, 0, 2),
         (to_signed(-7) & MASK32, MASK32, 2),
         (100, 0, MASK32 - 2),
-        (0x80000000, MASK32, MASK32),  # quotient overflows 32 bits
+        (0x80000000, MASK32, 1),  # quotient -2^31, the lowest that fits
+        (0x7FFFFFFF, 0, 1),  # quotient 2^31 - 1, the highest that fits
         (0x12345678, 0x1234, 0x10000),
-        (MASK32, 0x7FFFFFFF, 3),  # a dividend wider than a double's mantissa
+        # Dividends wider than a double's mantissa, where a float
+        # division rounds the quotient 1684919826 up by one.
+        (0x9299168D, 0x1FDAB34E, 0x5132D8FA),
+        (0x9299168D, 0x1FDAB34E, to_signed(-0x5132D8FA) & MASK32),
     )
 
     def body(asm: Assembler, labels: dict[str, int]) -> None:
@@ -389,8 +393,8 @@ _FORM_SHA256 = {
     "cmp RR": "c9539e4c3b1ee5a2bf4485a33dab779e9dd09d1e7fded87a447f12de8b8e9706",
     "dec M": "b8db1c6e2da2e2cdd4c6944eea00cb7013aac4349bc13193669711c697295a60",
     "dec R": "dc3727ee419b81cd9d3a8d174edc04e7b77920608f8084aed7a004cba3cd5fd8",
-    "idiv M": "422172e79bc7b1a4f7acdc1119b34915e91bed46ca7f5db10919919b55c285fb",
-    "idiv R": "d501cc938009bfd1f68b1309b00e8abfee8d47d7b5a74aeec60d97167e68e802",
+    "idiv M": "7eb7a6cc68cc019de3084356b3380f2dd45681190cc4011c928fd350e2035c36",
+    "idiv R": "ed81c3da44a8760125e776663f771d5f3569ea2deab57c05962d329cbfdfaede",
     "imul RI": "ee2610ea12999e641505be891717c63ef2e753608252da58975b79cb30e55a1c",
     "imul RM": "609d2fe7119c6ea4f0002e2566f40dc07e6177d6ee187fda87922f764c02ea5e",
     "imul RR": "cdda5fa9944f149551135d1e6e9c0d2c1d6cc795dd1bdef6bd1bc332dd2e3e0c",
@@ -473,7 +477,9 @@ _FORM_SHA256 = {
     "xor RR": "e2a89cbaf371dbb9e0c2cbe07d2f71d24d568bde74501e047955eaa72aba6e1a",
     "fetch with no instruction": "8351958eb25b7331c84f7cd428b12760be09421f4bbdb6126995ae4c06ca2552",
     "idiv M by zero": "b14e942f44bf9908580741fc87342a6246bb7ce07d3d020af329ae725eb3b4c3",
+    "idiv M overflow": "fb9a768ea45b65a2fd553f948cd352de678417237f9406a888b023d6c74d4805",
     "idiv R by zero": "313e7cf61b832ae1da2d9de149cb4b2a61c86320ec4313e3a40d8064db1fc402",
+    "idiv R overflow": "d27c03a27021ff5f47e0561755cdbd97b778f845057a2bbdb34634bd01f0c302",
     "movsx from a register": "39b916f1df9e1af2286c8271e599ec2c7918ae52f5619c43d5c79015a37c9cfe",
     "movzx from a register": "c717e856a9fc5c6f7174768d831a418f67405ea85e723c7b593d4f71c0b8b251",
 }
@@ -533,6 +539,24 @@ _FAULTS = {
     "idiv M by zero": (
         lambda a, labels: (a.mov(_SRC_MEM, Imm(0)), a.idiv(_SRC_MEM)),
         "division by zero at 0x",
+    ),
+    "idiv R overflow": (  # -2^31 / -1: the quotient 2^31 does not fit
+        lambda a, labels: (
+            a.mov(Reg.EAX, _imm(0x80000000)),
+            a.mov(Reg.EDX, _imm(MASK32)),
+            a.mov(Reg.EBX, _imm(MASK32)),
+            a.idiv(Reg.EBX),
+        ),
+        "quotient overflow",
+    ),
+    "idiv M overflow": (  # (2^63 - 1) / 3
+        lambda a, labels: (
+            a.mov(Reg.EAX, _imm(MASK32)),
+            a.mov(Reg.EDX, _imm(0x7FFFFFFF)),
+            a.mov(_SRC_MEM, _imm(3)),
+            a.idiv(_SRC_MEM),
+        ),
+        "quotient overflow",
     ),
     "movzx from a register": (
         lambda a, labels: (a.mov(Reg.EBX, Imm(7)), a.movzx(Reg.EAX, Reg.EBX)),
