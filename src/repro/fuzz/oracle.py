@@ -13,14 +13,14 @@ and is checked two complementary ways:
   enforces the paper's three §5.1.3 rules (loads covered by the initial
   memory map, final memory map equal, register/flag state equal at the
   frame boundary) against the true architectural state;
-* **replay leg** — the whole trace is re-executed by a
-  :class:`~repro.verify.state.FrameMachine`:
+* **replay leg** — the whole trace is re-executed by an
+  :class:`~repro.verify.state.ArchState`:
   wherever a frame path-matches (same commit rule the sequencer uses —
   path match and no unsafe-store conflict) the optimized
-  frame executes against the machine's live state via
+  frame executes against the replayed live state via
   :func:`~repro.verify.frame_exec.execute_frame`; everywhere else the
-  trace record applies directly.  The machine's final registers, flags,
-  and store bytes must equal the emulator's.
+  trace record applies directly.  The final registers and flags must
+  equal the emulator's, and the stored bytes the trace's.
 
 Assertion fires are judged against the true trace.  Path match covers
 every *internal* transfer (a deviating internal branch changes the next
@@ -33,8 +33,9 @@ the true trace did continue at ``end_next_pc`` — then every converted
 branch went the frame's way and a correct frame cannot fire.
 
 The variant-independent work runs once per program: the program is
-emulated, injected and frame-constructed once, and each constructed
-frame is remapped into its optimization buffer once.  Each
+emulated, injected and frame-constructed once, the true state is walked
+along the trace once (:func:`walk_trace`), and each constructed frame
+is remapped into its optimization buffer once.  Each
 optimizer-pass subset ("variant") then optimizes its own copy of every
 remapped buffer, so a divergence report names the narrowest pass
 combination that still miscompiles.
@@ -50,11 +51,12 @@ from repro.replay.constructor import ConstructorConfig, closed_regions
 from repro.replay.frame import Frame
 from repro.replay.sequencer import unsafe_store_conflict
 from repro.trace.injector import InjectedTrace, MicroOpInjector
+from repro.trace.record import TraceRecord
 from repro.verify.frame_exec import FrameExecutionError, execute_frame
-from repro.verify.state import ArchTracker, FrameMachine, initial_image
+from repro.verify.state import ArchState, initial_image
 from repro.verify.verifier import StateVerifier, VerificationError
 from repro.x86.emulator import Emulator
-from repro.x86.registers import MASK32, Reg
+from repro.x86.registers import Reg
 
 from repro.fuzz.generator import FuzzProgram, render_program
 
@@ -204,6 +206,22 @@ def _path_matches(frame: Frame, injected: InjectedTrace, base: int) -> bool:
     return injected.pcs[base : base + frame.x86_count] == frame.x86_pcs
 
 
+def walk_trace(
+    records: list[TraceRecord],
+) -> tuple[list[tuple[tuple[int, ...], int]], ArchState]:
+    """Walk the true architectural state along a trace, from entry.
+
+    Returns the registers and flags before each record, and the state
+    after the last one: its overlay holds every byte the trace stored.
+    """
+    state = ArchState()
+    before = []
+    for record in records:
+        before.append((tuple(state.regs), state.flags))
+        state.apply_record(record)
+    return before, state
+
+
 def run_differential(
     genome: FuzzProgram,
     config: OracleConfig | None = None,
@@ -215,28 +233,20 @@ def run_differential(
 
     program = render_program(genome)
     emulator = Emulator(program)
-    initial_regs = emulator.reg_snapshot()
-    initial_flags = emulator.flags_word()
-    image = initial_image(program, emulator)
     records = emulator.run(max_instructions=config.max_instructions)
     if not emulator.halted:
         # A genome the generator should never produce (shrinker edits
         # can): treat as unrunnable, not as a divergence.
         raise ValueError(f"program (seed {genome.seed}) did not halt")
     report.trace_length = len(records)
-    final_regs = emulator.reg_snapshot()
-    final_flags = emulator.flags_word()
+    before, expected = walk_trace(records)
+    # The emulator's own final registers and flags, so a record that
+    # misses a register write still shows as a final-state divergence.
+    expected.regs = list(emulator.regs)
+    expected.flags = emulator.flags_word()
+    image = initial_image(program)
 
     injected = MicroOpInjector().inject_trace(records)
-
-    # Expected final memory: every store in trace order.
-    expected_bytes: dict[int, int] = {}
-    for record in records:
-        for mem_op in record.mem_ops:
-            if mem_op.is_store:
-                for i in range(mem_op.size):
-                    address = (mem_op.address + i) & MASK32
-                    expected_bytes[address] = (mem_op.data >> (8 * i)) & 0xFF
 
     proto_frames = _construct_frames(injected, config.constructor_config())
     report.frames_constructed = len(proto_frames)
@@ -260,12 +270,9 @@ def run_differential(
             proto_frames,
             remaps,
             injected,
-            initial_regs,
-            initial_flags,
             image,
-            final_regs,
-            final_flags,
-            expected_bytes,
+            before,
+            expected,
             report,
             metrics,
         )
@@ -281,12 +288,9 @@ def _run_variant(
     proto_frames: list[Frame],
     remaps: list[OptimizationBuffer | Exception],
     injected: InjectedTrace,
-    initial_regs: tuple[int, ...],
-    initial_flags: int,
     image: dict[int, int],
-    final_regs: tuple[int, ...],
-    final_flags: int,
-    expected_bytes: dict[int, int],
+    before: list[tuple[tuple[int, ...], int]],
+    expected: ArchState,
     report: ProgramReport,
     metrics,
 ) -> None:
@@ -310,15 +314,16 @@ def _run_variant(
             continue
         frames.append(frame)
 
-    by_pc: dict[int, list[Frame]] = {}
+    # Each frame with its kept unsafe stores, collected once.
+    by_pc: dict[int, list[tuple[Frame, tuple]]] = {}
     for frame in frames:
-        by_pc.setdefault(frame.start_pc, []).append(frame)
+        unsafe_stores = tuple(
+            u for u in frame.buffer.uops if u.valid and u.is_store and u.unsafe
+        )
+        by_pc.setdefault(frame.start_pc, []).append((frame, unsafe_stores))
 
     verifier = StateVerifier()
-    tracker = ArchTracker(
-        {Reg(i): initial_regs[i] for i in range(8)}, flags=initial_flags
-    )
-    machine = FrameMachine(initial_regs, initial_flags, image)
+    machine = ArchState(image=image)
     verified_paths: set[tuple] = set()
     committed = 0
 
@@ -327,16 +332,17 @@ def _run_variant(
     while index < total:
         record = injected[index].record
         dispatched = None
-        for frame in by_pc.get(record.pc, ()):
+        for frame, unsafe_stores in by_pc.get(record.pc, ()):
             if not _path_matches(frame, injected, index):
                 continue
-            if unsafe_store_conflict(frame, injected, index):
+            if unsafe_stores and unsafe_store_conflict(
+                frame, injected, index, unsafe_stores
+            ):
                 report.unsafe_skips += 1
                 continue
             dispatched = frame
             break
         if dispatched is None:
-            tracker.apply(record)
             machine.apply_record(record)
             index += 1
             continue
@@ -359,7 +365,9 @@ def _run_variant(
         if exit_matches and frame.path_key not in verified_paths:
             verified_paths.add(frame.path_key)
             try:
-                verifier.verify_frame_instance(frame, region, tracker)
+                verifier.verify_frame_instance(
+                    frame, region, ArchState(*before[index])
+                )
                 report.instances_verified += 1
             except VerificationError as exc:
                 report.divergences.append(
@@ -371,7 +379,7 @@ def _run_variant(
                         instance_index=index,
                     )
                 )
-        # Replay leg: execute the frame against the machine's live state.
+        # Replay leg: execute the frame against the replayed live state.
         try:
             outcome = execute_frame(
                 frame.buffer,
@@ -419,16 +427,15 @@ def _run_variant(
             machine.apply_outcome(outcome)
             report.instances_committed += 1
             committed += 1
-        for rec in region:
-            tracker.apply(rec)
         index += frame.x86_count
 
     if metrics is not None:
         metrics.counter(f"fuzz.variant.{variant}.instances").inc(committed)
 
     # Final architectural state: registers, flags, and every stored byte.
+    expected_bytes = expected.overlay
     for i in range(8):
-        if machine.regs[i] != final_regs[i]:
+        if machine.regs[i] != expected.regs[i]:
             report.divergences.append(
                 Divergence(
                     kind="final-state",
@@ -436,18 +443,18 @@ def _run_variant(
                     detail=(
                         f"register {Reg(i).name} mismatch: "
                         f"machine={machine.regs[i]:#x} "
-                        f"emulator={final_regs[i]:#x}"
+                        f"emulator={expected.regs[i]:#x}"
                     ),
                 )
             )
-    if machine.flags != final_flags:
+    if machine.flags != expected.flags:
         report.divergences.append(
             Divergence(
                 kind="final-state",
                 variant=variant,
                 detail=(
                     f"flags mismatch: machine={machine.flags:#x} "
-                    f"emulator={final_flags:#x}"
+                    f"emulator={expected.flags:#x}"
                 ),
             )
         )

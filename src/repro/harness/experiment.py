@@ -158,13 +158,11 @@ def run_experiment(
             result.frames_verified = verifier.instances_checked
     elif isinstance(sequencer, ICacheSequencer):
         result.sequencer_stats = sequencer.stats
-    _publish_metrics(registry, config, sequencer, sim, result)
+    _publish_metrics(registry, sequencer, sim, result)
     return result
 
 
-def _publish_metrics(
-    registry: MetricsRegistry, config, sequencer, sim, result
-) -> None:
+def _publish_metrics(registry: MetricsRegistry, sequencer, sim, result) -> None:
     """Fold one simulation's component counters into the registry.
 
     Components keep plain-int counters on their hot paths; this single
@@ -213,10 +211,3 @@ def _publish_metrics(
             totals.loads_removed_speculatively
         )
         counter("optimizer.stores_marked_unsafe").inc(totals.stores_marked_unsafe)
-    registry.event(
-        "experiment",
-        workload=result.workload,
-        config=config.name,
-        cycles=sim.cycles,
-        ipc_x86=round(sim.ipc_x86, 4),
-    )

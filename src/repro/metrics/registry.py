@@ -4,9 +4,8 @@ The paper's methodology is measurement-first — per-pass uop removal and
 the seven-bin cycle accounting drive every figure — and the same
 discipline applies to the simulator itself.  This module is the single
 place run-time measurements accumulate: named counters (monotonic),
-gauges (last value), histograms (count/sum/min/max), a scoped
-:func:`MetricsRegistry.timer` context manager, and an optional
-ring-buffer event trace for debugging.
+gauges (last value), histograms (count/sum/min/max) and a scoped
+:func:`MetricsRegistry.timer` context manager.
 
 Design constraints:
 
@@ -24,11 +23,10 @@ Design constraints:
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextlib import contextmanager
 
 #: Bump when the snapshot layout changes (consumed by the run ledger).
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class Counter:
@@ -83,13 +81,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metric instruments plus an optional bounded event trace."""
+    """Named metric instruments."""
 
-    def __init__(self, event_capacity: int = 256) -> None:
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self.events: deque[tuple[float, str, dict]] = deque(maxlen=event_capacity)
 
     # -------------------------------------------------------- instruments
 
@@ -120,10 +117,6 @@ class MetricsRegistry:
         finally:
             self.histogram(name).observe(time.perf_counter() - start)
 
-    def event(self, name: str, **fields) -> None:
-        """Append one event to the ring buffer (oldest entries fall off)."""
-        self.events.append((time.time(), name, fields))
-
     # ------------------------------------------------------- merge/export
 
     def snapshot(self) -> dict:
@@ -137,14 +130,13 @@ class MetricsRegistry:
                 for n, h in self._histograms.items()
                 if h.count
             },
-            "events": [list(e) for e in self.events],
         }
 
     def merge(self, snapshot: dict | "MetricsRegistry") -> None:
         """Fold a snapshot (or another registry) into this one.
 
         Counters add; gauges take the incoming value; histograms combine
-        count/sum/min/max; events append (bounded by the ring buffer).
+        count/sum/min/max.
         Merging is associative and, for counters, commutative — the
         property the cross-worker aggregation tests pin down.
         """
@@ -162,8 +154,6 @@ class MetricsRegistry:
                 histogram.min = data["min"]
             if data["max"] > histogram.max:
                 histogram.max = data["max"]
-        for entry in snapshot.get("events", []):
-            self.events.append(tuple(entry))
 
     def counters(self) -> dict[str, int | float]:
         return {name: c.value for name, c in self._counters.items()}
@@ -172,7 +162,6 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-        self.events.clear()
 
 
 #: The process-global registry: what a bare ``get_registry()`` returns and

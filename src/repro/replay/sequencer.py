@@ -23,7 +23,7 @@ from repro.optimizer.pipeline import FrameOptimizer
 from repro.timing.config import ProcessorConfig
 from repro.timing.pipeline import BranchEvent, FetchBlock
 from repro.timing.schedule import FrameSchedule, ScheduleBuilder
-from repro.verify.state import ArchTracker
+from repro.verify.state import ArchState
 from repro.verify.verifier import StateVerifier
 
 
@@ -80,7 +80,7 @@ def unsafe_store_conflict(
     frame: Frame,
     injected: list[InjectedInstruction],
     base_index: int,
-    unsafe_stores: Sequence | None = None,
+    unsafe_stores: Sequence,
 ) -> bool:
     """Unsafe-store alias check (paper §3.4).
 
@@ -96,16 +96,10 @@ def unsafe_store_conflict(
     Shared by :class:`RePLaySequencer` dispatch and the differential
     fuzz oracle (:mod:`repro.fuzz.oracle`), so both judge an instance's
     commit eligibility identically.  ``unsafe_stores`` is the frame's
-    kept unsafe stores in frame order (``FrameSchedule.unsafe_stores``);
-    when omitted they are collected from the buffer.
+    kept unsafe stores in frame order (``FrameSchedule.unsafe_stores``
+    here, collected once per frame in the oracle).
     """
     buffer = frame.buffer
-    if buffer is None:
-        return False
-    if unsafe_stores is None:
-        unsafe_stores = [
-            u for u in buffer.uops if u.valid and u.is_store and u.unsafe
-        ]
     for store in unsafe_stores:
         address = dynamic_address(injected, base_index, store)
         if address is None:
@@ -176,7 +170,8 @@ class RePLaySequencer(ICacheSequencer):
             self.frame_cache, optimizer, cycles_per_uop=cycles_per_uop, depth=depth
         )
         self.verifier = verifier
-        self.tracker = ArchTracker() if verifier is not None else None
+        #: the true architectural state at ``index``, kept to verify frames.
+        self.state = ArchState() if verifier is not None else None
         #: After a fire, the aborted frame's original instructions execute
         #: from the ICache (paper §3.4); no frame dispatch until this index.
         self._icache_until = 0
@@ -301,7 +296,7 @@ class RePLaySequencer(ICacheSequencer):
             records = [
                 self.injected[base + k].record for k in range(frame.x86_count)
             ]
-            self.verifier.verify_frame_instance(frame, records, self.tracker)
+            self.verifier.verify_frame_instance(frame, records, self.state)
             self._verified_paths.add(frame.path_key)
         stats = self.stats
         stats.frame_dispatches += 1
@@ -347,13 +342,13 @@ class RePLaySequencer(ICacheSequencer):
     # --------------------------------------------------------- retirement
 
     def _retire_region(self, count: int, cycle: int) -> None:
-        """Retire ``count`` instructions: feed them to the tracker and
+        """Retire ``count`` instructions: advance the verified state and
         submit a fresh frame for each region the constructor closes."""
         injected = self.injected
         stop = self.index + count
-        if self.tracker is not None:
+        if self.state is not None:
             for index in range(self.index, stop):
-                self.tracker.apply(injected[index].record)
+                self.state.apply_record(injected[index].record)
         regions = self._regions
         k = self._next_region
         while k < len(regions) and regions[k][0] < stop:

@@ -5,18 +5,13 @@ from repro.verify.frame_exec import (
     FrameOutcome,
     execute_frame,
 )
-from repro.verify.state import ArchTracker, MemoryMaps
-from repro.verify.verifier import (
-    FrameVerificationReport,
-    StateVerifier,
-    VerificationError,
-)
+from repro.verify.state import ArchState, MemoryMaps
+from repro.verify.verifier import StateVerifier, VerificationError
 
 __all__ = [
-    "ArchTracker",
+    "ArchState",
     "FrameExecutionError",
     "FrameOutcome",
-    "FrameVerificationReport",
     "MemoryMaps",
     "StateVerifier",
     "VerificationError",

@@ -1,63 +1,52 @@
-"""Architectural-state tracking along a trace (State Verifier substrate).
+"""Architectural state along a program run (State Verifier substrate).
 
-The verifier follows the trace's register/flag effects so that, at any
-frame boundary, the full architectural state is known (trace records only
-carry *changes*).  It also builds the paper's two memory maps for a frame
+:class:`ArchState` is the one model of the architectural state:
+registers, flags and memory.  Trace records advance it (trace records
+carry only *changes*, so the true state at a frame boundary is known
+only by walking the trace), and so do
+:func:`~repro.verify.frame_exec.execute_frame` outcomes.
+
+:class:`MemoryMaps` builds the paper's two memory maps for a frame
 instance: the initial map (first load of each live location) and the
 final map (last store to each location) — §5.1.3.
-
-:class:`FrameMachine` is the executable counterpart: full state,
-memory included, advanced by trace records or by
-:func:`~repro.verify.frame_exec.execute_frame` outcomes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.trace.record import TraceRecord
 from repro.uops.uop import ARCH_REGS, UReg
-from repro.x86.emulator import EXIT_ADDRESS
+from repro.x86.emulator import ENTRY_ESP, EXIT_ADDRESS
 from repro.x86.registers import MASK32, Reg, unpack_flags
 
-
-class ArchTracker:
-    """Running architectural register + flag state along a trace."""
-
-    def __init__(self, initial_regs: dict[Reg, int] | None = None, flags: int = 0):
-        self.regs: dict[int, int] = {int(r): 0 for r in Reg}
-        if initial_regs:
-            for reg, value in initial_regs.items():
-                self.regs[int(reg)] = value
-        self.flags = flags
-
-    def apply(self, record: TraceRecord) -> None:
-        for reg, value in record.reg_writes.items():
-            self.regs[int(reg)] = value
-        if record.flags_after is not None:
-            self.flags = record.flags_after
-
-    def live_in_regs(self) -> dict[UReg, int]:
-        """Snapshot in the uop register space (architectural regs only)."""
-        return {reg: self.regs[reg] for reg in ARCH_REGS}
-
-    def live_in_flags(self) -> tuple[bool, bool, bool, bool]:
-        return unpack_flags(self.flags)
+#: Registers at program entry: all 0 except ESP.
+ENTRY_REGS = tuple(ENTRY_ESP if reg == Reg.ESP else 0 for reg in Reg)
 
 
-class FrameMachine:
+def store_bytes(memory: dict[int, int], address: int, size: int, value: int) -> None:
+    """Write a little-endian ``size``-byte ``value`` into a byte map."""
+    for i in range(size):
+        memory[(address + i) & MASK32] = (value >> (8 * i)) & 0xFF
+
+
+class ArchState:
     """Architectural registers, flags and memory, advanced by raw trace
     records or by executed frame outcomes.
 
-    Memory is a byte overlay (every store so far) over the program's
-    initial image; see :func:`initial_image`.
+    The default is the emulator's entry state.  Memory is a byte overlay
+    (every store so far) over ``image``, the program's initial memory;
+    see :func:`initial_image`.
     """
 
-    def __init__(self, initial_regs: tuple[int, ...], initial_flags: int,
-                 initial_image: dict[int, int]) -> None:
-        self.regs = list(initial_regs)
-        self.flags = initial_flags
-        self._image = initial_image
+    __slots__ = ("regs", "flags", "image", "overlay")
+
+    def __init__(self, regs: Sequence[int] = ENTRY_REGS, flags: int = 0,
+                 image: dict[int, int] | None = None) -> None:
+        self.regs = list(regs)
+        self.flags = flags
+        self.image = {} if image is None else image
         self.overlay: dict[int, int] = {}
 
     def read_byte(self, address: int) -> int:
@@ -65,7 +54,7 @@ class FrameMachine:
         # so paper rule 1 cannot fire here; the verifier checks it.
         if address in self.overlay:
             return self.overlay[address]
-        return self._image.get(address, 0)
+        return self.image.get(address, 0)
 
     def live_in_regs(self) -> dict[UReg, int]:
         return dict(zip(ARCH_REGS, self.regs))
@@ -74,38 +63,32 @@ class FrameMachine:
         return unpack_flags(self.flags)
 
     def apply_record(self, record: TraceRecord) -> None:
+        regs = self.regs
         for reg, value in record.reg_writes.items():
-            self.regs[int(reg)] = value
+            regs[reg] = value
         if record.flags_after is not None:
             self.flags = record.flags_after
         for mem_op in record.mem_ops:
             if mem_op.is_store:
-                for i in range(mem_op.size):
-                    address = (mem_op.address + i) & MASK32
-                    self.overlay[address] = (mem_op.data >> (8 * i)) & 0xFF
+                store_bytes(self.overlay, mem_op.address, mem_op.size, mem_op.data)
 
     def apply_outcome(self, outcome) -> None:
+        regs = self.regs
         for reg, value in outcome.final_regs.items():
-            self.regs[int(reg)] = value
+            regs[reg] = value
         self.flags = outcome.final_flags
         for address, size, value in outcome.stores:
-            for i in range(size):
-                self.overlay[(address + i) & MASK32] = (value >> (8 * i)) & 0xFF
+            store_bytes(self.overlay, address, size, value)
 
 
-def initial_image(program, emulator) -> dict[int, int]:
-    """Byte image of memory at program start (data + pushed exit address).
-
-    ``emulator`` is a fresh :class:`~repro.x86.emulator.Emulator` for
-    ``program``: its ESP points at the pushed exit address.
-    """
+def initial_image(program) -> dict[int, int]:
+    """Byte image of memory at program entry: the program's data and
+    the exit address the emulator pushes at :data:`ENTRY_ESP`."""
     image: dict[int, int] = {}
     for address, blob in program.data.items():
         for i, byte in enumerate(blob):
             image[(address + i) & MASK32] = byte
-    esp = emulator.regs[Reg.ESP]
-    for i in range(4):
-        image[(esp + i) & MASK32] = (EXIT_ADDRESS >> (8 * i)) & 0xFF
+    store_bytes(image, ENTRY_ESP, 4, EXIT_ADDRESS)
     return image
 
 
@@ -119,17 +102,16 @@ class MemoryMaps:
     @classmethod
     def from_records(cls, records: list[TraceRecord]) -> "MemoryMaps":
         maps = cls()
-        written: set[int] = set()
+        final, initial = maps.final, maps.initial
         for record in records:
             for mem_op in record.mem_ops:
+                if mem_op.is_store:
+                    store_bytes(final, mem_op.address, mem_op.size, mem_op.data)
+                    continue
                 for i in range(mem_op.size):
-                    address = (mem_op.address + i) & 0xFFFFFFFF
-                    byte = (mem_op.data >> (8 * i)) & 0xFF
-                    if mem_op.is_store:
-                        written.add(address)
-                        maps.final[address] = byte
-                    elif address not in written and address not in maps.initial:
-                        maps.initial[address] = byte
+                    address = (mem_op.address + i) & MASK32
+                    if address not in final and address not in initial:
+                        initial[address] = (mem_op.data >> (8 * i)) & 0xFF
         return maps
 
     def read_initial(self, address: int) -> int | None:

@@ -1,66 +1,50 @@
 """The State Verifier (paper §5.1.3).
 
-Checks two things:
-
-1. **Decode-flow validity**: executing an instruction's uops against a
-   running uop-level state must reproduce the trace's recorded register
-   writes, flag updates, and store values.
-2. **Frame validity**: executing an optimized frame from the
-   architectural state at its boundary must satisfy the paper's three
-   rules — every load is covered by the initial memory map, the final
-   memory map matches, and the architectural register state (and flags)
-   match at the frame boundary.
+Executes an optimized frame from the architectural state at its
+boundary and checks the paper's three rules: every load is covered by
+the initial memory map, the final memory map matches, and the
+architectural register state (and flags) match at the frame boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.trace.record import TraceRecord
 from repro.uops.uop import ARCH_REGS
 from repro.verify.frame_exec import FrameExecutionError, execute_frame
-from repro.verify.state import ArchTracker, MemoryMaps
+from repro.verify.state import ArchState, MemoryMaps, store_bytes
 
 
 class VerificationError(Exception):
-    """An optimized frame (or decode flow) diverged from the trace."""
-
-
-@dataclass
-class FrameVerificationReport:
-    """Details of one frame-instance verification."""
-
-    checked_registers: int
-    checked_store_bytes: int
-    fired: bool
+    """An optimized frame diverged from the trace."""
 
 
 class StateVerifier:
     """Frame-boundary equivalence checker."""
 
     def __init__(self) -> None:
-        self.frames_verified = 0
         self.instances_checked = 0
 
     def verify_frame_instance(
         self,
         frame,
         records: list[TraceRecord],
-        tracker: ArchTracker,
-    ) -> FrameVerificationReport:
+        state: ArchState,
+    ) -> None:
         """Verify one dynamic instance of an optimized frame.
 
-        ``tracker`` must hold the architectural state *before* the first
-        record.  Raises :class:`VerificationError` on any mismatch.
+        ``state`` must hold the architectural registers and flags
+        *before* the first record; it is left unchanged.  Raises
+        :class:`VerificationError` on any mismatch.
         """
         if frame.buffer is None:
             raise VerificationError("frame has no optimization buffer")
         maps = MemoryMaps.from_records(records)
-        live_in = tracker.live_in_regs()
-        flags_in = tracker.live_in_flags()
         try:
             outcome = execute_frame(
-                frame.buffer, live_in, flags_in, maps.read_initial
+                frame.buffer,
+                state.live_in_regs(),
+                state.live_in_flags(),
+                maps.read_initial,
             )
         except FrameExecutionError as exc:
             raise VerificationError(f"frame execution failed: {exc}") from exc
@@ -71,11 +55,9 @@ class StateVerifier:
             )
 
         # Rule 3: architectural register state equal at the frame boundary.
-        expected = ArchTracker()
-        expected.regs = dict(tracker.regs)
-        expected.flags = tracker.flags
+        expected = ArchState(state.regs, state.flags)
         for record in records:
-            expected.apply(record)
+            expected.apply_record(record)
         for reg in ARCH_REGS:
             got = outcome.final_regs[reg]
             want = expected.regs[reg]
@@ -94,8 +76,7 @@ class StateVerifier:
         # affected by the frame.
         frame_bytes: dict[int, int] = {}
         for address, size, value in outcome.stores:
-            for i in range(size):
-                frame_bytes[(address + i) & 0xFFFFFFFF] = (value >> (8 * i)) & 0xFF
+            store_bytes(frame_bytes, address, size, value)
         if frame_bytes != maps.final:
             missing = {
                 a: b for a, b in maps.final.items() if frame_bytes.get(a) != b
@@ -106,8 +87,3 @@ class StateVerifier:
                 f"{dict(list(missing.items())[:4])}"
             )
         self.instances_checked += 1
-        return FrameVerificationReport(
-            checked_registers=8,
-            checked_store_bytes=len(frame_bytes),
-            fired=False,
-        )

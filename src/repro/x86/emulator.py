@@ -51,8 +51,11 @@ from repro.x86.registers import (
 #: to this address).
 EXIT_ADDRESS = 0xDEAD0000
 
-#: Default initial stack top (grows down).
+#: Initial stack top (grows down).
 DEFAULT_STACK_TOP = 0x00F0_0000
+
+#: ESP at program entry: it points at the pushed exit address.
+ENTRY_ESP = DEFAULT_STACK_TOP - 4
 
 _ESP = int(Reg.ESP)
 _SIGN = 0x8000_0000
@@ -81,7 +84,7 @@ class EmulationError(Exception):
 class Emulator:
     """Executes a program instruction-by-instruction, recording a trace."""
 
-    def __init__(self, program: Program, stack_top: int = DEFAULT_STACK_TOP) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
         self.memory = Memory()
         self.regs: list[int] = [0] * NUM_REGS
@@ -97,8 +100,8 @@ class Emulator:
         for address, blob in program.data.items():
             self.memory.write_bytes(address, blob)
         # Entering EXIT_ADDRESS via RET requires a pushed return address.
-        self.regs[Reg.ESP] = (stack_top - 4) & MASK32
-        self.memory.write(self.regs[Reg.ESP], EXIT_ADDRESS, 4)
+        self.regs[Reg.ESP] = ENTRY_ESP
+        self.memory.write(ENTRY_ESP, EXIT_ADDRESS, 4)
 
     # ------------------------------------------------------------ state
 

@@ -13,7 +13,7 @@ from repro.timing import FetchBlock
 from repro.timing.schedule import FrameSchedule, ScheduleBuilder
 from repro.uops.uop import Uop, UReg
 from repro.verify.frame_exec import execute_frame
-from repro.verify.state import FrameMachine, initial_image
+from repro.verify.state import ArchState, initial_image
 from repro.fuzz.campaign import derive_program_seed
 from repro.fuzz.generator import GeneratorConfig, generate_program, render_program
 from repro.fuzz.oracle import (
@@ -191,10 +191,7 @@ def assert_decode_flows_match(program, records) -> None:
     check, paper §5.1.3).  A flow reading a temporary that an earlier
     instruction defined fails to build its buffer.
     """
-    start = Emulator(program)
-    machine = FrameMachine(
-        start.reg_snapshot(), start.flags_word(), initial_image(program, start)
-    )
+    machine = ArchState(image=initial_image(program))
     buffers: dict[int, OptimizationBuffer] = {}  # one per static instruction
     for instr in MicroOpInjector().inject_trace(records):
         record = instr.record

@@ -51,21 +51,12 @@ def test_timer_observes_elapsed_seconds():
     assert data["min"] >= 0.0
 
 
-def test_event_ring_buffer_bounded():
-    reg = MetricsRegistry(event_capacity=4)
-    for index in range(10):
-        reg.event("tick", n=index)
-    events = reg.snapshot()["events"]
-    assert len(events) == 4
-    assert [fields["n"] for _, _, fields in events] == [6, 7, 8, 9]
-
-
 def test_snapshot_is_picklable_and_detached():
     reg = MetricsRegistry()
     reg.counter("c").inc(2)
-    reg.event("e", k="v")
     snap = pickle.loads(pickle.dumps(reg.snapshot()))
     assert snap["version"] == SNAPSHOT_VERSION
+    assert set(snap) == {"version", "counters", "gauges", "histograms"}
     assert snap["counters"]["c"] == 2
     reg.counter("c").inc()
     assert snap["counters"]["c"] == 2  # detached copy
@@ -101,13 +92,11 @@ def test_clear_resets_everything():
     reg.counter("c").inc()
     reg.gauge("g").set(1)
     reg.histogram("h").observe(1.0)
-    reg.event("e")
     reg.clear()
     snap = reg.snapshot()
     assert snap["counters"] == {}
     assert snap["gauges"] == {}
     assert snap["histograms"] == {}
-    assert snap["events"] == []
 
 
 def test_global_registry_singleton():

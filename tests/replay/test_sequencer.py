@@ -1,6 +1,7 @@
 """Sequencer: frame dispatch, firing, recovery, statistics."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -111,6 +112,37 @@ def test_fired_region_reexecutes_from_icache():
 def test_verifier_checks_frames():
     sequencer, _ = run_sequencer(biased_loop_asm(), verify=True)
     assert sequencer.verifier.instances_checked > 0
+
+
+def stack_reading_loop_asm(iterations=300):
+    """A loop at program entry whose frames read ESP before any write."""
+    asm = Assembler()
+    asm.data_words(0x500000, list(range(1, 65)))
+    asm.mov(Reg.ECX, Imm(iterations))
+    asm.xor(Reg.EDI, Reg.EDI)
+    asm.xor(Reg.EAX, Reg.EAX)
+    asm.label("loop")
+    asm.mov(Reg.EBX, mem(Reg.ESP))
+    asm.mov(Reg.EDX, mem(index=Reg.EDI, scale=4, disp=0x500000))
+    asm.add(Reg.EAX, Reg.EDX)
+    asm.add(Reg.EAX, Reg.EBX)
+    asm.mov(mem(disp=0x500100), Reg.EDX)
+    asm.inc(Reg.EDI)
+    asm.and_(Reg.EDI, Imm(63))
+    asm.dec(Reg.ECX)
+    asm.jcc(Cond.NZ, "loop")
+    asm.ret()
+    return asm
+
+
+def test_verifier_starts_from_the_entry_state():
+    """The verified state starts where the emulator does, with ESP at
+    the pushed exit address, so a frame that loads through the entry
+    ESP verifies."""
+    _, _, trace = run_program(stack_reading_loop_asm())
+    result = run_experiment(trace, replace(CONFIGS["RPO"], verify=True))
+    assert result.frames_verified > 0
+    assert result.sim.x86_retired == len(trace)
 
 
 def test_frame_commit_and_fire_counters():

@@ -7,7 +7,7 @@ from repro.optimizer import FrameOptimizer
 from repro.optimizer.optuop import DefRef, LiveIn
 from repro.replay import FrameConstructor
 from repro.uops import UopOp, UReg
-from repro.verify import ArchTracker, MemoryMaps, StateVerifier, VerificationError
+from repro.verify import ArchState, MemoryMaps, StateVerifier, VerificationError
 from repro.verify.frame_exec import execute_frame
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
 
@@ -20,14 +20,11 @@ def build_region(asm_builder, start_offset=0, count=None):
     region = injected[start_offset : start_offset + count]
     frame = FrameConstructor().build_frame(region, region[-1].record.next_pc)
     frame.build_buffer()
-    tracker = ArchTracker()
-    from repro.x86.emulator import DEFAULT_STACK_TOP
-
-    tracker.regs[int(Reg.ESP)] = DEFAULT_STACK_TOP - 4  # after exit push
+    state = ArchState()
     for instr in injected[:start_offset]:
-        tracker.apply(instr.record)
+        state.apply_record(instr.record)
     records = [i.record for i in region]
-    return frame, records, tracker
+    return frame, records, state
 
 
 def stack_program():
@@ -44,42 +41,41 @@ def stack_program():
 
 
 def test_unoptimized_frame_verifies():
-    frame, records, tracker = build_region(stack_program())
+    frame, records, state = build_region(stack_program())
     verifier = StateVerifier()
-    report = verifier.verify_frame_instance(frame, records, tracker)
-    assert not report.fired
+    verifier.verify_frame_instance(frame, records, state)
     assert verifier.instances_checked == 1
 
 
 def test_optimized_frame_verifies():
-    frame, records, tracker = build_region(stack_program())
+    frame, records, state = build_region(stack_program())
     FrameOptimizer().optimize(frame.buffer)
-    StateVerifier().verify_frame_instance(frame, records, tracker)
+    StateVerifier().verify_frame_instance(frame, records, state)
 
 
 def test_corrupted_frame_detected_register():
-    frame, records, tracker = build_region(stack_program())
+    frame, records, state = build_region(stack_program())
     FrameOptimizer().optimize(frame.buffer)
     # Sabotage: rebind a live-out register to the wrong producer.
     frame.buffer.live_out[UReg.EBX] = LiveIn(UReg.EDI)
     with pytest.raises(VerificationError, match="EBX"):
-        StateVerifier().verify_frame_instance(frame, records, tracker)
+        StateVerifier().verify_frame_instance(frame, records, state)
 
 
 def test_corrupted_frame_detected_store():
-    frame, records, tracker = build_region(stack_program())
+    frame, records, state = build_region(stack_program())
     FrameOptimizer().optimize(frame.buffer)
     store = next(u for u in frame.buffer.uops if u.valid and u.is_store)
     store.imm = (store.imm or 0) + 4  # store lands at the wrong address
     with pytest.raises(VerificationError, match="memory"):
-        StateVerifier().verify_frame_instance(frame, records, tracker)
+        StateVerifier().verify_frame_instance(frame, records, state)
 
 
 def test_memory_maps_first_load_and_final_store():
-    frame, records, tracker = build_region(stack_program())
+    frame, records, state = build_region(stack_program())
     maps = MemoryMaps.from_records(records)
     # The pushed word is written before ever being read: not in initial.
-    esp_after_push = tracker.regs[int(Reg.ESP)] - 4
+    esp_after_push = state.regs[int(Reg.ESP)] - 4
     assert esp_after_push not in maps.initial
     assert esp_after_push in maps.final
     # Data words are loaded from the initial image.
@@ -87,7 +83,7 @@ def test_memory_maps_first_load_and_final_store():
 
 
 def test_frame_exec_detects_uncovered_load():
-    frame, records, tracker = build_region(stack_program())
+    frame, records, state = build_region(stack_program())
     outcome_reader = MemoryMaps.from_records(records)
 
     def broken_reader(address):
@@ -98,8 +94,8 @@ def test_frame_exec_detects_uncovered_load():
     with pytest.raises(FrameExecutionError, match="initial memory map"):
         execute_frame(
             frame.buffer,
-            tracker.live_in_regs(),
-            tracker.live_in_flags(),
+            state.live_in_regs(),
+            state.live_in_flags(),
             broken_reader,
         )
 
@@ -113,15 +109,15 @@ def test_frame_exec_reports_firing_assertion():
     asm.label("skip")
     asm.mov(Reg.ECX, Imm(6))
     asm.ret()
-    frame, records, tracker = build_region(asm)
+    frame, records, state = build_region(asm)
     # Force the wrong live-in so the (not-taken) assertion fires.
-    tracker.regs[int(Reg.EAX)] = 0
+    state.regs[int(Reg.EAX)] = 0
     maps = MemoryMaps.from_records(records)
     # EAX is set inside the frame... use a frame slice starting after mov.
     outcome = execute_frame(
         frame.buffer,
-        tracker.live_in_regs(),
-        tracker.live_in_flags(),
+        state.live_in_regs(),
+        state.live_in_flags(),
         maps.read_initial,
     )
     assert not outcome.fired  # EAX is defined inside the frame: no fire
@@ -132,19 +128,16 @@ def test_flags_live_out_compared():
     asm.mov(Reg.EAX, Imm(5))
     asm.cmp(Reg.EAX, Imm(5))  # ZF=1 at the boundary
     asm.ret()
-    frame, records, tracker = build_region(asm, count=2)
+    frame, records, state = build_region(asm, count=2)
     FrameOptimizer().optimize(frame.buffer)
-    StateVerifier().verify_frame_instance(frame, records, tracker)
+    StateVerifier().verify_frame_instance(frame, records, state)
 
 
-def test_arch_tracker_follows_writes(loop_asm):
+def test_arch_state_follows_writes(loop_asm):
     program, emulator, trace = run_program(loop_asm)
-    tracker = ArchTracker()
-    from repro.x86.emulator import DEFAULT_STACK_TOP
-
-    tracker.regs[int(Reg.ESP)] = DEFAULT_STACK_TOP - 4
+    state = ArchState()
     for record in trace:
-        tracker.apply(record)
+        state.apply_record(record)
     for reg in Reg:
-        assert tracker.regs[int(reg)] == emulator.regs[reg]
-    assert tracker.flags == emulator.flags_word()
+        assert state.regs[reg] == emulator.regs[reg]
+    assert state.flags == emulator.flags_word()
