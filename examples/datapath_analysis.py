@@ -38,8 +38,8 @@ def main() -> None:
           f"{'dp cyc':>7s} {'budget':>7s}")
     seen: set[tuple] = set()
     shown = 0
-    for instr in injected:
-        frame = constructor.retire(instr)
+    for index in range(len(injected)):
+        frame = constructor.retire(injected, index)
         if frame is None or frame.raw_uop_count < 24:
             continue
         if frame.path_key in seen:

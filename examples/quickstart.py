@@ -16,7 +16,7 @@ Run with::
 
 from repro.x86 import Assembler, Cond, Emulator, Imm, Reg, mem
 from repro.trace import DynamicTrace, MicroOpInjector
-from repro.replay import FrameConstructor
+from repro.replay import Frame
 from repro.optimizer import FrameOptimizer
 from repro.harness import CONFIGS, run_experiment
 
@@ -62,12 +62,10 @@ def main() -> None:
           f"({injected.uops_per_x86:.2f} uops per x86 instruction)")
 
     # 4. Build one frame by hand (one loop iteration) and optimize it.
-    start = next(
-        i for i, instr in enumerate(injected)
-        if instr.record.pc == program.labels["loop"] and i > 20
-    )
-    region = injected[start : start + 12]
-    frame = FrameConstructor().build_frame(region, region[-1].record.next_pc)
+    start = injected.pcs.index(program.labels["loop"], 21)
+    stop = start + 12
+    end_next_pc = injected.records[stop - 1].next_pc
+    frame = Frame.from_region(injected, start, stop, end_next_pc)
     buffer = frame.build_buffer()
     print("\n--- frame before optimization ---")
     print(buffer.dump())

@@ -266,18 +266,26 @@ def compute_cell(
 # --------------------------------------------------------------- fan-out
 
 def _worker(
-    payload: tuple[MatrixTask, str | None]
-) -> tuple[ExperimentResult, TaskTelemetry, dict]:
-    """Pool-side task body: open the store, then compute one cell.
+    payload: tuple[list[MatrixTask], str | None]
+) -> list[tuple[ExperimentResult, TaskTelemetry, dict]]:
+    """Pool-side task body: open the store, then compute one trace's cells.
 
-    The payload is a picklable ``(task, store_root)`` pair; the result
-    is ``(result, telemetry, metrics snapshot)``.  The cell's cache
-    accounting travels back in its :class:`TaskTelemetry`, so it is the
-    same under any ``jobs``.
+    The payload is a picklable ``(tasks, store_root)`` pair; the result
+    is ``(result, telemetry, metrics snapshot)`` per task, in order.  A
+    cell's cache accounting travels back in its :class:`TaskTelemetry`,
+    so it is the same under any ``jobs``.  A failing cell's exception
+    names the cell in its ``matrix_task`` attribute.
     """
-    task, store_root = payload
+    tasks, store_root = payload
     store = ArtifactStore(store_root) if store_root is not None else None
-    return compute_cell(task, store)
+    outputs = []
+    for task in tasks:
+        try:
+            outputs.append(compute_cell(task, store))
+        except Exception as exc:
+            exc.matrix_task = task
+            raise
+    return outputs
 
 
 #: Exception types that mean "the pool itself is unusable" — the only
@@ -374,8 +382,10 @@ def run_matrix(
     """Run every task, serially or across a process pool.
 
     Results are returned in input order regardless of completion order.
-    ``jobs <= 1`` (or an environment where process pools are unavailable)
-    runs serially in-process.
+    The cells of one trace (workload, scale, seed) run in order in one
+    payload, so one worker emulates and injects each trace; ``jobs`` is
+    clamped to the number of traces.  ``jobs <= 1`` (or an environment
+    where process pools are unavailable) runs serially in-process.
 
     Error handling is two-tier: pool-infrastructure failures
     (:class:`BrokenProcessPool`, :class:`PicklingError`, :class:`OSError`
@@ -391,22 +401,28 @@ def run_matrix(
     registry = metrics if metrics is not None else get_registry()
     start = time.perf_counter()
     store_root = str(store.root) if store is not None else None
-    outputs, effective_jobs = run_tasks(
-        _worker,
-        [(task, store_root) for task in tasks],
-        jobs=jobs,
-        registry=registry,
-        wrap_error=lambda payload, exc: MatrixTaskError(
-            payload[0].workload, payload[0].config.name, exc
-        ),
+    groups: dict[tuple, list[int]] = {}
+    for index, task in enumerate(tasks):
+        groups.setdefault((task.workload, task.scale, task.seed), []).append(index)
+    payloads = [([tasks[i] for i in indices], store_root) for indices in groups.values()]
+
+    def wrap_error(payload, exc: BaseException) -> MatrixTaskError:
+        task = getattr(exc, "matrix_task", payload[0][0])
+        return MatrixTaskError(task.workload, task.config.name, exc)
+
+    grouped, effective_jobs = run_tasks(
+        _worker, payloads, jobs=jobs, registry=registry, wrap_error=wrap_error
     )
+    outputs: list = [None] * len(tasks)
+    for indices, group_outputs in zip(groups.values(), grouped):
+        for index, output in zip(indices, group_outputs):
+            outputs[index] = output
     results: list[ExperimentResult] = []
     telemetry: list[TaskTelemetry] = []
     for result, task_telemetry, snapshot in outputs:
         results.append(result)
         telemetry.append(task_telemetry)
-        if snapshot is not None:
-            registry.merge(snapshot)
+        registry.merge(snapshot)
     registry.counter("runner.cells").inc(len(tasks))
     registry.gauge("runner.effective_jobs").set(effective_jobs)
     return MatrixRun(

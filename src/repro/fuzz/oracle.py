@@ -176,7 +176,7 @@ def _construct_frames(
     frames: list[Frame] = []
     seen: set[tuple] = set()
     for _, start, stop, end_next_pc in closed_regions(injected, config):
-        frame = Frame.from_region(injected[start:stop], end_next_pc)
+        frame = Frame.from_region(injected, start, stop, end_next_pc)
         if frame.path_key not in seen:
             seen.add(frame.path_key)
             frames.append(frame)
@@ -327,10 +327,11 @@ def _run_variant(
     verified_paths: set[tuple] = set()
     committed = 0
 
+    records = injected.records
     index = 0
     total = len(injected)
     while index < total:
-        record = injected[index].record
+        record = records[index]
         dispatched = None
         for frame, unsafe_stores in by_pc.get(record.pc, ()):
             if not _path_matches(frame, injected, index):
@@ -348,16 +349,14 @@ def _run_variant(
             continue
 
         frame = dispatched
-        region = [
-            injected[index + k].record for k in range(frame.x86_count)
-        ]
+        region = records[index : index + frame.x86_count]
         # Where does the true trace go after this region?  The exit
         # branch is the one transfer path matching cannot check; an
         # instance that leaves the frame's path here is *expected* to
         # fire (recovery), so neither leg may call that a divergence.
         next_index = index + frame.x86_count
         actual_next_pc = (
-            injected[next_index].record.pc if next_index < total else None
+            injected.pcs[next_index] if next_index < total else None
         )
         exit_matches = actual_next_pc == frame.end_next_pc
         # Verifier leg: first committing instance of each path (deferred

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.x86 import Assembler, Cond, Emulator, Imm, Reg, mem
 from repro.trace import DynamicTrace, MicroOpInjector
-from repro.replay import FrameConstructor
 from repro.replay.frame import Frame
 from repro.optimizer import FrameOptimizer, OptimizerConfig
 
@@ -54,13 +53,11 @@ def build_figure2_frame() -> Frame:
     program = build_crafty_fragment()
     trace = DynamicTrace(Emulator(program).run())
     injected = MicroOpInjector().inject_trace(trace)
-    start = next(
-        i for i, instr in enumerate(injected)
-        if instr.record.pc == program.labels["func"]
+    start = injected.pcs.index(program.labels["func"])
+    stop = start + 11  # PUSH ... RET inclusive
+    return Frame.from_region(
+        injected, start, stop, injected.records[stop - 1].next_pc
     )
-    region = injected[start : start + 11]  # PUSH ... RET inclusive
-    constructor = FrameConstructor()
-    return constructor.build_frame(region, region[-1].record.next_pc)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 
-from repro.trace.injector import InjectedInstruction, InjectedTrace
+from repro.trace.injector import InjectedTrace
 from repro.replay.frame import Frame
 
 
@@ -85,39 +85,40 @@ class FrameConstructor:
     def __init__(self, config: ConstructorConfig | None = None) -> None:
         self.config = config or ConstructorConfig()
         self.bias = BranchBiasTable(self.config.promotion_threshold)
-        self._pending: list[InjectedInstruction] = []
+        self._start: int | None = None  # stream index of the pending region
         self._pending_uops = 0
-        self.frames_emitted = 0
         self.frames_discarded = 0
 
-    def retire(self, instr: InjectedInstruction) -> Frame | None:
-        """Feed one retired instruction; returns a frame when one completes."""
-        record = instr.record
+    def retire(self, injected: InjectedTrace, index: int) -> Frame | None:
+        """Feed the retired instruction ``injected[index]`` (in stream
+        order); returns a frame when one completes."""
+        record = injected.records[index]
+        uops = len(injected.flows[index].uops)
 
         # Would this instruction overflow the frame?  Close the current
         # region first (fall-through exit) and start fresh with it.
-        if self._pending_uops + len(instr.uops) > self.config.max_uops:
-            frame = self._finish(end_next_pc=record.pc)
-            self._append(instr)
-            if self._ends_region(instr):
-                leftover = self._finish(end_next_pc=record.next_pc)
+        if self._pending_uops + uops > self.config.max_uops:
+            frame = self._finish(injected, index, record.pc)
+            self._append(index, uops)
+            if self._ends_region(injected, record):
+                leftover = self._finish(injected, index + 1, record.next_pc)
                 return frame or leftover
             return frame
 
-        self._append(instr)
-        if self._ends_region(instr):
-            return self._finish(end_next_pc=record.next_pc)
+        self._append(index, uops)
+        if self._ends_region(injected, record):
+            return self._finish(injected, index + 1, record.next_pc)
         return None
 
     # ------------------------------------------------------------ helpers
 
-    def _append(self, instr: InjectedInstruction) -> None:
-        self._pending.append(instr)
-        self._pending_uops += len(instr.uops)
+    def _append(self, index: int, uops: int) -> None:
+        if self._start is None:
+            self._start = index
+        self._pending_uops += uops
 
-    def _ends_region(self, instr: InjectedInstruction) -> bool:
+    def _ends_region(self, injected: InjectedTrace, record) -> bool:
         """Does this instruction terminate the frame (unbiased control)?"""
-        record = instr.record
         instruction = record.instruction
         if not instruction.is_branch:
             return False
@@ -137,31 +138,21 @@ class FrameConstructor:
         # to loop iterations.
         return (
             self._pending_uops >= self.config.backedge_close_uops
-            and record.next_pc <= self._pending[0].record.pc
+            and record.next_pc <= injected.pcs[self._start]
         )
 
-    def _finish(self, end_next_pc: int) -> Frame | None:
-        """Close the pending region into a frame (None if too small)."""
-        pending = self._pending
-        self._pending = []
+    def _finish(self, injected: InjectedTrace, stop: int,
+                end_next_pc: int) -> Frame | None:
+        """Close the pending region, up to ``stop``, into a frame (None if
+        too small)."""
+        start = self._start
+        self._start = None
         pending_uops = self._pending_uops
         self._pending_uops = 0
-        if not pending or pending_uops < self.config.min_uops:
-            self.frames_discarded += bool(pending)
+        if start is None or pending_uops < self.config.min_uops:
+            self.frames_discarded += start is not None
             return None
-        self.frames_emitted += 1
-        return Frame.from_region(pending, end_next_pc)
-
-    def build_frame(
-        self, instructions: list[InjectedInstruction], end_next_pc: int
-    ) -> Frame:
-        """Directly frame-ify a region (bypasses bias promotion).
-
-        Used by examples, the verifier's unit tests, and the paper's
-        Figure 2 walkthrough, where the region is chosen by hand.  The
-        region is copied, so the caller may reuse its list.
-        """
-        return Frame.from_region(list(instructions), end_next_pc)
+        return Frame.from_region(injected, start, stop, end_next_pc)
 
 
 def closed_regions(
@@ -181,13 +172,10 @@ def closed_regions(
     if regions is None:
         constructor = FrameConstructor(config)
         regions = []
-        for index, instr in enumerate(injected):
-            frame = constructor.retire(instr)
+        for index in range(len(injected)):
+            frame = constructor.retire(injected, index)
             if frame is not None:
-                region = frame._region
-                # An overflowing instruction may close the region before
-                # itself (and start the next one).
-                stop = index + 1 if region[-1] is instr else index
-                regions.append((index, stop - len(region), stop, frame.end_next_pc))
+                _, start, stop = frame._region
+                regions.append((index, start, stop, frame.end_next_pc))
         injected.regions[key] = regions
     return regions

@@ -8,7 +8,7 @@ caches exist to beat).
 
 from __future__ import annotations
 
-from repro.trace.injector import InjectedInstruction
+from repro.trace.injector import InjectedTrace
 from repro.timing.config import ProcessorConfig
 from repro.timing.pipeline import BranchEvent, FetchBlock
 
@@ -47,15 +47,14 @@ def event_from_decode(decode, record, uop_base: int) -> BranchEvent | None:
     )
 
 
-def is_taken_transfer(instr: InjectedInstruction) -> bool:
+def is_taken_transfer(record) -> bool:
     """Did this instruction redirect fetch (taken branch / jump / call)?"""
-    record = instr.record
     fallthrough = record.pc + record.instruction.length
     return record.instruction.is_branch and record.next_pc != fallthrough
 
 
 def build_icache_block(
-    injected: list[InjectedInstruction],
+    injected: InjectedTrace,
     index: int,
     config: ProcessorConfig,
     builder,
@@ -71,32 +70,35 @@ def build_icache_block(
     the caller wants to fetch from elsewhere — e.g. a frame-cache hit.
     Returns the block and the number of x86 instructions consumed.
     """
+    records = injected.records
     uops: list = []
     addresses: list = []
     events: list[BranchEvent] = []
     sched: list = []
-    count = 0
-    first = injected[index].record
-    byte_start = first.pc
+    first = records[index]
     byte_end = first.pc
-    while count < config.x86_decode_width and index + count < len(injected):
-        instr = injected[index + count]
-        if count and len(uops) + len(instr.uops) > config.fetch_width:
-            break
-        if count and stop_probe is not None and stop_probe(instr.record.pc):
-            break
-        record = instr.record
-        decode = builder.instr_decode(instr)
+    stop = min(index + config.x86_decode_width, len(records))
+    position = index
+    while position < stop:
+        record = records[position]
+        flow_uops = injected.flows[position].uops
+        if position > index:
+            if len(uops) + len(flow_uops) > config.fetch_width:
+                break
+            if stop_probe is not None and stop_probe(record.pc):
+                break
+        decode = builder.instr_decode(record.instruction, flow_uops)
         event = event_from_decode(decode, record, len(uops))
         sched.extend(decode.sched)
         if event is not None:
             events.append(event)
-        uops.extend(instr.uops)
-        addresses.extend(instr.addresses)
+        uops.extend(flow_uops)
+        addresses.extend(injected.addresses[position])
         byte_end = max(byte_end, record.pc + record.instruction.length)
-        count += 1
-        if is_taken_transfer(instr):
+        position += 1
+        if is_taken_transfer(record):
             break
+    count = position - index
     return (
         FetchBlock(
             source="icache",
@@ -104,7 +106,7 @@ def build_icache_block(
             addresses=addresses,
             x86_count=count,
             pc=first.pc,
-            byte_start=byte_start,
+            byte_start=first.pc,
             byte_end=byte_end,
             branch_events=events,
             sched=sched,

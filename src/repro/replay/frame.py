@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.trace.injector import InjectedInstruction
+from repro.trace.injector import InjectedTrace
 from repro.uops.uop import Uop, UopOp
 from repro.x86.instructions import Cond
 from repro.optimizer.buffer import OptimizationBuffer
@@ -34,11 +34,12 @@ class Frame:
     """One atomic frame.
 
     A frame built from a retired region (:meth:`from_region`) holds only
-    its path and the region until its body is first read; the body is
-    then frame-ified and the region dropped.  The optimization queue
-    rejects most constructed frames on their path alone (already cached,
-    already in flight, pipeline full), so only the frames it keeps pay
-    for the per-uop copy.  A frame may also be given its body directly.
+    its path and the region (its stream and index range) until its body
+    is first read; the body is then frame-ified and the region dropped.
+    The optimization queue rejects most constructed frames on their path
+    alone (already cached, already in flight, pipeline full), so only
+    the frames it keeps pay for the per-uop copy.  A frame may also be
+    given its body directly.
     """
 
     def __init__(
@@ -50,7 +51,7 @@ class Frame:
         x86_indices: list[int] | None = None,
         mem_keys: list[tuple[int, int] | None] | None = None,
         block_starts: list[int] | None = None,
-        region: list[InjectedInstruction] | None = None,
+        region: tuple[InjectedTrace, int, int] | None = None,
     ) -> None:
         self.start_pc = start_pc
         self.x86_pcs = x86_pcs
@@ -83,17 +84,16 @@ class Frame:
 
     @classmethod
     def from_region(
-        cls, region: list[InjectedInstruction], end_next_pc: int
+        cls, injected: InjectedTrace, start: int, stop: int, end_next_pc: int
     ) -> Frame:
-        """A frame over a retired region, frame-ified on first read.
-
-        The region list is kept as given, so the caller must not reuse it.
-        """
+        """A frame over the retired region ``injected[start:stop]``,
+        frame-ified on first read."""
+        x86_pcs = injected.pcs[start:stop]
         return cls(
-            start_pc=region[0].record.pc,
-            x86_pcs=[instr.record.pc for instr in region],
+            start_pc=x86_pcs[0],
+            x86_pcs=x86_pcs,
             end_next_pc=end_next_pc,
-            region=region,
+            region=(injected, start, stop),
         )
 
     @property
@@ -101,7 +101,7 @@ class Frame:
         """The frame-ified uops, built from the region on first read."""
         body = self._body
         if body is None:
-            body = self._body = _frameify(self._region)
+            body = self._body = _frameify(*self._region)
             self._region = None
         return body
 
@@ -183,23 +183,27 @@ class Frame:
         return header + "\n" + "\n".join(str(u) for u in self.dyn_uops)
 
 
-def _frameify(region: list[InjectedInstruction]) -> FrameBody:
-    """Convert a region into frame form: mid-frame control becomes
-    assertions (paper §2); the final control transfer stays the exit."""
+def _frameify(injected: InjectedTrace, start: int, stop: int) -> FrameBody:
+    """Convert the region ``injected[start:stop]`` into frame form:
+    mid-frame control becomes assertions (paper §2); the final control
+    transfer stays the exit."""
     dyn_uops: list[Uop] = []
     x86_indices: list[int] = []
     mem_keys: list[tuple[int, int] | None] = []
     block_starts: list[int] = [0]
     raw_loads = 0
-    last_index = len(region) - 1
+    records = injected.records
+    last_index = stop - start - 1
 
-    for x86_index, instr in enumerate(region):
-        record = instr.record
-        if x86_index and region[x86_index - 1].record.instruction.is_branch:
+    for x86_index in range(stop - start):
+        position = start + x86_index
+        record = records[position]
+        if x86_index and records[position - 1].instruction.is_branch:
             block_starts.append(x86_index)
         is_exit_instr = x86_index == last_index
         mem_index = 0
-        for uop, address in zip(instr.uops, instr.addresses):
+        uops = injected.flows[position].uops
+        for uop, address in zip(uops, injected.addresses[position]):
             key: tuple[int, int] | None = None
             if uop.is_mem:
                 key = (x86_index, mem_index)

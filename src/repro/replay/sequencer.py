@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from repro.trace.injector import InjectedInstruction, InjectedTrace
+from repro.trace.injector import InjectedTrace
 from repro.replay.constructor import ConstructorConfig, closed_regions
 from repro.replay.fetch_groups import build_icache_block, event_from_decode
 from repro.replay.frame import Frame, degenerate_branch
@@ -58,9 +58,7 @@ class SequencerStats:
         ) / self.raw_loads_total
 
 
-def dynamic_address(
-    injected: list[InjectedInstruction], base_index: int, uop
-) -> int | None:
+def dynamic_address(injected: InjectedTrace, base_index: int, uop) -> int | None:
     """Current-instance address of a frame memory uop (via its mem key).
 
     ``base_index`` is the injected-stream index where the frame instance
@@ -70,7 +68,7 @@ def dynamic_address(
     if uop.mem_key is None:
         return uop.observed_address
     x86_index, mem_index = uop.mem_key
-    record = injected[base_index + x86_index].record
+    record = injected.records[base_index + x86_index]
     if mem_index >= len(record.mem_ops):
         return uop.observed_address
     return record.mem_ops[mem_index].address
@@ -78,7 +76,7 @@ def dynamic_address(
 
 def unsafe_store_conflict(
     frame: Frame,
-    injected: list[InjectedInstruction],
+    injected: InjectedTrace,
     base_index: int,
     unsafe_stores: Sequence,
 ) -> bool:
@@ -183,7 +181,7 @@ class RePLaySequencer(ICacheSequencer):
         if self.index >= len(self.injected):
             return None
         self.queue.drain(cycle)
-        pc = self.injected[self.index].record.pc
+        pc = self.injected.pcs[self.index]
         frame = template = None
         if self.index >= self._icache_until:
             frame = self.frame_cache.lookup(pc)
@@ -254,8 +252,9 @@ class RePLaySequencer(ICacheSequencer):
         if not per_instance:
             return events
         events = list(events)
+        records = self.injected.records
         for k, offset in per_instance:
-            record = self.injected[self.index + offset].record
+            record = records[self.index + offset]
             events[k] = replace(events[k], taken=bool(record.branch_taken))
         return events
 
@@ -267,15 +266,16 @@ class RePLaySequencer(ICacheSequencer):
         events: list[BranchEvent] = []
         per_instance: list[tuple[int, int]] = []
         builder = self.sched_builder
+        injected = self.injected
         for offset in range(frame.x86_count - 1):
-            instr = self.injected[self.index + offset]
-            record = instr.record
+            record = injected.records[self.index + offset]
             if record.instruction.is_branch:
-                decode = builder.instr_decode(instr)
+                uops = injected.flows[self.index + offset].uops
+                decode = builder.instr_decode(record.instruction, uops)
                 event = event_from_decode(decode, record, 0)
                 if event is not None:
                     if event.kind == "cond" and degenerate_branch(
-                        instr.uops[decode.event_offset], record
+                        uops[decode.event_offset], record
                     ):
                         per_instance.append((len(events), offset))
                     events.append(event)
@@ -293,9 +293,7 @@ class RePLaySequencer(ICacheSequencer):
             and frame.path_key not in self._verified_paths
         ):
             base = self.index
-            records = [
-                self.injected[base + k].record for k in range(frame.x86_count)
-            ]
+            records = self.injected.records[base : base + frame.x86_count]
             self.verifier.verify_frame_instance(frame, records, self.state)
             self._verified_paths.add(frame.path_key)
         stats = self.stats
@@ -347,13 +345,13 @@ class RePLaySequencer(ICacheSequencer):
         injected = self.injected
         stop = self.index + count
         if self.state is not None:
-            for index in range(self.index, stop):
-                self.state.apply_record(injected[index].record)
+            for record in injected.records[self.index : stop]:
+                self.state.apply_record(record)
         regions = self._regions
         k = self._next_region
         while k < len(regions) and regions[k][0] < stop:
             _, start, end, end_next_pc = regions[k]
-            frame = Frame.from_region(injected[start:end], end_next_pc)
+            frame = Frame.from_region(injected, start, end, end_next_pc)
             self.queue.submit(frame, cycle)
             k += 1
         self._next_region = k

@@ -221,29 +221,27 @@ class ScheduleBuilder:
 
     # ----------------------------------------------------- instructions
 
-    def instr_decode(self, instr) -> InstrDecode:
-        """Cached decode facts for one injected instruction."""
-        instruction = instr.record.instruction
+    def instr_decode(self, instruction, uops: tuple[Uop, ...]) -> InstrDecode:
+        """Cached decode facts for one static instruction and its decode flow."""
         key = id(instruction)
         hit = self._instr_cache.get(key)
         if hit is not None:
             return hit[1]
-        decode = self._build_instr_decode(instr)
+        decode = self._build_instr_decode(instruction, uops)
         self._instr_cache[key] = (instruction, decode)
         return decode
 
-    def _build_instr_decode(self, instr) -> InstrDecode:
+    def _build_instr_decode(self, instruction, uops: tuple[Uop, ...]) -> InstrDecode:
         from repro.x86.instructions import Mnemonic
 
-        sched = tuple(self.dyn_sched(uop) for uop in instr.uops)
+        sched = tuple(self.dyn_sched(uop) for uop in uops)
         control_offset = None
-        for i, uop in enumerate(instr.uops):
+        for i, uop in enumerate(uops):
             if uop.op in (UopOp.BR, UopOp.JMP, UopOp.JMPI):
                 control_offset = i
                 break
         kind: str | None = None
         if control_offset is not None:
-            instruction = instr.record.instruction
             mnemonic = instruction.mnemonic
             if mnemonic is Mnemonic.JCC:
                 kind = "cond"

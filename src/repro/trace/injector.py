@@ -6,10 +6,12 @@ memory addresses are carried beside the uops they belong to.  The result
 is the continuous micro-operation stream the Timing Model and rePLay
 Engine consume.
 
-A decode flow is static: every instance of an instruction shares the
-Translator's cached uop tuple, which is never mutated.  Only the
-per-uop address tuple is built per instance; branch directions and
-indirect targets are read from the record itself.
+A decode flow is static: every instance of an instruction shares one
+:class:`_Flow` holding the Translator's cached uop tuple, which is never
+mutated.  Only the per-uop address tuple is built per instance; branch
+directions and indirect targets are read from the record itself.  The
+stream is parallel arrays indexed by trace position, so it costs one
+list slot per array per record, not an object per record.
 """
 
 from __future__ import annotations
@@ -24,45 +26,6 @@ class InjectionError(Exception):
     """Raised when a record's memory transactions don't match its decode flow."""
 
 
-class InjectedInstruction:
-    """One x86 instruction instance: its record, shared static uops, and
-    the per-uop memory addresses (``None`` for non-memory uops)."""
-
-    __slots__ = ("record", "uops", "addresses")
-
-    def __init__(
-        self,
-        record: TraceRecord,
-        uops: tuple[Uop, ...],
-        addresses: tuple[int | None, ...],
-    ) -> None:
-        self.record = record
-        self.uops = uops
-        self.addresses = addresses
-
-
-class InjectedTrace(list):
-    """A trace's injected instructions and their totals, counted while injecting."""
-
-    x86_count = 0
-    uop_count = 0
-    load_count = 0
-
-    def __init__(self, instructions=()) -> None:
-        super().__init__(instructions)
-        #: the record PCs in stream order, for path matching.
-        self.pcs: list[int] = [instr.record.pc for instr in self]
-        #: the frame constructor's closed regions over this stream, per
-        #: config (``repro.replay.constructor.closed_regions``): computed
-        #: once and dropped with the stream.
-        self.regions: dict = {}
-
-    @property
-    def uops_per_x86(self) -> float:
-        """Observed expansion ratio (paper reports 1.4)."""
-        return self.uop_count / self.x86_count if self.x86_count else 0.0
-
-
 class _Flow:
     """Injection facts of one static instruction's decode flow."""
 
@@ -75,66 +38,101 @@ class _Flow:
         self.mem_kinds = tuple(uops[i].is_store for i in self.mem_slots)
         self.no_addresses: tuple[None, ...] = (None,) * len(uops)
 
+    def addresses(self, record: TraceRecord) -> tuple[int | None, ...]:
+        """The record's memory addresses placed at this flow's memory uops."""
+        mem_ops = record.mem_ops
+        if not mem_ops and not self.mem_slots:
+            return self.no_addresses
+        if tuple([op.is_store for op in mem_ops]) != self.mem_kinds:
+            _reject(record, self)
+        slots = list(self.no_addresses)
+        for slot, mem_op in zip(self.mem_slots, mem_ops):
+            slots[slot] = mem_op.address
+        return tuple(slots)
+
+
+class InjectedTrace:
+    """A trace's injected stream as parallel arrays, one entry per record.
+
+    ``records[i]`` is the trace's own record (the trace's list, not a
+    copy), ``flows[i]`` its instruction's shared decode flow,
+    ``addresses[i]`` this instance's per-uop memory addresses (``None``
+    for non-memory uops) and ``pcs[i]`` its PC, for path matching.  The
+    totals are counted while injecting.
+    """
+
+    def __init__(self, records: list[TraceRecord], flows: list[_Flow],
+                 addresses: list[tuple[int | None, ...]], uop_count: int,
+                 load_count: int) -> None:
+        self.records = records
+        self.flows = flows
+        self.addresses = addresses
+        self.pcs: list[int] = [record.pc for record in records]
+        self.x86_count = len(records)
+        self.uop_count = uop_count
+        self.load_count = load_count
+        #: the frame constructor's closed regions over this stream, per
+        #: config (``repro.replay.constructor.closed_regions``): computed
+        #: once and dropped with the stream.
+        self.regions: dict = {}
+
+    def __len__(self) -> int:
+        return self.x86_count
+
+    @property
+    def uops_per_x86(self) -> float:
+        """Observed expansion ratio (paper reports 1.4)."""
+        return self.uop_count / self.x86_count if self.x86_count else 0.0
+
 
 class MicroOpInjector:
     """Pairs trace records with their static decode flows."""
 
     def __init__(self) -> None:
         self.translator = Translator()
-        self.x86_count = 0
-        self.uop_count = 0
-        self.load_count = 0
         self._flows: dict[int, _Flow] = {}
 
-    def inject(self, record: TraceRecord) -> InjectedInstruction:
-        """Decode one record; carries its memory addresses beside the uops."""
-        instruction = record.instruction
+    def _flow(self, instruction) -> _Flow:
         flow = self._flows.get(instruction.address)
         if flow is None:
             flow = _Flow(self.translator.translate(instruction))
             self._flows[instruction.address] = flow
-        mem_ops = record.mem_ops
-        if not flow.mem_slots and not mem_ops:
-            addresses = flow.no_addresses
-        else:
-            if tuple(op.is_store for op in mem_ops) != flow.mem_kinds:
-                _reject(record, flow)
-            slots = list(flow.no_addresses)
-            for slot, mem_op in zip(flow.mem_slots, mem_ops):
-                slots[slot] = mem_op.address
-            addresses = tuple(slots)
-        self.x86_count += 1
-        self.uop_count += len(flow.uops)
-        self.load_count += flow.load_count
-        return InjectedInstruction(record, flow.uops, addresses)
+        return flow
 
-    def inject_trace(self, trace: DynamicTrace) -> InjectedTrace:
-        """Inject a whole trace; the result carries its own totals."""
-        x86, uops, loads = self.x86_count, self.uop_count, self.load_count
-        injected = InjectedTrace(map(self.inject, trace))
-        injected.x86_count = self.x86_count - x86
-        injected.uop_count = self.uop_count - uops
-        injected.load_count = self.load_count - loads
-        return injected
+    def inject(self, record: TraceRecord) -> tuple[_Flow, tuple[int | None, ...]]:
+        """Decode one record: its flow and this instance's per-uop addresses."""
+        flow = self._flow(record.instruction)
+        return flow, flow.addresses(record)
 
-
-#: ``(trace, stream)`` of the last trace :func:`inject_once` injected.
-#: Holding the trace keeps its ``id`` from being reused by another.
-_memo: tuple = ()
+    def inject_trace(self, trace: DynamicTrace | list[TraceRecord]) -> InjectedTrace:
+        """Inject a whole trace (or record list); the result carries its own totals."""
+        records = trace.records if isinstance(trace, DynamicTrace) else trace
+        known = self._flows
+        flows: list[_Flow] = []
+        addresses: list[tuple[int | None, ...]] = []
+        uops = loads = 0
+        for record in records:
+            flow = known.get(record.instruction.address)
+            if flow is None:
+                flow = self._flow(record.instruction)
+            flows.append(flow)
+            addresses.append(flow.addresses(record))
+            uops += len(flow.uops)
+            loads += flow.load_count
+        return InjectedTrace(records, flows, addresses, uops, loads)
 
 
 def inject_once(trace: DynamicTrace) -> InjectedTrace:
-    """Inject ``trace``, or return its stream if it was the last one.
+    """The trace's injected stream, built on first use and kept on the trace.
 
-    The figure matrices run a workload's cells back to back, so one entry
-    catches the reuse.  It is dropped before the next injection: at most
-    one stream is held, and a failed injection leaves none.
+    The stream lives exactly as long as its trace, so every cell run over
+    one trace object shares one injection however the cells are
+    ordered.  A failed injection caches nothing.
     """
-    global _memo
-    if not (_memo and _memo[0] is trace):
-        _memo = ()
-        _memo = (trace, MicroOpInjector().inject_trace(trace))
-    return _memo[1]
+    injected = trace.injected
+    if injected is None:
+        injected = trace.injected = MicroOpInjector().inject_trace(trace)
+    return injected
 
 
 def _reject(record: TraceRecord, flow: _Flow) -> None:

@@ -42,7 +42,7 @@ class MemOp(NamedTuple):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """Everything the trace knows about one retired x86 instruction."""
 

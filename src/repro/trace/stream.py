@@ -37,6 +37,8 @@ class DynamicTrace:
     def __init__(self, records: list[TraceRecord], name: str = "trace") -> None:
         self.records = records
         self.name = name
+        #: the ``InjectedTrace``, once ``inject_once`` has built it.
+        self.injected = None
 
     def __len__(self) -> int:
         return len(self.records)

@@ -9,23 +9,18 @@ assertion conversion or cross-block optimization is possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.trace.injector import InjectedInstruction
+from repro.trace.injector import InjectedTrace
 
 
 @dataclass
 class TraceLine:
-    """One trace-cache line."""
+    """One trace-cache line: the static path it holds."""
 
     start_pc: int
     x86_pcs: list[int]
-    instructions: list[InjectedInstruction] = field(repr=False, default_factory=list)
     uop_count: int = 0
-
-    @property
-    def x86_count(self) -> int:
-        return len(self.x86_pcs)
 
 
 @dataclass
@@ -45,47 +40,43 @@ class FillUnit:
 
     def __init__(self, config: FillUnitConfig | None = None) -> None:
         self.config = config or FillUnitConfig()
-        self._pending: list[InjectedInstruction] = []
+        self._pending: list[int] = []  # the pending line's PCs
         self._pending_uops = 0
         self._pending_branches = 0
-        self.lines_emitted = 0
 
-    def retire(self, instr: InjectedInstruction) -> TraceLine | None:
-        """Feed one retired instruction; returns a completed line or None."""
-        if self._pending_uops + len(instr.uops) > self.config.max_uops:
+    def retire(self, injected: InjectedTrace, index: int) -> TraceLine | None:
+        """Feed the retired instruction ``injected[index]``; returns a
+        completed line or None."""
+        instruction = injected.records[index].instruction
+        uops = len(injected.flows[index].uops)
+        if self._pending_uops + uops > self.config.max_uops:
             line = self._finish()
-            self._append(instr)
-            if self._terminates(instr):
+            self._append(injected.pcs[index], instruction, uops)
+            if self._terminates(instruction):
                 return line or self._finish()
             return line
-        self._append(instr)
-        if self._terminates(instr):
+        self._append(injected.pcs[index], instruction, uops)
+        if self._terminates(instruction):
             return self._finish()
         return None
 
-    def _append(self, instr: InjectedInstruction) -> None:
-        self._pending.append(instr)
-        self._pending_uops += len(instr.uops)
-        if instr.record.instruction.is_conditional:
+    def _append(self, pc: int, instruction, uops: int) -> None:
+        self._pending.append(pc)
+        self._pending_uops += uops
+        if instruction.is_conditional:
             self._pending_branches += 1
 
-    def _terminates(self, instr: InjectedInstruction) -> bool:
-        if instr.record.instruction.is_indirect:
+    def _terminates(self, instruction) -> bool:
+        if instruction.is_indirect:
             return True
         return self._pending_branches >= self.config.max_branches
 
     def _finish(self) -> TraceLine | None:
         pending = self._pending
         self._pending = []
+        uop_count = self._pending_uops
         self._pending_uops = 0
         self._pending_branches = 0
         if not pending:
             return None
-        line = TraceLine(
-            start_pc=pending[0].record.pc,
-            x86_pcs=[i.record.pc for i in pending],
-            instructions=pending,
-            uop_count=sum(len(i.uops) for i in pending),
-        )
-        self.lines_emitted += 1
-        return line
+        return TraceLine(start_pc=pending[0], x86_pcs=pending, uop_count=uop_count)

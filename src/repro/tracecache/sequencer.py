@@ -29,7 +29,7 @@ class TraceCacheSequencer(ICacheSequencer):
     def next_block(self, cycle: int) -> FetchBlock | None:
         if self.index >= len(self.injected):
             return None
-        pc = self.injected[self.index].record.pc
+        pc = self.injected.pcs[self.index]
         line = self.trace_cache.lookup(pc)
         if line is not None:
             matched = self._match_length(line)
@@ -61,15 +61,17 @@ class TraceCacheSequencer(ICacheSequencer):
         # Use the *current* instances so dynamic facts (addresses, branch
         # outcomes) are right for this execution; decode facts and
         # schedule tuples come from the per-instruction template cache.
-        instances = self.injected[self.index : self.index + matched]
-        for instr in instances:
-            decode = builder.instr_decode(instr)
-            event = event_from_decode(decode, instr.record, len(uops))
+        injected = self.injected
+        for position in range(self.index, self.index + matched):
+            record = injected.records[position]
+            flow_uops = injected.flows[position].uops
+            decode = builder.instr_decode(record.instruction, flow_uops)
+            event = event_from_decode(decode, record, len(uops))
             if event is not None:
                 events.append(event)
             sched.extend(decode.sched)
-            uops.extend(instr.uops)
-            addresses.extend(instr.addresses)
+            uops.extend(flow_uops)
+            addresses.extend(injected.addresses[position])
         self._retire_region(matched)
         return FetchBlock(
             source="tcache",
@@ -83,7 +85,7 @@ class TraceCacheSequencer(ICacheSequencer):
 
     def _retire_region(self, count: int) -> None:
         for _ in range(count):
-            line = self.fill_unit.retire(self.injected[self.index])
+            line = self.fill_unit.retire(self.injected, self.index)
             if line is not None:
                 self.trace_cache.insert(line)
             self.index += 1

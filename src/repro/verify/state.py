@@ -6,9 +6,10 @@ carry only *changes*, so the true state at a frame boundary is known
 only by walking the trace), and so do
 :func:`~repro.verify.frame_exec.execute_frame` outcomes.
 
-:class:`MemoryMaps` builds the paper's two memory maps for a frame
-instance: the initial map (first load of each live location) and the
-final map (last store to each location) — §5.1.3.
+:class:`MemoryMaps` builds the initial memory map of a frame instance
+(first load of each live location, paper §5.1.3).  The final map (last
+store to each location) is the overlay of an :class:`ArchState` walked
+over the instance's records.
 """
 
 from __future__ import annotations
@@ -94,24 +95,24 @@ def initial_image(program) -> dict[int, int]:
 
 @dataclass
 class MemoryMaps:
-    """Initial and final memory maps for one frame region (paper §5.1.3)."""
+    """The initial memory map of one frame region (paper §5.1.3)."""
 
     initial: dict[int, int] = field(default_factory=dict)  # byte addr -> byte
-    final: dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def from_records(cls, records: list[TraceRecord]) -> "MemoryMaps":
+        """First-loaded bytes not written earlier in the region."""
         maps = cls()
-        final, initial = maps.final, maps.initial
+        initial = maps.initial
+        written: set[int] = set()
         for record in records:
             for mem_op in record.mem_ops:
-                if mem_op.is_store:
-                    store_bytes(final, mem_op.address, mem_op.size, mem_op.data)
-                    continue
                 for i in range(mem_op.size):
                     address = (mem_op.address + i) & MASK32
-                    if address not in final and address not in initial:
-                        initial[address] = (mem_op.data >> (8 * i)) & 0xFF
+                    if mem_op.is_store:
+                        written.add(address)
+                    elif address not in written:
+                        initial.setdefault(address, (mem_op.data >> (8 * i)) & 0xFF)
         return maps
 
     def read_initial(self, address: int) -> int | None:

@@ -55,6 +55,7 @@ class StateVerifier:
             )
 
         # Rule 3: architectural register state equal at the frame boundary.
+        # The walk's overlay is the region's final memory map (rule 2).
         expected = ArchState(state.regs, state.flags)
         for record in records:
             expected.apply_record(record)
@@ -77,9 +78,11 @@ class StateVerifier:
         frame_bytes: dict[int, int] = {}
         for address, size, value in outcome.stores:
             store_bytes(frame_bytes, address, size, value)
-        if frame_bytes != maps.final:
+        if frame_bytes != expected.overlay:
             missing = {
-                a: b for a, b in maps.final.items() if frame_bytes.get(a) != b
+                a: b
+                for a, b in expected.overlay.items()
+                if frame_bytes.get(a) != b
             }
             raise VerificationError(
                 f"final memory map mismatch (frame @ {frame.start_pc:#x}): "

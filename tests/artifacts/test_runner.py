@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.artifacts import runner
 from repro.artifacts.runner import MatrixTask, MatrixTaskError, run_matrix
 from repro.artifacts.store import ArtifactStore
 from repro.harness import report
@@ -102,6 +103,18 @@ def test_matrix_ensure_deduplicates():
     pairs = [("power", CONFIGS["IC"])] * 3
     matrix.ensure(pairs)
     assert len(matrix.telemetry) == 1
+
+
+def test_parallel_cold_run_emulates_each_trace_once(monkeypatch):
+    """The cells of one trace go to one worker, so two pool workers never
+    emulate the same trace.  (A pool that falls back to serial also
+    emulates each once.)"""
+    monkeypatch.setattr(runner, "_TRACE_MEMO", {})  # inherited by the workers
+    run = run_matrix(TASKS, jobs=2)
+    assert sum(t.emulated for t in run.telemetry) == len(WORKLOADS) == 2
+    assert [(t.workload, t.config_name) for t in run.telemetry] == [
+        (task.workload, task.config.name) for task in TASKS
+    ]
 
 
 def test_jobs_clamped_to_task_count():

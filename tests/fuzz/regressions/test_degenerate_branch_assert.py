@@ -58,8 +58,7 @@ def test_degenerate_branch_direction_actually_flips():
     config = OracleConfig()
     injected, _ = _frames(MINIMIZED, config)
     outcomes = {}
-    for instr in injected:
-        record = instr.record
+    for record in injected.records:
         if record.instruction.is_conditional and record.branch_taken is not None:
             outcomes.setdefault(record.pc, set()).add(record.branch_taken)
     # At least one conditional site saw both directions.

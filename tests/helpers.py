@@ -6,7 +6,6 @@ import hashlib
 
 from repro.x86 import Assembler, Emulator
 from repro.trace import DynamicTrace, MicroOpInjector
-from repro.replay import FrameConstructor
 from repro.replay.frame import Frame
 from repro.optimizer import FrameOptimizer, OptimizationBuffer
 from repro.timing import FetchBlock
@@ -33,16 +32,22 @@ def run_program(asm: Assembler, max_instructions: int = 100_000):
 
 
 def inject(trace: DynamicTrace):
-    """Decode a trace into injected instructions."""
+    """Decode a trace into its injected stream."""
     return MicroOpInjector().inject_trace(trace)
 
 
-def frame_from_region(injected, start: int, count: int) -> Frame:
-    """Frame-ify a region of injected instructions and build its buffer."""
-    region = injected[start : start + count]
-    frame = FrameConstructor().build_frame(region, region[-1].record.next_pc)
-    frame.build_buffer()
-    return frame
+def region_frame(injected, start: int, count: int) -> Frame:
+    """A frame over ``count`` injected instructions from ``start``,
+    exiting where the last one went."""
+    stop = start + count
+    return Frame.from_region(injected, start, stop, injected.records[stop - 1].next_pc)
+
+
+
+def retire_all(constructor, injected) -> list:
+    """Retire a whole stream through ``constructor``; the frames it returns."""
+    frames = (constructor.retire(injected, i) for i in range(len(injected)))
+    return [frame for frame in frames if frame is not None]
 
 
 def line_block(uops, config, pc=0x1000, events=(), x86_count=None) -> FetchBlock:
@@ -193,12 +198,12 @@ def assert_decode_flows_match(program, records) -> None:
     """
     machine = ArchState(image=initial_image(program))
     buffers: dict[int, OptimizationBuffer] = {}  # one per static instruction
-    for instr in MicroOpInjector().inject_trace(records):
-        record = instr.record
+    injected = MicroOpInjector().inject_trace(records)
+    for record, flow in zip(injected.records, injected.flows):
         buffer = buffers.get(record.pc)
         if buffer is None:
-            n = len(instr.uops)
-            buffer = OptimizationBuffer(instr.uops, [0] * n, [None] * n)
+            n = len(flow.uops)
+            buffer = OptimizationBuffer(flow.uops, [0] * n, [None] * n)
             buffers[record.pc] = buffer
         outcome = execute_frame(
             buffer,

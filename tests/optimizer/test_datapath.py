@@ -56,8 +56,8 @@ def test_large_frame_fits_paper_latency_budget(matrix):
     injected = MicroOpInjector().inject_trace(trace)
     constructor = FrameConstructor(ConstructorConfig(promotion_threshold=2))
     checked = 0
-    for instr in injected:
-        frame = constructor.retire(instr)
+    for index in range(len(injected)):
+        frame = constructor.retire(injected, index)
         if frame is None or frame.raw_uop_count < 64:
             continue
         buffer, result = optimize_instrumented(frame)

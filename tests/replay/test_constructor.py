@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import inject, run_program
+from helpers import inject, retire_all, run_program
 from repro.replay import (
     BranchBiasTable,
     ConstructorConfig,
@@ -13,7 +13,8 @@ from repro.replay import (
 )
 from repro.replay.constructor import closed_regions
 from repro.timing import PipelineModel, default_config
-from repro.trace.injector import InjectedInstruction, inject_once
+from repro.trace import DynamicTrace
+from repro.trace.injector import inject_once
 from repro.workloads import all_workloads
 from repro.uops import UopOp
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
@@ -63,11 +64,7 @@ def loop_trace():
 
 def test_frames_emitted_once_branch_promoted():
     constructor = FrameConstructor(ConstructorConfig(promotion_threshold=8))
-    frames = []
-    for instr in loop_trace():
-        frame = constructor.retire(instr)
-        if frame is not None:
-            frames.append(frame)
+    frames = retire_all(constructor, loop_trace())
     assert frames, "biased loop must produce frames"
     # Later frames span multiple loop iterations (promoted backedge).
     assert any(f.x86_count > 4 for f in frames)
@@ -75,11 +72,7 @@ def test_frames_emitted_once_branch_promoted():
 
 def test_mid_frame_branch_becomes_assertion():
     constructor = FrameConstructor(ConstructorConfig(promotion_threshold=4))
-    frames = []
-    for instr in loop_trace():
-        frame = constructor.retire(instr)
-        if frame is not None:
-            frames.append(frame)
+    frames = retire_all(constructor, loop_trace())
     multi = next(
         f for f in frames
         if any(u.op is UopOp.ASSERT for u in f.dyn_uops)
@@ -93,10 +86,8 @@ def test_mid_frame_branch_becomes_assertion():
 def test_frame_respects_max_uops():
     config = ConstructorConfig(promotion_threshold=2, max_uops=32)
     constructor = FrameConstructor(config)
-    for instr in loop_trace():
-        frame = constructor.retire(instr)
-        if frame is not None:
-            assert frame.raw_uop_count <= 32
+    for frame in retire_all(constructor, loop_trace()):
+        assert frame.raw_uop_count <= 32
 
 
 def test_small_regions_discarded():
@@ -105,9 +96,7 @@ def test_small_regions_discarded():
     # With promotion impossible, every conditional branch ends a region;
     # the ~6-uop loop body falls below min_uops and is discarded (the
     # larger straight-line preamble may still form one frame).
-    frames = [
-        f for f in (constructor.retire(i) for i in loop_trace()) if f is not None
-    ]
+    frames = retire_all(constructor, loop_trace())
     assert len(frames) <= 1
     assert constructor.frames_discarded > 10
     assert all(
@@ -119,24 +108,19 @@ def test_frame_path_is_contiguous_trace_slice():
     constructor = FrameConstructor(ConstructorConfig(promotion_threshold=4))
     injected = loop_trace()
     position = {}
-    for index, instr in enumerate(injected):
-        frame = constructor.retire(instr)
+    for index in range(len(injected)):
+        frame = constructor.retire(injected, index)
         if frame is not None and frame.x86_count > 4:
             # Find where this frame's first pc occurred.
             start = index - frame.x86_count + 1
             for offset, pc in enumerate(frame.x86_pcs):
-                assert injected[start + offset].record.pc == pc
+                assert injected.pcs[start + offset] == pc
             break
 
 
 def test_backedge_close_aligns_frames():
     config = ConstructorConfig(promotion_threshold=2, backedge_close_uops=16)
-    constructor = FrameConstructor(config)
-    closed = []
-    for instr in loop_trace():
-        frame = constructor.retire(instr)
-        if frame is not None:
-            closed.append(frame)
+    closed = retire_all(FrameConstructor(config), loop_trace())
     # Once promoted and >= 16 uops, frames end at the loop backedge, so
     # end_next_pc equals the loop head (which is their own start).
     aligned = [f for f in closed if f.end_next_pc == f.start_pc]
@@ -146,11 +130,7 @@ def test_backedge_close_aligns_frames():
 def test_mid_frame_indirect_becomes_value_assert(loop_asm):
     constructor = FrameConstructor(ConstructorConfig(promotion_threshold=2))
     _, _, trace = run_program(loop_asm)
-    frames = []
-    for instr in inject(trace):
-        frame = constructor.retire(instr)
-        if frame is not None:
-            frames.append(frame)
+    frames = retire_all(constructor, inject(trace))
     spanning = [f for f in frames if any(
         u.op is UopOp.ASSERT_CMP for u in f.dyn_uops)]
     assert spanning, "promoted RET must become a value assertion"
@@ -166,13 +146,11 @@ def test_jcc_without_direction_fails_at_retire():
     # never frame-ified, and a JCC may end a region without becoming an
     # assertion at all.
     jcc = next(
-        i for i in loop_trace() if i.record.instruction.mnemonic is Mnemonic.JCC
+        r for r in loop_trace().records if r.instruction.mnemonic is Mnemonic.JCC
     )
-    undirected = InjectedInstruction(
-        replace(jcc.record, branch_taken=None), jcc.uops, jcc.addresses
-    )
+    undirected = inject(DynamicTrace([replace(jcc, branch_taken=None)]))
     with pytest.raises(AssertionError):
-        FrameConstructor().retire(undirected)
+        FrameConstructor().retire(undirected, 0)
 
 
 # ------------------------------------------------- shared region stream
@@ -195,17 +173,17 @@ def fresh_walk(injected, config):
     finish = constructor._finish
     closed = []
 
-    def recording_finish(end_next_pc):
-        frame = finish(end_next_pc)
+    def recording_finish(*args):
+        frame = finish(*args)
         closed.append(frame)
         return frame
 
     constructor._finish = recording_finish
     returned = []
     double_closes = 0
-    for instr in injected:
+    for index in range(len(injected)):
         closed.clear()
-        frame = constructor.retire(instr)
+        frame = constructor.retire(injected, index)
         if frame is not None:
             returned.append((frame.path_key, frame.end_next_pc))
         double_closes += sum(f is not None for f in closed) == 2

@@ -80,7 +80,7 @@ def test_not_taken_branch_does_not_break_group():
 
 def test_stop_probe_truncates():
     injected = straight_line_injected()
-    target = injected[2].record.pc
+    target = injected.pcs[2]
     block, count = icache_block(injected, 0, stop_probe=lambda pc: pc == target)
     assert count == 2
 
@@ -89,8 +89,10 @@ def test_branch_event_kinds(loop_asm):
     _, _, trace = run_program(loop_asm)
     builder = ScheduleBuilder(default_config())
     kinds = set()
-    for instr in inject(trace):
-        event = event_from_decode(builder.instr_decode(instr), instr.record, 0)
+    injected = inject(trace)
+    for record, flow in zip(injected.records, injected.flows):
+        decode = builder.instr_decode(record.instruction, flow.uops)
+        event = event_from_decode(decode, record, 0)
         if event is not None:
             kinds.add(event.kind)
     assert {"cond", "call", "ret"} <= kinds
@@ -99,18 +101,17 @@ def test_branch_event_kinds(loop_asm):
 def test_is_taken_transfer(loop_asm):
     _, _, trace = run_program(loop_asm)
     injected = inject(trace)
-    for instr in injected:
-        record = instr.record
+    for record in injected.records:
         expected = (
             record.instruction.is_branch
             and record.next_pc != record.pc + record.instruction.length
         )
-        assert is_taken_transfer(instr) == expected
+        assert is_taken_transfer(record) == expected
 
 
 def test_byte_extent_covers_group():
     injected = straight_line_injected()
     block, count = icache_block(injected, 0)
-    assert block.byte_start == injected[0].record.pc
-    last = injected[count - 1].record
+    assert block.byte_start == injected.pcs[0]
+    last = injected.records[count - 1]
     assert block.byte_end == last.pc + last.instruction.length

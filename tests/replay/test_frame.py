@@ -5,6 +5,7 @@ import pytest
 from repro.optimizer import FrameOptimizer
 from repro.replay import FrameConstructor, RePLaySequencer
 from repro.replay import frame as frame_module
+from repro.replay.frame import Frame
 from repro.timing.config import default_config
 from repro.timing.pipeline import PipelineModel
 from repro.trace.injector import MicroOpInjector
@@ -23,36 +24,37 @@ def frameify_calls(monkeypatch):
     calls = []
     real = frame_module._frameify
 
-    def counting(region):
-        calls.append(len(region))
-        return real(region)
+    def counting(injected, start, stop):
+        calls.append(stop - start)
+        return real(injected, start, stop)
 
     monkeypatch.setattr(frame_module, "_frameify", counting)
     return calls
 
 
 def emitted_frames(injected):
-    """Every frame ``retire`` emits, with the stream slice it covers."""
+    """Every frame ``retire`` emits, with the stream range it covers."""
     constructor = FrameConstructor()
     emitted = []
-    for index, instr in enumerate(injected):
-        frame = constructor.retire(instr)
+    for index in range(len(injected)):
+        frame = constructor.retire(injected, index)
         if frame is None:
             continue
         # An overflowing instruction closes the region before itself.
-        end = index if frame.end_next_pc == instr.record.pc else index + 1
-        emitted.append((frame, injected[end - frame.x86_count : end]))
+        end = index if frame.end_next_pc == injected.pcs[index] else index + 1
+        emitted.append((frame, (end - frame.x86_count, end)))
     return emitted
 
 
-def test_deferred_body_matches_build_frame(vortex):
+def test_deferred_body_matches_a_fresh_frame(vortex):
     emitted = emitted_frames(vortex)
     assert len(emitted) > 100
     # Bodies are read only after the whole stream has retired, so a
-    # region the constructor reused or mutated would show here.
-    for frame, region in emitted:
-        assert [i.record.pc for i in region] == frame.x86_pcs
-        expected = FrameConstructor().build_frame(region, frame.end_next_pc)
+    # region the constructor misplaced would show here.
+    for frame, (start, stop) in emitted:
+        assert vortex.pcs[start:stop] == frame.x86_pcs
+        expected = Frame.from_region(vortex, start, stop, frame.end_next_pc)
+        expected.body
         assert frame.path_key == expected.path_key
         for name in BODY:
             assert getattr(frame, name) == getattr(expected, name), name

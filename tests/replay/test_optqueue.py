@@ -1,6 +1,6 @@
 """Optimization queue: latency, depth, duplicates, accounting."""
 
-from helpers import inject, run_program
+from helpers import inject, region_frame, run_program
 from repro.optimizer import FrameOptimizer, OptimizerConfig
 from repro.replay import FrameCache, OptimizationQueue
 from repro.replay import frame as frame_module
@@ -84,35 +84,34 @@ def test_rejected_submissions_never_frameify(monkeypatch, loop_asm):
     calls = []
     real = frame_module._frameify
     monkeypatch.setattr(
-        frame_module, "_frameify", lambda region: calls.append(region) or real(region)
+        frame_module, "_frameify", lambda *region: calls.append(region) or real(*region)
     )
     _, _, trace = run_program(loop_asm)
     injected = inject(trace)
     starts = {}
-    for index, instr in enumerate(injected[:-4]):
-        starts.setdefault(instr.record.pc, index)
+    for index, pc in enumerate(injected.pcs[:-4]):
+        starts.setdefault(pc, index)
     first, second, third = list(starts.values())[:3]
 
-    def region_frame(start):
-        region = injected[start : start + 4]
-        return Frame.from_region(region, region[-1].record.next_pc)
+    def frame_at(start):
+        return region_frame(injected, start, 4)
 
     cache, queue = queue_with(FrameOptimizer(), depth=2)
-    assert queue.submit(region_frame(first), now=0)
-    assert not queue.submit(region_frame(first), now=0)  # in flight
-    assert queue.submit(region_frame(second), now=0)
-    assert not queue.submit(region_frame(third), now=0)  # pipeline full
+    assert queue.submit(frame_at(first), now=0)
+    assert not queue.submit(frame_at(first), now=0)  # in flight
+    assert queue.submit(frame_at(second), now=0)
+    assert not queue.submit(frame_at(third), now=0)  # pipeline full
     assert queue.totals.frames_dropped == 1
     queue.drain(now=10**6)
-    assert not queue.submit(region_frame(first), now=10**6)  # cached
-    assert cache.contains_path(region_frame(first).path_key)
+    assert not queue.submit(frame_at(first), now=10**6)  # cached
+    assert cache.contains_path(frame_at(first).path_key)
     assert len(calls) == queue.totals.frames_optimized == 2
 
 
 def test_totals_count_raw_loads_once_per_frame(loop_asm):
     _, _, trace = run_program(loop_asm)
     injected = inject(trace)
-    frame = Frame.from_region(injected[:20], injected[19].record.next_pc)
+    frame = region_frame(injected, 0, 20)
     cache, queue = queue_with(FrameOptimizer())
     queue.submit(frame, now=0)
     loads = sum(u.is_load for u in frame.dyn_uops)

@@ -67,7 +67,7 @@ def test_icache_sequencer_covers_whole_trace(loop_asm):
 
 def test_replay_sequencer_retires_everything():
     sequencer, result = run_sequencer(biased_loop_asm())
-    uops = [u for instr in sequencer.injected for u in instr.uops]
+    uops = [u for flow in sequencer.injected.flows for u in flow.uops]
     assert sequencer.stats.raw_uops_total == len(uops) > result.x86_retired
     assert sequencer.stats.raw_loads_total == sum(u.is_load for u in uops) > 0
     assert result.x86_retired == len(sequencer.injected)
@@ -231,11 +231,12 @@ def test_cached_train_events_match_each_instance(monkeypatch):
         events = train_events(sequencer, frame)
         fresh = []
         for offset in range(frame.x86_count - 1):
-            instr = sequencer.injected[sequencer.index + offset]
-            if instr.record.instruction.is_branch:
-                event = event_from_decode(
-                    sequencer.sched_builder.instr_decode(instr), instr.record, 0
-                )
+            position = sequencer.index + offset
+            record = sequencer.injected.records[position]
+            if record.instruction.is_branch:
+                uops = sequencer.injected.flows[position].uops
+                decode = sequencer.sched_builder.instr_decode(record.instruction, uops)
+                event = event_from_decode(decode, record, 0)
                 if event is not None:
                     fresh.append(event)
         assert events == fresh

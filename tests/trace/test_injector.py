@@ -1,11 +1,17 @@
 """Micro-Op Injector: shared static decode flows with per-instance addresses."""
 
+import gc
+import weakref
+
 import pytest
 
-from helpers import inject, run_program
+from helpers import inject, region_frame, run_program
+from repro.artifacts import runner
 from repro.harness import CONFIGS, experiment
+from repro.harness.figures import ResultMatrix, run_fig6, run_table3
 from repro.optimizer import FrameOptimizer
-from repro.replay import FrameConstructor, RePLaySequencer
+from repro.replay import RePLaySequencer
+from repro.replay.constructor import closed_regions
 from repro.replay.sequencer import ICacheSequencer
 from repro.timing.pipeline import PipelineModel
 from repro.trace import DynamicTrace, InjectionError, MicroOpInjector, MemOp, TraceRecord
@@ -13,7 +19,8 @@ from repro.trace import injector as injector_module
 from repro.trace.injector import InjectedTrace, inject_once
 from repro.tracecache import TraceCacheSequencer
 from repro.uops import UopOp
-from repro.workloads import build_workload
+from repro.uops.translate import Translator
+from repro.workloads import all_workloads, build_workload
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
 from repro.x86.instructions import Instruction, Mnemonic
 
@@ -21,10 +28,12 @@ from repro.x86.instructions import Instruction, Mnemonic
 def test_mem_addresses_attached_in_order(loop_asm):
     _, _, trace = run_program(loop_asm)
     injected = inject(trace)
-    for instr in injected:
-        assert len(instr.addresses) == len(instr.uops)
-        mem_ops = iter(instr.record.mem_ops)
-        for uop, address in zip(instr.uops, instr.addresses):
+    for record, flow, addresses in zip(
+        injected.records, injected.flows, injected.addresses
+    ):
+        assert len(addresses) == len(flow.uops)
+        mem_ops = iter(record.mem_ops)
+        for uop, address in zip(flow.uops, addresses):
             if uop.is_mem:
                 mem_op = next(mem_ops)
                 assert address == mem_op.address
@@ -33,31 +42,31 @@ def test_mem_addresses_attached_in_order(loop_asm):
                 assert address is None
         assert next(mem_ops, None) is None
     # ...and reach the frame constructor's per-instance copies.
-    region = injected[:12]
-    frame = FrameConstructor().build_frame(region, region[-1].record.next_pc)
+    frame = region_frame(injected, 0, 12)
     assert [u.mem_address for u in frame.dyn_uops if u.is_mem] == [
-        m.address for instr in region for m in instr.record.mem_ops
+        m.address for record in injected.records[:12] for m in record.mem_ops
     ]
 
 
 def _converted_controls(injected, count=12):
-    """(converted uop, its instruction) for every mid-frame control uop of the
-    frames built over each ``count``-instruction window of the stream."""
+    """(converted uop, its record, its flow's uops) for every mid-frame
+    control uop of the frames built over each ``count``-instruction window
+    of the stream."""
     for start in range(len(injected) - 1):
-        region = injected[start : start + count]
-        frame = FrameConstructor().build_frame(region, region[-1].record.next_pc)
+        stop = min(start + count, len(injected))
+        frame = region_frame(injected, start, stop - start)
         for uop, x86_index in zip(frame.dyn_uops, frame.x86_indices):
             if uop.is_assertion:
-                yield uop, region[x86_index]
+                position = start + x86_index
+                yield uop, injected.records[position], injected.flows[position].uops
 
 
 def test_branch_outcomes_attached(loop_asm):
     _, _, trace = run_program(loop_asm)
     directions = set()
-    for uop, instr in _converted_controls(inject(trace)):
-        record = instr.record
+    for uop, record, uops in _converted_controls(inject(trace)):
         if record.is_conditional_branch:
-            (branch,) = [u for u in instr.uops if u.op is UopOp.BR]
+            (branch,) = [u for u in uops if u.op is UopOp.BR]
             assert uop.op is UopOp.ASSERT and uop.target is None
             expected = branch.cond if record.branch_taken else branch.cond.inverse()
             assert uop.cond == expected
@@ -68,10 +77,10 @@ def test_branch_outcomes_attached(loop_asm):
 def test_indirect_targets_attached(loop_asm):
     _, _, trace = run_program(loop_asm)
     targets = set()
-    for uop, instr in _converted_controls(inject(trace)):
-        if instr.record.instruction.mnemonic is Mnemonic.RET:
+    for uop, record, _ in _converted_controls(inject(trace)):
+        if record.instruction.mnemonic is Mnemonic.RET:
             assert uop.op is UopOp.ASSERT_CMP
-            assert uop.imm == instr.record.next_pc
+            assert uop.imm == record.next_pc
             targets.add(uop.imm)
     assert targets
 
@@ -90,19 +99,25 @@ def test_instances_share_uops_keep_own_addresses(loop_asm):
         if records[0].loads
         and records[0].mem_ops[0].address != records[1].mem_ops[0].address
     )
-    first, second = injector.inject(loads[0]), injector.inject(loads[1])
-    assert first.uops is second.uops
-    assert first.addresses != second.addresses
-    assert [a for a in first.addresses if a is not None] == [
+    (first, first_addresses), (second, second_addresses) = (
+        injector.inject(loads[0]),
+        injector.inject(loads[1]),
+    )
+    assert first is second and first.uops is second.uops
+    assert first_addresses != second_addresses
+    assert [a for a in first_addresses if a is not None] == [
         m.address for m in loads[0].mem_ops
     ]
     assert all(u.mem_address is None for u in first.uops)
 
     plain = next(records for records in repeated if not records[0].mem_ops)
-    first, second = injector.inject(plain[0]), injector.inject(plain[1])
+    (first, first_addresses), (second, second_addresses) = (
+        injector.inject(plain[0]),
+        injector.inject(plain[1]),
+    )
     assert first.uops is second.uops
-    assert first.addresses is second.addresses
-    assert set(first.addresses) == {None}
+    assert first_addresses is second_addresses is first.no_addresses
+    assert set(first_addresses) == {None}
 
 
 def test_rpo_run_leaves_static_uops_unannotated(monkeypatch, matrix):
@@ -116,8 +131,9 @@ def test_rpo_run_leaves_static_uops_unannotated(monkeypatch, matrix):
             injectors.append(self)
 
     monkeypatch.setattr(injector_module, "MicroOpInjector", RecordingInjector)
-    monkeypatch.setattr(injector_module, "_memo", ())
-    result = experiment.run_experiment(matrix.trace("vortex"), CONFIGS["RPO"])
+    # A new trace over the shared records: its stream is not built yet.
+    trace = DynamicTrace(matrix.trace("vortex").records)
+    result = experiment.run_experiment(trace, CONFIGS["RPO"])
     assert result.sequencer_stats.frame_dispatches > 0
     (injector,) = injectors
     flows = list(injector.translator._cache.values())
@@ -161,10 +177,9 @@ def test_extra_mem_ops_rejected():
 
 def test_stats_counted(loop_asm):
     _, _, trace = run_program(loop_asm)
-    injector = MicroOpInjector()
-    injector.inject_trace(trace)
-    assert injector.x86_count == len(trace)
-    assert injector.uop_count > injector.x86_count
+    injected = MicroOpInjector().inject_trace(trace)
+    assert injected.x86_count == len(trace)
+    assert injected.uop_count > injected.x86_count
 
 
 def test_injected_trace_carries_its_totals(loop_asm):
@@ -174,21 +189,21 @@ def test_injected_trace_carries_its_totals(loop_asm):
     injector.inject(trace[0])
     injected = injector.inject_trace(trace)
     assert isinstance(injected, InjectedTrace) and len(injected) == len(trace)
-    uops = [u for instr in injected for u in instr.uops]
+    assert injected.records is trace.records
+    uops = [u for flow in injected.flows for u in flow.uops]
     assert injected.x86_count == len(trace)
     assert injected.uop_count == len(uops)
     assert injected.load_count == sum(u.is_load for u in uops) > 0
     assert injected.uops_per_x86 == len(uops) / len(trace)
-    assert InjectedTrace().uops_per_x86 == 0.0
+    assert injector.inject_trace([]).uops_per_x86 == 0.0
 
 
-# ------------------------------------------------------ injected-stream memo
+# ---------------------------------------------------- the trace's own stream
 
 
 @pytest.fixture
 def counted_injections(monkeypatch):
-    """Empty the memo and record every trace ``inject_trace`` is called on."""
-    monkeypatch.setattr(injector_module, "_memo", ())
+    """Record every trace ``inject_trace`` is called on."""
     traces = []
     inject_trace = MicroOpInjector.inject_trace
 
@@ -209,15 +224,60 @@ def test_run_experiment_injects_a_trace_once(counted_injections, loop_asm):
     assert first.uops_per_x86 == second.uops_per_x86 > 1.0
 
 
-def test_next_trace_evicts_the_last(counted_injections, loop_asm):
+def test_each_trace_keeps_its_own_stream(counted_injections, loop_asm):
     _, _, first = run_program(loop_asm)
     second = DynamicTrace(first.records, name="same records, other trace")
     injected = inject_once(first)
-    assert inject_once(first) is injected
-    assert inject_once(second) is not injected
-    assert len(injector_module._memo) == 2 and injector_module._memo[0] is second
-    inject_once(first)
-    assert counted_injections == [first, second, first]
+    assert first.injected is injected and inject_once(first) is injected
+    other = inject_once(second)
+    assert other is not injected and other.records is injected.records
+    assert inject_once(first) is injected and inject_once(second) is other
+    assert counted_injections == [first, second]
+
+
+def test_stream_is_freed_with_its_trace(loop_asm):
+    _, _, trace = run_program(loop_asm)
+    injected = inject_once(trace)
+    assert closed_regions(injected)  # memoized on the stream
+    stream = weakref.ref(injected)
+    del injected
+    gc.collect()
+    assert stream() is trace.injected
+    del trace
+    gc.collect()
+    assert stream() is None
+
+
+def test_table3_then_fig6_injects_each_trace_once(counted_injections, monkeypatch):
+    """Figure 6 reuses the streams Table 3 built, although every Table 3
+    cell runs before the first Figure 6 cell."""
+    monkeypatch.setattr(runner, "_TRACE_MEMO", {})
+    matrix = ResultMatrix()
+    workloads = ["vortex", "power"]
+    run_table3(matrix, workloads)
+    run_fig6(matrix, workloads)
+    assert len(matrix._results) == 8
+    assert sorted(trace.name for trace in counted_injections) == sorted(workloads)
+
+
+@pytest.mark.parametrize("workload", [w.name for w in all_workloads()])
+def test_stream_pairs_each_record_with_its_flow(matrix, workload):
+    trace = matrix.trace(workload)
+    injected = inject_once(trace)
+    assert injected.records is trace.records
+    assert injected.pcs == [record.pc for record in trace.records]
+    translator = Translator()
+    for record, flow, addresses in zip(
+        injected.records, injected.flows, injected.addresses
+    ):
+        uops = translator.translate(record.instruction)
+        assert flow.uops == uops
+        slots = [i for i, uop in enumerate(uops) if uop.is_mem]
+        assert len(slots) == len(record.mem_ops)
+        placed = [None] * len(uops)
+        for slot, mem_op in zip(slots, record.mem_ops):
+            placed[slot] = mem_op.address
+        assert list(addresses) == placed
 
 
 def _rejected_trace() -> DynamicTrace:
@@ -233,10 +293,10 @@ def test_failed_injection_memoizes_nothing(counted_injections, loop_asm):
     for _ in range(2):
         with pytest.raises(InjectionError):
             inject_once(bad)
-        assert injector_module._memo == ()
+        assert bad.injected is None
     with pytest.raises(InjectionError):
         experiment.run_experiment(bad, CONFIGS["IC"])
-    assert injector_module._memo == ()
+    assert bad.injected is None and good.injected is not None
     assert counted_injections == [good, bad, bad, bad]
 
 

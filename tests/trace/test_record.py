@@ -60,3 +60,12 @@ def test_memop_is_a_value():
     assert load.is_load and not MemOp(True, 0x100, 4, 7).is_load
     with pytest.raises(AttributeError):
         load.data = 8
+
+
+def test_record_is_slotted():
+    """A trace holds one record per retired instruction: no per-record dict."""
+    record = TraceRecord(pc=0, instruction=Instruction(Mnemonic.NOP), next_pc=1)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert pickle.loads(pickle.dumps(record)) == record

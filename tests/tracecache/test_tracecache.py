@@ -27,30 +27,39 @@ def loop_injected(iterations=100):
     return inject(trace)
 
 
+def fill_lines(fill, injected):
+    """Retire a whole stream through ``fill``; the lines it completes."""
+    lines = (fill.retire(injected, i) for i in range(len(injected)))
+    return [line for line in lines if line is not None]
+
+
+def static_instructions(injected):
+    return {record.pc: record.instruction for record in injected.records}
+
+
 def test_fill_unit_bounds_branches():
     config = FillUnitConfig(max_uops=64, max_branches=2)
-    fill = FillUnit(config)
-    lines = [l for l in (fill.retire(i) for i in loop_injected()) if l]
+    injected = loop_injected()
+    instruction_at = static_instructions(injected)
+    lines = fill_lines(FillUnit(config), injected)
     assert lines
     for line in lines:
-        branches = sum(
-            1 for i in line.instructions if i.record.instruction.is_conditional
-        )
+        branches = sum(instruction_at[pc].is_conditional for pc in line.x86_pcs)
         assert branches <= 2
 
 
 def test_fill_unit_bounds_uops():
     config = FillUnitConfig(max_uops=16, max_branches=8)
-    fill = FillUnit(config)
-    lines = [l for l in (fill.retire(i) for i in loop_injected()) if l]
+    lines = fill_lines(FillUnit(config), loop_injected())
     assert all(line.uop_count <= 16 for line in lines)
 
 
 def test_fill_unit_terminates_at_indirect(loop_asm):
     _, _, trace = run_program(loop_asm)
-    fill = FillUnit()
-    lines = [l for l in (fill.retire(i) for i in inject(trace)) if l]
-    rets = [l for l in lines if l.instructions[-1].record.instruction.is_indirect]
+    injected = inject(trace)
+    instruction_at = static_instructions(injected)
+    lines = fill_lines(FillUnit(), injected)
+    rets = [l for l in lines if instruction_at[l.x86_pcs[-1]].is_indirect]
     assert rets  # RETs close trace lines
 
 
@@ -58,8 +67,9 @@ def test_trace_cache_lru_capacity():
     cache = TraceCache(capacity_uops=20)
     fill = FillUnit(FillUnitConfig(max_uops=10))
     inserted = 0
-    for instr in loop_injected():
-        line = fill.retire(instr)
+    injected = loop_injected()
+    for index in range(len(injected)):
+        line = fill.retire(injected, index)
         if line is not None:
             cache.insert(line)
             inserted += 1
