@@ -90,29 +90,19 @@ def _workload_source_digest(name: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def trace_key_material(
-    name: str,
-    scale: int | None = None,
-    seed: int = 1,
-    max_instructions: int = MAX_INSTRUCTIONS,
-) -> dict:
+def trace_key_material(name: str, scale: int | None = None, seed: int = 1) -> dict:
     workload = get_workload(name)
     return {
         "workload": name,
         "source": _workload_source_digest(name),
         "scale": scale if scale is not None else workload.default_scale,
         "seed": seed,
-        "max_instructions": max_instructions,
+        "max_instructions": MAX_INSTRUCTIONS,
     }
 
 
-def trace_key(
-    name: str,
-    scale: int | None = None,
-    seed: int = 1,
-    max_instructions: int = MAX_INSTRUCTIONS,
-) -> str:
-    return content_key("trace", trace_key_material(name, scale, seed, max_instructions))
+def trace_key(name: str, scale: int | None = None, seed: int = 1) -> str:
+    return content_key("trace", trace_key_material(name, scale, seed))
 
 
 def result_key_material(
@@ -120,10 +110,9 @@ def result_key_material(
     config: ExperimentConfig,
     scale: int | None = None,
     seed: int = 1,
-    max_instructions: int = MAX_INSTRUCTIONS,
 ) -> dict:
     return {
-        "trace": trace_key_material(name, scale, seed, max_instructions),
+        "trace": trace_key_material(name, scale, seed),
         "config": config.fingerprint(),
     }
 
@@ -133,11 +122,8 @@ def result_key(
     config: ExperimentConfig,
     scale: int | None = None,
     seed: int = 1,
-    max_instructions: int = MAX_INSTRUCTIONS,
 ) -> str:
-    return content_key(
-        "result", result_key_material(name, config, scale, seed, max_instructions)
-    )
+    return content_key("result", result_key_material(name, config, scale, seed))
 
 
 # ------------------------------------------------------------------- tasks

@@ -46,7 +46,6 @@ from repro.fuzz.config_oracle import (
 from repro.fuzz.configgen import config_to_json, generate_config
 from repro.fuzz.generator import (
     FuzzProgram,
-    GeneratorConfig,
     generate_program,
     program_from_json,
     program_to_json,
@@ -75,7 +74,6 @@ def derive_config_seed(campaign_seed: int, index: int) -> int:
 def summarize_program(
     campaign_seed: int,
     index: int,
-    generator: GeneratorConfig,
     oracle: OracleConfig,
     metrics: MetricsRegistry | None,
 ) -> dict:
@@ -87,7 +85,7 @@ def summarize_program(
     hashing) so the caller can rebuild the replayable case.
     """
     program_seed = derive_program_seed(campaign_seed, index)
-    genome = generate_program(program_seed, generator)
+    genome = generate_program(program_seed)
     report = run_differential(genome, oracle, metrics=metrics)
     summary = {
         "index": index,
@@ -107,7 +105,6 @@ def summarize_program(
 def summarize_pair(
     campaign_seed: int,
     index: int,
-    generator: GeneratorConfig,
     oracle: ConfigOracleConfig,
     metrics: MetricsRegistry | None,
 ) -> dict:
@@ -115,7 +112,7 @@ def summarize_pair(
     pair; divergent pairs also carry their ``config`` JSON."""
     program_seed = derive_program_seed(campaign_seed, index)
     config_seed = derive_config_seed(campaign_seed, index)
-    genome = generate_program(program_seed, generator)
+    genome = generate_program(program_seed)
     processor = generate_config(config_seed)
     report = run_config_differential(genome, processor, oracle, metrics=metrics)
     summary = {
@@ -143,7 +140,7 @@ class Axis:
     # Names the campaign metrics <prefix>campaign_<unit>s and
     # <prefix><unit>s_per_sec.
     metric_prefix: str
-    summarize: Callable[..., dict]  # (campaign_seed, index, generator, oracle, metrics)
+    summarize: Callable[..., dict]  # (campaign_seed, index, oracle, metrics)
     fields: tuple[str, ...]  # summary fields summed into CampaignResult.totals
     divergence: type  # rebuilds the summary's divergences from JSON
     iterations: int  # default campaign size
@@ -196,7 +193,6 @@ class CampaignConfig:
     iterations: int | None = None
     jobs: int = 1
     chunk_size: int | None = None
-    generator: GeneratorConfig = GeneratorConfig()
     oracle: OracleConfig | ConfigOracleConfig = OracleConfig()
 
     def __post_init__(self) -> None:
@@ -261,7 +257,7 @@ def _chunk_worker(payload: dict):
     oracle = payload["oracle"]
     summarize = _AXES[type(oracle)].summarize
     summaries = [
-        summarize(payload["seed"], index, payload["generator"], oracle, registry)
+        summarize(payload["seed"], index, oracle, registry)
         for index in payload["indices"]
     ]
     return summaries, registry.snapshot()
@@ -282,7 +278,6 @@ def run_campaign(
         {
             "seed": config.seed,
             "indices": list(range(first, min(first + step, config.iterations))),
-            "generator": config.generator,
             "oracle": config.oracle,
         }
         for first in range(0, config.iterations, step)

@@ -26,7 +26,7 @@ import sys
 import time
 
 from repro.artifacts.store import ArtifactStore
-from repro.metrics import emit_run_ledger, get_registry, profiled
+from repro.metrics import emit_run_ledger, get_registry
 
 from repro.fuzz.campaign import (
     CONFIG_AXIS,
@@ -114,21 +114,15 @@ def fuzz_main(argv: list[str]) -> int:
             default=None,
             help="write a versioned JSON run ledger to FILE after the run",
         )
-        p.add_argument(
-            "--profile",
-            action="store_true",
-            help="wrap the run in cProfile and print hotspots to stderr",
-        )
 
     args = parser.parse_args(argv)
     store = ArtifactStore(args.cache_dir)
-    with profiled(enabled=args.profile):
-        if args.action == "repro":
-            status = _repro(args, store)
-        elif args.action == "corpus":
-            status = _corpus(args, store)
-        else:
-            status = _run(args, store)
+    if args.action == "repro":
+        status = _repro(args, store)
+    elif args.action == "corpus":
+        status = _corpus(args, store)
+    else:
+        status = _run(args, store)
     if args.emit_stats:
         emit_run_ledger(
             args.emit_stats, argv, [f"fuzz-{args.action}"], store=store

@@ -49,9 +49,9 @@ from repro.fuzz.configgen import config_delta
 from repro.fuzz.generator import FuzzProgram, render_program
 from repro.fuzz.oracle import OracleConfig
 
-#: Front ends every pair is simulated under.  TC is omitted from the
-#: default set: it shares the frame path's timing code (same A/B
-#: machinery) at roughly +35% oracle cost.
+#: Front ends every pair is simulated under.  TC is omitted: it shares
+#: the frame path's timing code (same A/B machinery) at roughly +35%
+#: oracle cost.
 FRONTENDS = ("IC", "RP", "RPO")
 
 
@@ -59,12 +59,8 @@ FRONTENDS = ("IC", "RP", "RPO")
 class ConfigOracleConfig:
     """Oracle tuning for the config axis."""
 
-    frontends: tuple[str, ...] = FRONTENDS
     check_widening: bool = True
     max_instructions: int = 50_000
-    #: constructor knobs reused from the program oracle so short fuzz
-    #: loops build and dispatch frames under the rePLay front ends.
-    program_oracle: OracleConfig = OracleConfig()
 
 
 @dataclass
@@ -149,9 +145,11 @@ def run_config_differential(
     report.trace_length = len(records)
     trace = DynamicTrace(records, name=f"fuzz-{genome.seed}")
 
-    constructor = config.program_oracle.constructor_config()
+    # The program oracle's constructor knobs, so short fuzz loops build
+    # and dispatch frames under the rePLay front ends.
+    constructor = OracleConfig().constructor_config()
     results: dict[str, SimResult] = {}
-    for name in config.frontends:
+    for name in FRONTENDS:
         experiment = replace(
             CONFIGS[name], processor=processor, constructor=constructor
         )

@@ -79,6 +79,10 @@ VARIANTS = (
 
 _ABLATIONS = ("asst", "cp", "cse", "nop", "ra", "sf")
 
+#: Emulation budget for one generated program (every generated program
+#: halts well inside it).
+MAX_INSTRUCTIONS = 50_000
+
 
 def variant_config(name: str) -> OptimizerConfig:
     """Optimizer configuration for a named pass subset."""
@@ -110,7 +114,6 @@ class OracleConfig:
     max_uops: int = 96
     backedge_close_uops: int = 48
     variants: tuple[str, ...] = VARIANTS
-    max_instructions: int = 50_000
 
     def constructor_config(self) -> ConstructorConfig:
         return ConstructorConfig(
@@ -233,7 +236,7 @@ def run_differential(
 
     program = render_program(genome)
     emulator = Emulator(program)
-    records = emulator.run(max_instructions=config.max_instructions)
+    records = emulator.run(max_instructions=MAX_INSTRUCTIONS)
     if not emulator.halted:
         # A genome the generator should never produce (shrinker edits
         # can): treat as unrunnable, not as a divergence.

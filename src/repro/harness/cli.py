@@ -7,7 +7,6 @@ Usage::
     python -m repro.harness all --scale 2
     python -m repro.harness fig6 --no-cache       # force recompute
     python -m repro.harness fig6 --emit-stats run.json   # write a run ledger
-    python -m repro.harness fig6 --profile        # cProfile hotspots to stderr
     python -m repro.harness stats run.json        # pretty-print a run ledger
     python -m repro.harness cache stats           # entries and bytes per kind
     python -m repro.harness cache clear           # delete every entry
@@ -34,7 +33,6 @@ from repro.metrics import (
     LedgerError,
     emit_run_ledger,
     format_ledger,
-    profiled,
     read_ledger,
 )
 
@@ -80,11 +78,6 @@ def _add_stats_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="write a versioned JSON run ledger to FILE after the run",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="wrap the run in cProfile and print hotspots to stderr",
-    )
 
 
 def cache_main(argv: list[str]) -> int:
@@ -99,12 +92,11 @@ def cache_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     store = ArtifactStore(args.cache_dir)
-    with profiled(enabled=args.profile):
-        if args.action == "stats":
-            _print_stats(store)
-        else:
-            removed = store.clear()
-            print(f"removed {removed} entries from {store.root}")
+    if args.action == "stats":
+        _print_stats(store)
+    else:
+        removed = store.clear()
+        print(f"removed {removed} entries from {store.root}")
     if args.emit_stats:
         emit_run_ledger(
             args.emit_stats, argv, [f"cache-{args.action}"], store=store
@@ -192,10 +184,9 @@ def main(argv: list[str] | None = None) -> int:
         scale=args.scale, seed=args.seed, store=store, jobs=args.jobs
     )
     names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    with profiled(enabled=args.profile):
-        for name in names:
-            print(_render(name, matrix))
-            print()
+    for name in names:
+        print(_render(name, matrix))
+        print()
     print(matrix.summary(), file=sys.stderr)
     if args.emit_stats:
         emit_run_ledger(args.emit_stats, argv, names, matrix)

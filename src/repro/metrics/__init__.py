@@ -1,13 +1,14 @@
 """Lightweight, zero-dependency observability for the reproduction.
 
-Three pieces:
+Two pieces:
 
 * :mod:`repro.metrics.registry` — process-local counters, gauges,
   histograms, scoped timers, and a ring-buffer event trace, with
   deterministic cross-process merging;
 * :mod:`repro.metrics.ledger` — the versioned JSON run ledger written
-  by ``--emit-stats`` and rendered by the ``stats`` CLI subcommand;
-* :mod:`repro.metrics.profile` — the ``--profile`` cProfile wrapper.
+  by ``--emit-stats`` and rendered by the ``stats`` CLI subcommand.
+
+Profile a run with the standard library's cProfile (DESIGN.md §9).
 """
 
 from repro.metrics.ledger import (
@@ -22,7 +23,6 @@ from repro.metrics.ledger import (
     validate_ledger,
     write_ledger,
 )
-from repro.metrics.profile import profiled
 from repro.metrics.registry import (
     Counter,
     Gauge,
@@ -43,7 +43,6 @@ __all__ = [
     "emit_run_ledger",
     "format_ledger",
     "get_registry",
-    "profiled",
     "read_ledger",
     "result_entry",
     "validate_ledger",

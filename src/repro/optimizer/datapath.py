@@ -22,7 +22,7 @@ on the operations that correspond to datapath primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.optimizer.buffer import OptimizationBuffer
 from repro.optimizer.optuop import DefRef, Operand

@@ -29,6 +29,9 @@ PASS_NAMES = ("nop", "cp", "ra", "cse", "sf", "va", "dce")
 #: Accepted aliases (the Figure 10 legend spells value assertion ASST).
 PASS_ALIASES = {"asst": "va"}
 
+#: Pipeline rounds before the fixed-point loop gives up.
+MAX_ITERATIONS = 4
+
 _PASS_CLASSES = {
     "nop": NopRemoval,
     "cp": ConstantPropagation,
@@ -58,7 +61,6 @@ class OptimizerConfig:
     enable_asst: bool = True
     speculation: bool = True
     scope: str = "frame"  # 'frame' | 'inter' | 'block'
-    max_iterations: int = 4
     # Hardware-model parameters (paper §5.1.4): a pipelined optimizer with
     # a variable latency of 10 cycles per uop and depth 3.
     cycles_per_uop: int = 10
@@ -149,7 +151,7 @@ class FrameOptimizer:
         )
         uops_before = buffer.valid_count()
         loads_before = buffer.load_count()
-        for _ in range(self.config.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             ctx.stats.iterations += 1
             total = 0
             for pass_obj in self._passes:

@@ -10,24 +10,23 @@ from __future__ import annotations
 
 from repro.trace.injector import InjectedTrace
 from repro.timing.config import ProcessorConfig
-from repro.timing.pipeline import BranchEvent, FetchBlock
+from repro.timing.pipeline import _NO_EVENTS, BranchEvent, FetchBlock
 
 
-def event_from_decode(decode, record, uop_base: int) -> BranchEvent | None:
+def event_from_decode(decode, record) -> BranchEvent | None:
     """Build the prediction event for one dynamic instruction instance.
 
     ``decode`` (from ``ScheduleBuilder.instr_decode``) supplies the static
     facts: event kind and control-uop offset.  The outcome, target
-    and return address come from the dynamic ``record``; ``uop_base`` is
-    the instruction's first uop index in the enclosing block.
+    and return address come from the dynamic ``record``.  A block keys
+    the event by the instruction's first uop position plus
+    ``decode.event_offset``.
     """
     kind = decode.event_kind
     if kind is None:
         return None
-    uop_index = uop_base + decode.event_offset
     if kind == "cond":
         return BranchEvent(
-            uop_index=uop_index,
             kind="cond",
             pc=record.pc,
             taken=bool(record.branch_taken),
@@ -35,16 +34,13 @@ def event_from_decode(decode, record, uop_base: int) -> BranchEvent | None:
         )
     if kind in ("call", "callind"):
         return BranchEvent(
-            uop_index=uop_index,
             kind=kind,
             pc=record.pc,
             target=record.next_pc,
             return_address=record.pc + record.instruction.length,
         )
     # 'ret' | 'jmpi'
-    return BranchEvent(
-        uop_index=uop_index, kind=kind, pc=record.pc, target=record.next_pc
-    )
+    return BranchEvent(kind=kind, pc=record.pc, target=record.next_pc)
 
 
 def is_taken_transfer(record) -> bool:
@@ -73,7 +69,7 @@ def build_icache_block(
     records = injected.records
     uops: list = []
     addresses: list = []
-    events: list[BranchEvent] = []
+    events: dict[int, BranchEvent] = {}
     sched: list = []
     first = records[index]
     byte_end = first.pc
@@ -88,10 +84,10 @@ def build_icache_block(
             if stop_probe is not None and stop_probe(record.pc):
                 break
         decode = builder.instr_decode(record.instruction, flow_uops)
-        event = event_from_decode(decode, record, len(uops))
+        event = event_from_decode(decode, record)
         sched.extend(decode.sched)
         if event is not None:
-            events.append(event)
+            events[len(uops) + decode.event_offset] = event
         uops.extend(flow_uops)
         addresses.extend(injected.addresses[position])
         byte_end = max(byte_end, record.pc + record.instruction.length)
@@ -108,7 +104,7 @@ def build_icache_block(
             pc=first.pc,
             byte_start=first.pc,
             byte_end=byte_end,
-            branch_events=events,
+            branch_events=events or _NO_EVENTS,
             sched=sched,
         ),
         count,

@@ -4,6 +4,10 @@ Frames are indexed by their entry PC; a newly constructed frame for the
 same entry replaces the old one (the path may have changed).  Capacity is
 accounted in *stored* uops — the paper notes optimization increases frame
 cache efficiency because optimized frames occupy fewer slots (§6.1).
+
+The trace-cache baseline stores its :class:`repro.tracecache.TraceLine`
+lines here too: a line has the same ``start_pc`` and ``uop_count``, and
+is never ``proven``, so a newer line for the same PC always replaces it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from repro.replay.frame import Frame
 
 
 class FrameCache:
-    """LRU frame store, capacity-bounded in micro-operations."""
+    """LRU frame (or trace-line) store, capacity-bounded in micro-operations."""
 
     def __init__(self, capacity_uops: int = 16 * 1024) -> None:
         self.capacity_uops = capacity_uops
@@ -66,7 +70,8 @@ class FrameCache:
         continuous construction would otherwise thrash hot loop heads
         whose frame boundaries drift between passes.  A strictly larger
         newcomer still wins, so frames can grow as branch bias matures.
-        Returns False when rejected.
+        Returns False when rejected.  ``path_key`` and ``x86_count``
+        are read only when the incumbent is ``proven``.
         """
         existing = self._frames.get(frame.start_pc)
         if (

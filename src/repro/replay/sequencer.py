@@ -272,7 +272,7 @@ class RePLaySequencer(ICacheSequencer):
             if record.instruction.is_branch:
                 uops = injected.flows[self.index + offset].uops
                 decode = builder.instr_decode(record.instruction, uops)
-                event = event_from_decode(decode, record, 0)
+                event = event_from_decode(decode, record)
                 if event is not None:
                     if event.kind == "cond" and degenerate_branch(
                         uops[decode.event_offset], record

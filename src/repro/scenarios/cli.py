@@ -16,7 +16,7 @@ import json
 import sys
 
 from repro.artifacts.store import ArtifactStore
-from repro.metrics import emit_run_ledger, profiled
+from repro.metrics import emit_run_ledger
 
 
 def scenarios_main(argv: list[str]) -> int:
@@ -51,16 +51,10 @@ def scenarios_main(argv: list[str]) -> int:
         default=None,
         help="write a versioned JSON run ledger to FILE after the run",
     )
-    char_p.add_argument(
-        "--profile",
-        action="store_true",
-        help="wrap the run in cProfile and print hotspots to stderr",
-    )
     args = parser.parse_args(argv)
 
     store = ArtifactStore(args.cache_dir)
-    with profiled(enabled=args.profile):
-        status = _characterize(args, store)
+    status = _characterize(args, store)
     if args.emit_stats:
         emit_run_ledger(
             args.emit_stats, argv, [f"scenarios-{args.action}"], store=store

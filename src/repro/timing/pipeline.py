@@ -33,15 +33,15 @@ from repro.timing.schedule import KIND_LOAD
 #: Cycle-accounting bins, in the paper's priority order.
 BINS = ("assert", "mispred", "miss", "stall", "wait", "frame", "icache")
 
-#: Shared empty event map for the (common) branch-free block.
+#: Shared empty event map for the (common) branch-free block; never mutated.
 _NO_EVENTS: dict[int, "BranchEvent"] = {}
 
 
 @dataclass
 class BranchEvent:
-    """A predictable control transfer within an ICache/trace-cache block."""
+    """A predictable control transfer: keyed by its control uop's position
+    in an ICache/trace-cache block, or one of a frame's training events."""
 
-    uop_index: int
     kind: str  # 'cond' | 'call' | 'ret' | 'jmp' | 'jmpi'
     pc: int
     taken: bool = True
@@ -64,7 +64,8 @@ class FetchBlock:
     sched: object
     byte_start: int = 0
     byte_end: int = 0
-    branch_events: list[BranchEvent] = field(default_factory=list)
+    #: ``{uop position: event}`` for the block's control uops.
+    branch_events: dict[int, BranchEvent] = field(default_factory=lambda: _NO_EVENTS)
     #: control transfers embedded in a frame: they train the predictors
     #: (keeping gshare history and the RAS consistent with the retired
     #: stream) but carry no penalty — inside a frame they are assertions.
@@ -190,30 +191,12 @@ class PipelineModel:
         # predictors (in program order, before its uops are fetched) but
         # carry no penalty.
         for event in block.train_events:
-            self._train_predictors(event)
+            self._handle_branch(event, None)
         self._schedule(block, "icache" if block.source == "icache" else "frame")
         if block.source in ("frame", "tcache"):
             self.result.frame_x86_coverage += block.x86_count
         self.result.uops_fetched += len(block.uops)
         self.result.x86_retired += block.x86_count
-
-    def _event_map(self, block: FetchBlock) -> dict[int, BranchEvent]:
-        """Index branch events by uop position, rejecting collisions.
-
-        A duplicate ``uop_index`` would make one event silently shadow
-        another (dict overwrite), so a mis-built block now fails loudly.
-        """
-        if not block.branch_events:
-            return _NO_EVENTS
-        events: dict[int, BranchEvent] = {}
-        for event in block.branch_events:
-            if event.uop_index in events:
-                raise ValueError(
-                    f"duplicate branch event at uop index {event.uop_index} "
-                    f"in block @ {block.pc:#x}"
-                )
-            events[event.uop_index] = event
-        return events
 
     def _schedule(self, block: FetchBlock, bin_name: str) -> int:
         """Fetch and schedule one block's uops, tallying ``bin_name``.
@@ -224,7 +207,7 @@ class PipelineModel:
         then publishes its live-out registers and flags.  Returns the
         latest completion cycle in the block.
         """
-        events = self._event_map(block)
+        events = block.branch_events
         addresses = block.addresses
         plan = block.sched
         frame_block = block.source == "frame"
@@ -657,7 +640,10 @@ class PipelineModel:
 
     # ------------------------------------------------------------ control
 
-    def _handle_branch(self, event: BranchEvent, complete: int) -> None:
+    def _handle_branch(self, event: BranchEvent, complete: int | None) -> None:
+        """Predict and train on one event; a mispredict redirects fetch
+        one cycle after ``complete``.  A frame's training event passes
+        None: it trains the same state but charges no redirect."""
         predictors = self.predictors
         mispredicted = False
         if event.kind == "cond":
@@ -690,26 +676,11 @@ class PipelineModel:
                 mispredicted = True
             predictors.btb.update(event.pc, event.target)
         # direct 'jmp': next-line prediction, no penalty modeled
-        if mispredicted:
+        if mispredicted and complete is not None:
             redirect = complete + 1
             if redirect > self.cycle:
                 self.result.bins["mispred"] += redirect - self.cycle
                 self.cycle = redirect
-
-    def _train_predictors(self, event: BranchEvent) -> None:
-        """Penalty-free predictor update for frame-internal transfers."""
-        predictors = self.predictors
-        if event.kind == "cond":
-            predictors.gshare.update(event.pc, event.taken)
-            predictors.btb.update(event.pc, event.target)
-        elif event.kind in ("call", "callind"):
-            predictors.ras.push(event.return_address)
-            if event.kind == "callind":
-                predictors.btb.update(event.pc, event.target)
-        elif event.kind == "ret":
-            predictors.ras.pop()
-        elif event.kind == "jmpi":
-            predictors.btb.update(event.pc, event.target)
 
     # ------------------------------------------------------------ firing
 

@@ -64,15 +64,11 @@ class BranchTargetBuffer:
         _require_power_of_two(entries, "btb_entries")
         self.entries = entries
         self._table: dict[int, tuple[int, int]] = {}  # index -> (tag, target)
-        self.misses = 0
-        self.lookups = 0
 
     def predict(self, pc: int) -> int | None:
-        self.lookups += 1
         index = (pc >> 2) % self.entries
         entry = self._table.get(index)
         if entry is None or entry[0] != pc:
-            self.misses += 1
             return None
         return entry[1]
 

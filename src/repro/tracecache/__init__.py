@@ -1,13 +1,14 @@
-"""Trace-cache baseline (paper §5.3): fill unit, cache, sequencer."""
+"""Trace-cache baseline (paper §5.3): fill unit and sequencer.
+
+Lines live in the frame cache's store, :class:`repro.replay.FrameCache`.
+"""
 
 from repro.tracecache.fill_unit import FillUnit, FillUnitConfig, TraceLine
 from repro.tracecache.sequencer import TraceCacheSequencer
-from repro.tracecache.trace_cache import TraceCache
 
 __all__ = [
     "FillUnit",
     "FillUnitConfig",
-    "TraceCache",
     "TraceCacheSequencer",
     "TraceLine",
 ]

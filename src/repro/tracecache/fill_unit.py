@@ -18,6 +18,10 @@ from repro.trace.injector import InjectedTrace
 class TraceLine:
     """One trace-cache line: the static path it holds."""
 
+    #: a line never earns protection from same-PC replacement in the
+    #: shared :class:`repro.replay.frame_cache.FrameCache` store.
+    proven = False
+
     start_pc: int
     x86_pcs: list[int]
     uop_count: int = 0

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from repro.trace.injector import InjectedTrace
 from repro.replay.fetch_groups import build_icache_block, event_from_decode
+from repro.replay.frame_cache import FrameCache
 from repro.replay.sequencer import ICacheSequencer
 from repro.timing.config import ProcessorConfig
-from repro.timing.pipeline import FetchBlock
+from repro.timing.pipeline import _NO_EVENTS, FetchBlock
 from repro.tracecache.fill_unit import FillUnit, TraceLine
-from repro.tracecache.trace_cache import TraceCache
 
 
 class TraceCacheSequencer(ICacheSequencer):
@@ -24,7 +24,7 @@ class TraceCacheSequencer(ICacheSequencer):
     def __init__(self, injected: InjectedTrace, config: ProcessorConfig) -> None:
         super().__init__(injected, config)
         self.fill_unit = FillUnit()
-        self.trace_cache = TraceCache(config.frame_cache_uops)
+        self.trace_cache = FrameCache(config.frame_cache_uops)
 
     def next_block(self, cycle: int) -> FetchBlock | None:
         if self.index >= len(self.injected):
@@ -55,7 +55,7 @@ class TraceCacheSequencer(ICacheSequencer):
     def _dispatch_line(self, line: TraceLine, matched: int) -> FetchBlock:
         uops: list = []
         addresses: list = []
-        events = []
+        events = {}
         sched: list = []
         builder = self.sched_builder
         # Use the *current* instances so dynamic facts (addresses, branch
@@ -66,9 +66,9 @@ class TraceCacheSequencer(ICacheSequencer):
             record = injected.records[position]
             flow_uops = injected.flows[position].uops
             decode = builder.instr_decode(record.instruction, flow_uops)
-            event = event_from_decode(decode, record, len(uops))
+            event = event_from_decode(decode, record)
             if event is not None:
-                events.append(event)
+                events[len(uops) + decode.event_offset] = event
             sched.extend(decode.sched)
             uops.extend(flow_uops)
             addresses.extend(injected.addresses[position])
@@ -79,7 +79,7 @@ class TraceCacheSequencer(ICacheSequencer):
             addresses=addresses,
             x86_count=matched,
             pc=line.start_pc,
-            branch_events=events,
+            branch_events=events or _NO_EVENTS,
             sched=sched,
         )
 

@@ -16,7 +16,12 @@ rollbacks.  See ``repro.replay.frame.degenerate_branch``.
 """
 
 from repro.fuzz.generator import FuzzProgram, generate_program, render_program
-from repro.fuzz.oracle import OracleConfig, _construct_frames, run_differential
+from repro.fuzz.oracle import (
+    MAX_INSTRUCTIONS,
+    OracleConfig,
+    _construct_frames,
+    run_differential,
+)
 from repro.trace.injector import MicroOpInjector
 from repro.uops.uop import UopOp
 from repro.x86.emulator import Emulator
@@ -46,7 +51,7 @@ MINIMIZED = FuzzProgram(
 
 def _frames(genome, config):
     emulator = Emulator(render_program(genome))
-    records = emulator.run(max_instructions=config.max_instructions)
+    records = emulator.run(max_instructions=MAX_INSTRUCTIONS)
     assert emulator.halted
     injected = MicroOpInjector().inject_trace(records)
     return injected, _construct_frames(injected, config.constructor_config())

@@ -5,6 +5,7 @@ import pytest
 from repro.fuzz.campaign import derive_program_seed
 from repro.fuzz.generator import GeneratorConfig, generate_program, render_program
 from repro.fuzz.oracle import (
+    MAX_INSTRUCTIONS,
     VARIANTS,
     Divergence,
     OracleConfig,
@@ -42,11 +43,10 @@ def test_walk_trace_keeps_the_true_state_before_each_record():
     """The one true-state walk the verifier legs read: before record i
     it holds an emulator's registers and flags after i steps, and its
     final overlay holds every byte the trace stored."""
-    config = OracleConfig()
     for index in range(20):
         genome = generate_program(derive_program_seed(1, index), GeneratorConfig())
         program = render_program(genome)
-        records = Emulator(program).run(config.max_instructions)
+        records = Emulator(program).run(MAX_INSTRUCTIONS)
         before, after = walk_trace(records)
         assert len(before) == len(records)
         stepper = Emulator(program)

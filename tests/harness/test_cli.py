@@ -160,13 +160,6 @@ def test_stats_subcommand_rejects_v2_sweep_ledger(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def test_profile_flag_prints_hotspots_to_stderr(capsys):
-    assert main(["table2", "--no-cache", "--profile"]) == 0
-    captured = capsys.readouterr()
-    assert "cProfile top" in captured.err
-    assert "cProfile" not in captured.out
-
-
 def test_cache_subcommand_emits_ledger(capsys, tmp_path):
     _populate(tmp_path)
     ledger_path = tmp_path / "cache.json"

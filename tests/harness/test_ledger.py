@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.artifacts.store import ArtifactStore
-from repro.harness.experiment import CONFIGS
 from repro.harness.figures import ResultMatrix, run_fig6
 from repro.metrics import (
     LEDGER_VERSION,

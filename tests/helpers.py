@@ -16,6 +16,7 @@ from repro.verify.state import ArchState, initial_image
 from repro.fuzz.campaign import derive_program_seed
 from repro.fuzz.generator import GeneratorConfig, generate_program, render_program
 from repro.fuzz.oracle import (
+    MAX_INSTRUCTIONS,
     VARIANTS,
     OracleConfig,
     _construct_frames,
@@ -50,9 +51,10 @@ def retire_all(constructor, injected) -> list:
     return [frame for frame in frames if frame is not None]
 
 
-def line_block(uops, config, pc=0x1000, events=(), x86_count=None) -> FetchBlock:
+def line_block(uops, config, pc=0x1000, events=None, x86_count=None) -> FetchBlock:
     """An ICache block of hand-built pre-rename uops (by default one x86
-    instruction each), scheduled by a ``ScheduleBuilder`` of ``config``."""
+    instruction each), scheduled by a ``ScheduleBuilder`` of ``config``;
+    ``events`` maps uop positions to their branch events."""
     builder = ScheduleBuilder(config)
     return FetchBlock(
         source="icache",
@@ -63,7 +65,7 @@ def line_block(uops, config, pc=0x1000, events=(), x86_count=None) -> FetchBlock
         sched=[builder.dyn_sched(u) for u in uops],
         byte_start=pc,
         byte_end=pc + 4 * len(uops),
-        branch_events=list(events),
+        branch_events=dict(events or {}),
     )
 
 
@@ -113,14 +115,13 @@ OPTIMIZER_OUTPUT_DIGEST = (
 def fuzz_frames(campaign_seed: int, programs: int) -> list[Frame]:
     """Every frame the differential oracle constructs for the first
     ``programs`` programs of a fuzz campaign, in campaign order."""
-    config = OracleConfig()
-    constructor = config.constructor_config()
+    constructor = OracleConfig().constructor_config()
     frames: list[Frame] = []
     for index in range(programs):
         genome = generate_program(
             derive_program_seed(campaign_seed, index), GeneratorConfig()
         )
-        records = Emulator(render_program(genome)).run(config.max_instructions)
+        records = Emulator(render_program(genome)).run(MAX_INSTRUCTIONS)
         injected = MicroOpInjector().inject_trace(records)
         frames.extend(_construct_frames(injected, constructor))
     return frames

@@ -3,7 +3,6 @@
 from repro.harness.fig2 import build_figure2_frame
 from repro.optimizer import FrameOptimizer
 from repro.optimizer.datapath import (
-    InstrumentedBuffer,
     PrimitiveCounts,
     check_latency_budget,
     instrument,

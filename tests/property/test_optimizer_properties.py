@@ -13,7 +13,6 @@ from helpers import buffer_from_uops
 from repro.optimizer import FrameOptimizer, OptimizerConfig
 from repro.uops import Uop, UopOp, UReg
 from repro.verify.frame_exec import execute_frame
-from repro.x86.instructions import Cond
 
 ARCH = [UReg(i) for i in range(8)]
 

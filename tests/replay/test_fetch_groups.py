@@ -1,13 +1,20 @@
 """ICache fetch-group construction."""
 
+import pytest
+
 from helpers import inject, run_program
 from repro.replay.fetch_groups import (
     build_icache_block,
     event_from_decode,
     is_taken_transfer,
 )
+from repro.replay.sequencer import ICacheSequencer
 from repro.timing.config import default_config
 from repro.timing.schedule import ScheduleBuilder
+from repro.trace.injector import inject_once
+from repro.tracecache import TraceCacheSequencer
+from repro.uops import UopOp
+from repro.workloads import all_workloads
 from repro.x86 import Assembler, Cond, Imm, Reg
 
 
@@ -92,7 +99,7 @@ def test_branch_event_kinds(loop_asm):
     injected = inject(trace)
     for record, flow in zip(injected.records, injected.flows):
         decode = builder.instr_decode(record.instruction, flow.uops)
-        event = event_from_decode(decode, record, 0)
+        event = event_from_decode(decode, record)
         if event is not None:
             kinds.add(event.kind)
     assert {"cond", "call", "ret"} <= kinds
@@ -115,3 +122,28 @@ def test_byte_extent_covers_group():
     assert block.byte_start == injected.pcs[0]
     last = injected.records[count - 1]
     assert block.byte_end == last.pc + last.instruction.length
+
+
+CONTROL_OPS = (UopOp.BR, UopOp.JMP, UopOp.JMPI)
+
+
+@pytest.mark.parametrize("workload", [w.name for w in all_workloads()])
+@pytest.mark.parametrize("sequencer_class", [ICacheSequencer, TraceCacheSequencer])
+def test_branch_events_keyed_by_control_uop_position(
+    matrix, workload, sequencer_class
+):
+    """Each event sits on its own control uop, in increasing position: no
+    two instructions of a block can claim one slot."""
+    sequencer = sequencer_class(inject_once(matrix.trace(workload)), default_config())
+    sources = set()
+    events = 0
+    while (block := sequencer.next_block(0)) is not None:
+        sources.add(block.source)
+        positions = list(block.branch_events)
+        assert positions == sorted(set(positions))
+        for position in positions:
+            assert block.uops[position].op in CONTROL_OPS
+        events += len(positions)
+    assert events > 0
+    if sequencer_class is TraceCacheSequencer:
+        assert "tcache" in sources

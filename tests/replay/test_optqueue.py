@@ -1,7 +1,7 @@
 """Optimization queue: latency, depth, duplicates, accounting."""
 
 from helpers import inject, region_frame, run_program
-from repro.optimizer import FrameOptimizer, OptimizerConfig
+from repro.optimizer import FrameOptimizer
 from repro.replay import FrameCache, OptimizationQueue
 from repro.replay import frame as frame_module
 from repro.replay.frame import Frame

@@ -3,8 +3,6 @@
 from collections import Counter
 from dataclasses import replace
 
-import pytest
-
 from helpers import inject, run_program
 from repro.harness.experiment import CONFIGS, run_experiment
 from repro.metrics import MetricsRegistry
@@ -236,7 +234,7 @@ def test_cached_train_events_match_each_instance(monkeypatch):
             if record.instruction.is_branch:
                 uops = sequencer.injected.flows[position].uops
                 decode = sequencer.sched_builder.instr_decode(record.instruction, uops)
-                event = event_from_decode(decode, record, 0)
+                event = event_from_decode(decode, record)
                 if event is not None:
                     fresh.append(event)
         assert events == fresh

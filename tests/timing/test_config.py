@@ -1,6 +1,6 @@
 """Processor configuration (Table 2)."""
 
-from repro.timing import ProcessorConfig, default_config, large_icache_config
+from repro.timing import default_config, large_icache_config
 
 
 def test_default_matches_paper_table2():

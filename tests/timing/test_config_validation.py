@@ -9,7 +9,7 @@ naming the offending field.
 
 import pytest
 
-from repro.timing import Cache, CacheConfig, ConfigError, ProcessorConfig
+from repro.timing import Cache, CacheConfig, ConfigError
 from repro.timing.config import default_config
 from repro.timing.pipeline import PipelineModel
 from repro.timing.predictor import (

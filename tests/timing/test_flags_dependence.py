@@ -12,7 +12,7 @@ it.  All three now delegate to ``repro.uops.uop.uop_reads_flags``.
 import pytest
 
 from helpers import line_block
-from repro.optimizer.optuop import LiveIn, OptUop, from_dyn_uop
+from repro.optimizer.optuop import LiveIn, from_dyn_uop
 from repro.timing import PipelineModel, default_config
 from repro.uops import Uop, UopOp, UReg
 from repro.uops.uop import uop_reads_flags

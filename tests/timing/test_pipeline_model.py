@@ -1,8 +1,7 @@
 """Timing model: fetch bandwidth, dependences, bins, window behaviour."""
 
-import pytest
-
 from helpers import frame_block, line_block
+from repro.optimizer.optuop import LiveIn, OptUop
 from repro.timing import PipelineModel, default_config
 from repro.timing.pipeline import BranchEvent
 from repro.uops import Uop, UopOp, UReg
@@ -84,9 +83,8 @@ def test_store_to_load_dependence():
 def test_mispredict_penalty_accounted():
     config = default_config()
     branch = Uop(UopOp.BR, cond=None, target=0x2000)
-    event = BranchEvent(uop_index=0, kind="cond", pc=0x1000, taken=True,
-                        target=0x2000)
-    block = line_block([branch], config, events=[event])
+    event = BranchEvent(kind="cond", pc=0x1000, taken=True, target=0x2000)
+    block = line_block([branch], config, events={0: event})
     filler = line_block(independent_alu(8), config, pc=0x3000)
     result = PipelineModel(config).simulate(ScriptedFetcher([block, filler]))
     # Cold gshare predicts weakly-taken (correct) but the BTB misses:
@@ -99,9 +97,8 @@ def test_correct_prediction_no_penalty():
     blocks = []
     for i in range(40):
         branch = Uop(UopOp.BR, cond=None, target=0x1000)
-        event = BranchEvent(uop_index=0, kind="cond", pc=0x1000, taken=True,
-                            target=0x1000)
-        blocks.append(line_block([branch], config, pc=0x1000, events=[event]))
+        event = BranchEvent(kind="cond", pc=0x1000, taken=True, target=0x1000)
+        blocks.append(line_block([branch], config, pc=0x1000, events={0: event}))
     result = PipelineModel(config).simulate(ScriptedFetcher(blocks))
     # After warmup the loop branch predicts perfectly; penalties stop.
     assert result.bins["mispred"] < 3 * config.branch_resolution_depth
@@ -135,15 +132,27 @@ def test_x86_ipc_metric():
     assert 0 < result.ipc_x86 <= config.retire_width
 
 
-def test_duplicate_branch_event_index_rejected():
-    """Two events on one uop slot would silently shadow each other."""
+def test_frame_training_event_charges_no_redirect():
+    """A frame's internal transfer trains the predictors through the
+    line blocks' update path, but its mispredict costs nothing: inside a
+    frame it is an assertion."""
     config = default_config()
-    uops = independent_alu(2)
-    events = [
-        BranchEvent(uop_index=0, kind="cond", pc=0x1000, taken=True,
-                    target=0x2000),
-        BranchEvent(uop_index=0, kind="ret", pc=0x1004, target=0x3000),
-    ]
-    block = line_block(uops, config, events=events)
-    with pytest.raises(ValueError, match="duplicate branch event"):
-        PipelineModel(config).simulate(ScriptedFetcher([block]))
+    event = BranchEvent(kind="jmpi", pc=0x1010, target=0x7000)
+
+    def run(train_events):
+        uops = [
+            OptUop(UopOp.ADD, slot=j, src_a=LiveIn(UReg(j % 4)), imm=1)
+            for j in range(8)
+        ]
+        block = frame_block(uops, config, pc=0x3000, x86_count=4)
+        block.train_events = train_events
+        model = PipelineModel(config)
+        model.simulate(ScriptedFetcher([block]))
+        return model
+
+    trained = run([event])
+    untrained = run([])
+    assert untrained.predictors.btb.predict(event.pc) is None  # a mispredict
+    assert trained.result.bins["mispred"] == untrained.result.bins["mispred"] == 0
+    assert trained.cycle == untrained.cycle
+    assert trained.predictors.btb.predict(event.pc) == event.target

@@ -95,11 +95,9 @@ FU_PRUNE_AT = 16384
 MEM_PRUNE_AT = 1 << 16
 
 
-def mispredict(uop_index, n):
+def mispredict(n):
     """An indirect jump to a never-seen target: always mispredicted."""
-    return BranchEvent(
-        uop_index=uop_index, kind="jmpi", pc=0x40000 + 4 * n, target=0x80000 + 4 * n
-    )
+    return BranchEvent(kind="jmpi", pc=0x40000 + 4 * n, target=0x80000 + 4 * n)
 
 
 def simulate_both(make_blocks, config):
@@ -124,7 +122,7 @@ def fu_prune_blocks(config):
         uops = [Uop(UopOp.BR, cond=None, target=0)]
         uops += [Uop(UopOp.ADD, dst=UReg(j % 4), imm=1) for j in range(6)]
         uops.append(Uop(UopOp.BR, cond=None, target=0))
-        events = [mispredict(0, 2 * k), mispredict(7, 2 * k + 1)]
+        events = {0: mispredict(2 * k), 7: mispredict(2 * k + 1)}
         blocks.append(
             line_block(uops, config, pc=0x2000 + 64 * (k % 4), events=events)
         )
@@ -164,7 +162,7 @@ def mem_prune_blocks(config, then_store):
         load = Uop(UopOp.LOAD, dst=UReg.EDI, src_a=UReg.ESI)
         load.mem_address = address
         uops += [load, Uop(UopOp.BR, cond=None, src_a=UReg.EDI, target=0)]
-        events = [mispredict(0, 2 * k), mispredict(len(uops) - 1, 2 * k + 1)]
+        events = {0: mispredict(2 * k), len(uops) - 1: mispredict(2 * k + 1)}
         blocks.append(
             line_block(uops, config, pc=0x2000 + 64 * (k % 4), events=events)
         )

@@ -21,7 +21,7 @@ from repro.tracecache import TraceCacheSequencer
 from repro.uops import UopOp
 from repro.uops.translate import Translator
 from repro.workloads import all_workloads, build_workload
-from repro.x86 import Assembler, Cond, Imm, Reg, mem
+from repro.x86 import Reg, mem
 from repro.x86.instructions import Instruction, Mnemonic
 
 

@@ -1,9 +1,10 @@
 """Trace-cache baseline: fill unit, cache, partial-match sequencing."""
 
 from helpers import inject, run_program
+from repro.replay import FrameCache
 from repro.timing.config import default_config
 from repro.timing.pipeline import PipelineModel
-from repro.tracecache import FillUnit, FillUnitConfig, TraceCache, TraceCacheSequencer
+from repro.tracecache import FillUnit, FillUnitConfig, TraceCacheSequencer, TraceLine
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
 
 
@@ -64,7 +65,8 @@ def test_fill_unit_terminates_at_indirect(loop_asm):
 
 
 def test_trace_cache_lru_capacity():
-    cache = TraceCache(capacity_uops=20)
+    """Trace lines share the frame cache's store and its uop budget."""
+    cache = FrameCache(capacity_uops=20)
     fill = FillUnit(FillUnitConfig(max_uops=10))
     inserted = 0
     injected = loop_injected()
@@ -75,7 +77,26 @@ def test_trace_cache_lru_capacity():
             inserted += 1
         if inserted > 5:
             break
+    assert inserted > 5
     assert cache.stored_uops <= 20
+    assert cache.evictions > 0
+
+
+def test_newer_trace_line_always_replaces_same_pc():
+    """A line is never ``proven``: the newest line for a PC wins, whether
+    it is larger or smaller than the one it replaces."""
+    cache = FrameCache(capacity_uops=100)
+    old = TraceLine(start_pc=0x1000, x86_pcs=[0x1000, 0x1004, 0x1008], uop_count=9)
+    smaller = TraceLine(start_pc=0x1000, x86_pcs=[0x1000], uop_count=2)
+    larger = TraceLine(
+        start_pc=0x1000, x86_pcs=[0x1000, 0x1010, 0x1020, 0x1030], uop_count=20
+    )
+    for line in (old, smaller, larger, smaller):
+        assert cache.insert(line)
+        assert cache.lookup(0x1000) is line
+        assert len(cache) == 1
+        assert cache.stored_uops == line.uop_count
+    assert cache.rejections == 0
 
 
 def test_sequencer_runs_and_covers():

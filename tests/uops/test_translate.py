@@ -1,7 +1,5 @@
 """x86 -> uop decode flows."""
 
-import pytest
-
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
 from repro.uops import Translator, UopOp, UReg
 

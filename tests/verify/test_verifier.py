@@ -4,8 +4,8 @@ import pytest
 
 from helpers import inject, region_frame, run_program
 from repro.optimizer import FrameOptimizer
-from repro.optimizer.optuop import DefRef, LiveIn
-from repro.uops import UopOp, UReg
+from repro.optimizer.optuop import LiveIn
+from repro.uops import UReg
 from repro.verify import ArchState, MemoryMaps, StateVerifier, VerificationError
 from repro.verify.frame_exec import execute_frame
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
