@@ -34,7 +34,7 @@ import zlib
 from repro.trace.record import MemOp, TraceRecord
 from repro.trace.stream import DynamicTrace
 from repro.x86.instructions import Cond, Imm, Instruction, Label, Mem, Mnemonic
-from repro.x86.registers import ALL_REGS, Reg
+from repro.x86.registers import NUM_REGS, Reg
 
 MAGIC = b"RUTB"
 CODEC_VERSION = 1
@@ -225,7 +225,7 @@ def encode_trace(trace: DynamicTrace) -> bytes:
             buf += rec_flags_pack(record.pc, record.next_pc, 1, flags)
         reg_writes = record.reg_writes
         append(len(reg_writes))
-        for reg, value in reg_writes.items():
+        for reg, value in reg_writes:
             buf += reg_write_pack(reg, value)
         mem_ops = record.mem_ops
         append(len(mem_ops))
@@ -319,9 +319,16 @@ def decode_trace(data: bytes, filename: str | None = None) -> DynamicTrace:
             else:
                 flags = None
                 pos += 1
-            reg_writes: dict[Reg, int] = {}
+            reg_writes = []
             for _ in range(raw[pos]):
-                reg_writes[ALL_REGS[raw[pos + 1]]] = i64_unpack(raw, pos + 2)[0]
+                value = i64_unpack(raw, pos + 2)[0]  # a truncation raises first
+                reg = raw[pos + 1]
+                if reg >= NUM_REGS:
+                    raise TraceFileError(
+                        f"{where}: corrupt record {len(records)}: register "
+                        f"code {reg} at offset {pos + 1} is outside 0-7"
+                    )
+                reg_writes.append((reg, value))
                 pos += 9
             pos += 1
             mem_ops = []
@@ -337,7 +344,7 @@ def decode_trace(data: bytes, filename: str | None = None) -> DynamicTrace:
                     pc,
                     instructions[pc],
                     next_pc,
-                    reg_writes,
+                    tuple(reg_writes),  # () is shared
                     flags,
                     tuple(mem_ops),
                     None if branch_byte == 0 else branch_byte == 2,
@@ -346,13 +353,6 @@ def decode_trace(data: bytes, filename: str | None = None) -> DynamicTrace:
     except (struct.error, IndexError) as exc:
         # Every byte index and unpack above is bounds-checked by Python,
         # so a read past the end raises here with pos at or near the end.
-        # The one in-payload byte that can raise is a register code
-        # outside ALL_REGS, at pos + 1 (the value after it unpacks first).
-        if isinstance(exc, IndexError) and pos + 1 < end:
-            raise TraceFileError(
-                f"{where}: corrupt record {len(records)}: register code "
-                f"{raw[pos + 1]} at offset {pos + 1} is outside 0-7"
-            ) from exc
         raise TraceFileError(
             f"{where}: binary trace truncated in record {len(records)} "
             f"of {record_count}"

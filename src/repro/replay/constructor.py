@@ -93,7 +93,8 @@ class FrameConstructor:
         """Feed the retired instruction ``injected[index]`` (in stream
         order); returns a frame when one completes."""
         record = injected.records[index]
-        uops = len(injected.flows[index].uops)
+        offsets = injected.offsets
+        uops = offsets[index + 1] - offsets[index]
 
         # Would this instruction overflow the frame?  Close the current
         # region first (fall-through exit) and start fresh with it.

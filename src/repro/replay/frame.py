@@ -193,6 +193,7 @@ def _frameify(injected: InjectedTrace, start: int, stop: int) -> FrameBody:
     block_starts: list[int] = [0]
     raw_loads = 0
     records = injected.records
+    uops, addresses, offsets = injected.uops, injected.addresses, injected.offsets
     last_index = stop - start - 1
 
     for x86_index in range(stop - start):
@@ -202,8 +203,8 @@ def _frameify(injected: InjectedTrace, start: int, stop: int) -> FrameBody:
             block_starts.append(x86_index)
         is_exit_instr = x86_index == last_index
         mem_index = 0
-        uops = injected.flows[position].uops
-        for uop, address in zip(uops, injected.addresses[position]):
+        for k in range(offsets[position], offsets[position + 1]):
+            uop, address = uops[k], addresses[k]
             key: tuple[int, int] | None = None
             if uop.is_mem:
                 key = (x86_index, mem_index)

@@ -11,11 +11,11 @@ re-executing the region from the ICache.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.trace.injector import InjectedTrace
 from repro.replay.constructor import ConstructorConfig, closed_regions
-from repro.replay.fetch_groups import build_icache_block, event_from_decode
+from repro.replay.fetch_groups import build_icache_block
 from repro.replay.frame import Frame, degenerate_branch
 from repro.replay.frame_cache import FrameCache
 from repro.replay.optqueue import OptimizationQueue
@@ -125,15 +125,16 @@ class ICacheSequencer:
         self.stats = SequencerStats(
             raw_uops_total=injected.uop_count, raw_loads_total=injected.load_count
         )
-        #: per-run schedule/decode template cache, shared with the blocks
-        #: this sequencer emits (and with frame dispatch in subclasses).
+        #: per-run schedule builder: the stream's flat schedule, which
+        #: line blocks window into, and frame templates in subclasses.
         self.sched_builder = ScheduleBuilder(config)
+        self.line_sched = self.sched_builder.line_schedule(injected)
 
     def next_block(self, cycle: int) -> FetchBlock | None:
         if self.index >= len(self.injected):
             return None
         block, count = build_icache_block(
-            self.injected, self.index, self.config, builder=self.sched_builder
+            self.injected, self.index, self.config, self.line_sched
         )
         self.index += count
         return block
@@ -200,11 +201,7 @@ class RePLaySequencer(ICacheSequencer):
             self.frame_cache.contains if self.index >= self._icache_until else None
         )
         block, count = build_icache_block(
-            self.injected,
-            self.index,
-            self.config,
-            stop_probe=probe,
-            builder=self.sched_builder,
+            self.injected, self.index, self.config, self.line_sched, stop_probe=probe
         )
         self._retire_region(count, cycle)
         return block
@@ -241,9 +238,9 @@ class RePLaySequencer(ICacheSequencer):
 
         A committing instance retires exactly the frame's path, so each
         event's kind, pc and target are the frame's, and the events are
-        built once, on the first commit.  The exception is a conditional
+        read once, on the first commit.  The exception is a conditional
         branch whose target equals its fall-through: both directions
-        retire the same path, so its ``taken`` is this instance's.
+        retire the same path, so its event is this instance's own.
         """
         cached = frame.train_events
         if cached is None:
@@ -252,32 +249,35 @@ class RePLaySequencer(ICacheSequencer):
         if not per_instance:
             return events
         events = list(events)
-        records = self.injected.records
-        for k, offset in per_instance:
-            record = records[self.index + offset]
-            events[k] = replace(events[k], taken=bool(record.branch_taken))
+        stream_events = self.injected.events
+        base = self.injected.offsets[self.index]
+        for k, position in per_instance:
+            events[k] = stream_events[base + position]
         return events
 
     def _build_train_events(
         self, frame: Frame
     ) -> tuple[list[BranchEvent], list[tuple[int, int]]]:
-        """The events of this instance, and ``(event, x86 offset)`` of
-        each whose outcome varies per instance."""
+        """The events of this instance, read from the stream's event map,
+        and ``(event, uop position in the frame)`` of each whose outcome
+        varies per instance."""
+        injected = self.injected
+        offsets = injected.offsets
+        stream_events = injected.events
+        base = offsets[self.index]
         events: list[BranchEvent] = []
         per_instance: list[tuple[int, int]] = []
-        builder = self.sched_builder
-        injected = self.injected
-        for offset in range(frame.x86_count - 1):
-            record = injected.records[self.index + offset]
-            if record.instruction.is_branch:
-                uops = injected.flows[self.index + offset].uops
-                decode = builder.instr_decode(record.instruction, uops)
-                event = event_from_decode(decode, record)
+        for position in range(self.index, self.index + frame.x86_count - 1):
+            record = injected.records[position]
+            if not record.instruction.is_branch:
+                continue
+            for key in range(offsets[position], offsets[position + 1]):
+                event = stream_events.get(key)
                 if event is not None:
                     if event.kind == "cond" and degenerate_branch(
-                        uops[decode.event_offset], record
+                        injected.uops[key], record
                     ):
-                        per_instance.append((len(events), offset))
+                        per_instance.append((len(events), key - base))
                     events.append(event)
         return events, per_instance
 
@@ -308,8 +308,9 @@ class RePLaySequencer(ICacheSequencer):
             source="frame",
             uops=uops,
             addresses=addresses,
+            lo=0,
+            hi=len(uops),
             x86_count=frame.x86_count,
-            pc=frame.start_pc,
             train_events=train_events,
             frame=frame,
             sched=template,
@@ -330,8 +331,9 @@ class RePLaySequencer(ICacheSequencer):
             source="frame",
             uops=template.kept,
             addresses=template.fire_addresses,
+            lo=0,
+            hi=len(template.kept),
             x86_count=0,  # nothing retires; the region re-executes next
-            pc=frame.start_pc,
             fires=True,
             frame=frame,
             sched=template,

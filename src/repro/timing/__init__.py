@@ -21,7 +21,7 @@ from repro.timing.predictor import (
     GsharePredictor,
     ReturnAddressStack,
 )
-from repro.timing.schedule import FrameSchedule, InstrDecode, ScheduleBuilder
+from repro.timing.schedule import FrameSchedule, ScheduleBuilder
 
 __all__ = [
     "BINS",
@@ -35,7 +35,6 @@ __all__ = [
     "FrameSchedule",
     "FrontEndPredictors",
     "GsharePredictor",
-    "InstrDecode",
     "PipelineModel",
     "ProcessorConfig",
     "ReturnAddressStack",

@@ -33,14 +33,14 @@ from repro.timing.schedule import KIND_LOAD
 #: Cycle-accounting bins, in the paper's priority order.
 BINS = ("assert", "mispred", "miss", "stall", "wait", "frame", "icache")
 
-#: Shared empty event map for the (common) branch-free block; never mutated.
+#: Shared empty event map of a frame block (it has none); never mutated.
 _NO_EVENTS: dict[int, "BranchEvent"] = {}
 
 
-@dataclass
+@dataclass(slots=True)
 class BranchEvent:
     """A predictable control transfer: keyed by its control uop's position
-    in an ICache/trace-cache block, or one of a frame's training events."""
+    in an injected stream, or one of a frame's training events."""
 
     kind: str  # 'cond' | 'call' | 'ret' | 'jmp' | 'jmpi'
     pc: int
@@ -49,22 +49,30 @@ class BranchEvent:
     return_address: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchBlock:
-    """One unit of fetch handed to the timing model by a sequencer."""
+    """One unit of fetch handed to the timing model by a sequencer.
+
+    The block is the window ``[lo, hi)`` of its ``uops``, ``addresses``
+    and ``sched``: a line block (ICache or trace cache) windows its
+    stream's flat arrays, a frame block spans its frame's own lists
+    (``lo`` is 0, ``hi`` their length).
+    """
 
     source: str  # 'icache' | 'frame' | 'tcache'
     uops: list  # dyn Uops (icache/tcache) or OptUops (frame)
     addresses: list  # per-uop dynamic memory address (None for non-mem)
+    lo: int
+    hi: int
     x86_count: int
-    pc: int
-    #: the schedule the sequencer built: one schedule tuple per uop
-    #: (icache / tcache blocks) or the frame's
+    #: the schedule the sequencer built: the stream's flat list of
+    #: schedule tuples (icache / tcache blocks) or the frame's
     #: :class:`repro.timing.schedule.FrameSchedule` (frame blocks).
     sched: object
     byte_start: int = 0
     byte_end: int = 0
-    #: ``{uop position: event}`` for the block's control uops.
+    #: ``{uop position: event}`` for the control uops: the stream's event
+    #: map for a line block (only keys in ``[lo, hi)`` are read).
     branch_events: dict[int, BranchEvent] = field(default_factory=lambda: _NO_EVENTS)
     #: control transfers embedded in a frame: they train the predictors
     #: (keeping gshare history and the RAS consistent with the retired
@@ -195,7 +203,7 @@ class PipelineModel:
         self._schedule(block, "icache" if block.source == "icache" else "frame")
         if block.source in ("frame", "tcache"):
             self.result.frame_x86_coverage += block.x86_count
-        self.result.uops_fetched += len(block.uops)
+        self.result.uops_fetched += block.hi - block.lo
         self.result.x86_retired += block.x86_count
 
     def _schedule(self, block: FetchBlock, bin_name: str) -> int:
@@ -207,17 +215,17 @@ class PipelineModel:
         then publishes its live-out registers and flags.  Returns the
         latest completion cycle in the block.
         """
-        events = block.branch_events
-        addresses = block.addresses
+        # What both implementations take after the uops: the window.
+        window = (block.addresses, block.lo, block.hi, bin_name, block.branch_events)
         plan = block.sched
         frame_block = block.source == "frame"
         if self.scheduling == "template":
             if not frame_block:
-                return self._schedule_block(plan, addresses, bin_name, events, (), ())
+                return self._schedule_block(plan, *window, (), ())
             slot_values = [0] * plan.nslots
             slot_flags = [0] * plan.nslots
             last_complete = self._schedule_block(
-                plan.sched, addresses, bin_name, events, slot_values, slot_flags
+                plan.sched, *window, slot_values, slot_flags
             )
             if not block.fires:
                 reg_ready = self._reg_ready
@@ -227,11 +235,11 @@ class PipelineModel:
                     self._flags_ready = slot_flags[plan.flags_out_slot]
             return last_complete
         if not frame_block:
-            return self._walk_block(block.uops, addresses, bin_name, events, None, None)
+            return self._walk_block(block.uops, *window, None, None)
         slot_values_map: dict[int, int] = {}
         slot_flags_map: dict[int, int] = {}
         last_complete = self._walk_block(
-            block.uops, addresses, bin_name, events, slot_values_map, slot_flags_map
+            block.uops, *window, slot_values_map, slot_flags_map
         )
         if not block.fires and block.frame is not None:
             self._commit_frame_live_outs(block.frame, slot_values_map, slot_flags_map)
@@ -422,12 +430,15 @@ class PipelineModel:
         self,
         sched,
         addresses,
+        lo: int,
+        hi: int,
         bin_name: str,
         events: dict[int, BranchEvent],
         slot_values,
         slot_flags,
     ) -> int:
-        """Fetch and schedule one block from its schedule tuples.
+        """Fetch and schedule the uops ``[lo, hi)`` of a block's schedule
+        tuples.
 
         The template path's one kernel: it does for every uop what
         ``_wait_for_window`` (per fetch chunk), ``_execute_*_uop``,
@@ -460,10 +471,9 @@ class PipelineModel:
         retire_count = self._retire_count
         loads = stores = occupancy = samples = 0
         last_complete = self.cycle
-        n = len(sched)
-        index = 0
-        while index < n:
-            stop = index + width if n - index > width else n
+        index = lo
+        while index < hi:
+            stop = index + width if hi - index > width else hi
             # Stall fetch until the window has room for the chunk.
             cycle = self.cycle
             while inflight and inflight[0] <= cycle:
@@ -582,12 +592,15 @@ class PipelineModel:
         self,
         uops,
         addresses,
+        lo: int,
+        hi: int,
         bin_name: str,
         events: dict[int, BranchEvent],
         slot_values,
         slot_flags,
     ) -> int:
-        """Fetch and schedule one block by walking its uop objects.
+        """Fetch and schedule the uops ``[lo, hi)`` of a block by walking
+        its uop objects.
 
         The reference path's one chunk walker, with the kernel's
         signature: per fetch chunk it waits for the window, then runs
@@ -597,12 +610,11 @@ class PipelineModel:
         completion cycle in the block.
         """
         width = self.config.fetch_width
-        n = len(uops)
         bins = self.result.bins
         last_complete = self.cycle
-        index = 0
-        while index < n:
-            chunk = min(width, n - index)
+        index = lo
+        while index < hi:
+            chunk = min(width, hi - index)
             self._wait_for_window(chunk)
             bins[bin_name] += 1
             fetch_cycle = self.cycle
@@ -712,7 +724,7 @@ class PipelineModel:
         self._reg_ready = saved_regs
         self._flags_ready = saved_flags
         self._restore_store_words(saved_mem)
-        self.result.uops_fetched += len(block.uops)
+        self.result.uops_fetched += block.hi - block.lo
 
     def _store_word_snapshot(self, block: FetchBlock) -> dict[int, int | None]:
         """Prior ``_mem_ready`` entries for every word the block's stores touch.
@@ -722,7 +734,9 @@ class PipelineModel:
         """
         deltas: dict[int, int | None] = {}
         mem_ready = self._mem_ready
-        for uop, address in zip(block.uops, block.addresses):
+        uops, addresses = block.uops, block.addresses
+        for i in range(block.lo, block.hi):
+            uop, address = uops[i], addresses[i]
             if address is not None and uop.is_store:
                 for word in self._mem_words(address, uop.size):
                     if word not in deltas:

@@ -6,9 +6,9 @@ are *static* per decoded instruction and per optimized frame, yet the
 original model re-derived them from `Uop`/`OptUop` attributes for every
 dynamic instance.  This module precomputes them once:
 
-* :class:`ScheduleBuilder` caches an :class:`InstrDecode` per static x86
-  instruction (keyed by instruction object identity; decode depends only
-  on instruction content, never on the dynamic record) and a
+* :class:`ScheduleBuilder` builds one flat schedule-tuple list per
+  injected stream and latency table (kept on the stream; decode depends
+  only on the static uop, never on the dynamic record) and a
   :class:`FrameSchedule` per optimized frame (stored on the frame, whose
   buffer is immutable once it enters the frame cache);
 * every uop — pre-rename or frame — gets one flat tuple of the same
@@ -21,8 +21,9 @@ dynamic instance.  This module precomputes them once:
 
 Schedules are built only here, by the sequencers' builder: every
 :class:`~repro.timing.pipeline.FetchBlock` arrives at the model carrying
-its own (a tuple list for an ICache or trace-cache block, the frame's
-:class:`FrameSchedule` for a frame block), and the model derives none.
+its own (the stream's flat tuple list, windowed by the block, for an
+ICache or trace-cache block; the frame's :class:`FrameSchedule` for a
+frame block), and the model derives none.
 
 The contract is **cycle identity**: scheduling from templates must produce
 the same :class:`~repro.timing.pipeline.SimResult` as the reference
@@ -64,28 +65,6 @@ KIND_LOAD = 1
 KIND_STORE = 2
 
 _COMPLEX_OPS = (UopOp.MUL, UopOp.DIVQ, UopOp.DIVR)
-
-
-class InstrDecode:
-    """Static per-instruction decode facts shared by all dynamic instances.
-
-    ``sched`` holds one dyn schedule tuple per uop of the instruction's
-    decode flow; ``event_kind``/``event_offset`` describe the prediction
-    event of its control uop (``None`` kind = no predictable event, e.g.
-    a direct JMP or a non-branch instruction).
-    """
-
-    __slots__ = ("sched", "event_kind", "event_offset")
-
-    def __init__(
-        self,
-        sched: tuple,
-        event_kind: str | None,
-        event_offset: int,
-    ) -> None:
-        self.sched = sched
-        self.event_kind = event_kind
-        self.event_offset = event_offset
 
 
 class FrameSchedule:
@@ -159,11 +138,6 @@ class ScheduleBuilder:
 
     def __init__(self, config: ProcessorConfig) -> None:
         self.config = config
-        #: id(Instruction) -> (Instruction, InstrDecode).  The decode
-        #: depends only on instruction *content*, and the keyed object is
-        #: retained in the value, so identity keying is safe for the
-        #: builder's lifetime (one simulation run).
-        self._instr_cache: dict[int, tuple] = {}
 
     # ------------------------------------------------------------ uops
 
@@ -219,39 +193,31 @@ class ScheduleBuilder:
             uop.size,
         )
 
-    # ----------------------------------------------------- instructions
+    # ---------------------------------------------------------- streams
 
-    def instr_decode(self, instruction, uops: tuple[Uop, ...]) -> InstrDecode:
-        """Cached decode facts for one static instruction and its decode flow."""
-        key = id(instruction)
-        hit = self._instr_cache.get(key)
-        if hit is not None:
-            return hit[1]
-        decode = self._build_instr_decode(instruction, uops)
-        self._instr_cache[key] = (instruction, decode)
-        return decode
+    def line_schedule(self, injected) -> list[tuple]:
+        """The flat schedule of an injected stream: one tuple per uop,
+        parallel to ``injected.uops``.
 
-    def _build_instr_decode(self, instruction, uops: tuple[Uop, ...]) -> InstrDecode:
-        from repro.x86.instructions import Mnemonic
-
-        sched = tuple(self.dyn_sched(uop) for uop in uops)
-        control_offset = None
-        for i, uop in enumerate(uops):
-            if uop.op in (UopOp.BR, UopOp.JMP, UopOp.JMPI):
-                control_offset = i
-                break
-        kind: str | None = None
-        if control_offset is not None:
-            mnemonic = instruction.mnemonic
-            if mnemonic is Mnemonic.JCC:
-                kind = "cond"
-            elif mnemonic is Mnemonic.CALL:
-                kind = "callind" if instruction.is_indirect else "call"
-            elif mnemonic is Mnemonic.RET:
-                kind = "ret"
-            elif mnemonic is Mnemonic.JMP and instruction.is_indirect:
-                kind = "jmpi"
-        return InstrDecode(sched, kind, control_offset or 0)
+        Built once per latency table (the only config fields a pre-rename
+        tuple depends on) and kept on the stream, so every cell over the
+        stream with the same table shares one list.  All instances of a
+        static uop share its one tuple.
+        """
+        config = self.config
+        key = (config.dcache.hit_latency, config.mul_latency, config.div_latency)
+        sched = injected.sched.get(key)
+        if sched is None:
+            # id() keys are safe: the stream holds every uop meanwhile.
+            memo: dict[int, tuple] = {}
+            sched = []
+            for uop in injected.uops:
+                entry = memo.get(id(uop))
+                if entry is None:
+                    entry = memo[id(uop)] = self.dyn_sched(uop)
+                sched.append(entry)
+            injected.sched[key] = sched
+        return sched
 
     # ----------------------------------------------------------- frames
 

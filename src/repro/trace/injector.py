@@ -8,18 +8,39 @@ Engine consume.
 
 A decode flow is static: every instance of an instruction shares one
 :class:`_Flow` holding the Translator's cached uop tuple, which is never
-mutated.  Only the per-uop address tuple is built per instance; branch
-directions and indirect targets are read from the record itself.  The
-stream is parallel arrays indexed by trace position, so it costs one
-list slot per array per record, not an object per record.
+mutated, and the facts of its predictable control transfer.  The stream
+is flat: one list slot per uop for the shared uop and one for this
+instance's address, a per-instruction offset into them, and one
+:class:`~repro.timing.pipeline.BranchEvent` per predictable transfer,
+built from the record's outcome.  Fetch blocks are windows over these
+arrays, so nothing is rebuilt per fetch.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain, compress
+from operator import attrgetter
+
+from repro.timing.pipeline import BranchEvent
 from repro.trace.record import TraceRecord
 from repro.trace.stream import DynamicTrace
 from repro.uops.translate import Translator
-from repro.uops.uop import Uop
+from repro.uops.uop import Uop, UopOp
+from repro.x86.instructions import Instruction, Mnemonic
+
+_CONTROL_OPS = (UopOp.BR, UopOp.JMP, UopOp.JMPI)
+#: The prediction event kind of a transfer, by (mnemonic, is_indirect).
+_EVENT_KINDS = {
+    (Mnemonic.JCC, False): "cond",
+    (Mnemonic.CALL, False): "call",
+    (Mnemonic.CALL, True): "callind",
+    (Mnemonic.RET, True): "ret",
+    (Mnemonic.JMP, True): "jmpi",
+}
+_UOPS = attrgetter("uops")
+_EVENT_KIND = attrgetter("event_kind")
+_LOAD_COUNT = attrgetter("load_count")
 
 
 class InjectionError(Exception):
@@ -27,16 +48,28 @@ class InjectionError(Exception):
 
 
 class _Flow:
-    """Injection facts of one static instruction's decode flow."""
+    """Injection facts of one static instruction's decode flow.
 
-    __slots__ = ("uops", "mem_slots", "load_count", "mem_kinds", "no_addresses")
+    ``event_kind`` names the prediction event of its control uop, at
+    ``event_offset`` in the flow; it is None when the instruction has no
+    predictable transfer (a non-branch or a direct JMP).
+    """
 
-    def __init__(self, uops: tuple[Uop, ...]) -> None:
+    __slots__ = (
+        "uops", "mem_slots", "load_count", "mem_kinds", "no_addresses",
+        "event_kind", "event_offset",
+    )
+
+    def __init__(self, instruction: Instruction, uops: tuple[Uop, ...]) -> None:
         self.uops = uops
         self.mem_slots = tuple(i for i, uop in enumerate(uops) if uop.is_mem)
         self.load_count = sum(1 for uop in uops if uop.is_load)
         self.mem_kinds = tuple(uops[i].is_store for i in self.mem_slots)
         self.no_addresses: tuple[None, ...] = (None,) * len(uops)
+        controls = [i for i, uop in enumerate(uops) if uop.op in _CONTROL_OPS]
+        kind = _EVENT_KINDS.get((instruction.mnemonic, instruction.is_indirect))
+        self.event_kind = kind if controls else None
+        self.event_offset = controls[0] if controls else 0
 
     def addresses(self, record: TraceRecord) -> tuple[int | None, ...]:
         """The record's memory addresses placed at this flow's memory uops."""
@@ -50,27 +83,47 @@ class _Flow:
             slots[slot] = mem_op.address
         return tuple(slots)
 
+    def event(self, record: TraceRecord) -> BranchEvent:
+        """This instance's prediction event (``event_kind`` must be set):
+        the outcome, target and return address come from the record."""
+        kind = self.event_kind
+        if kind == "cond":
+            return BranchEvent(kind, record.pc, bool(record.branch_taken), record.next_pc)
+        if kind == "call" or kind == "callind":
+            return BranchEvent(
+                kind, record.pc, True, record.next_pc,
+                record.pc + record.instruction.length,
+            )
+        return BranchEvent(kind, record.pc, True, record.next_pc)  # ret, jmpi
+
 
 class InjectedTrace:
-    """A trace's injected stream as parallel arrays, one entry per record.
+    """A trace's injected stream as flat arrays.
 
-    ``records[i]`` is the trace's own record (the trace's list, not a
-    copy), ``flows[i]`` its instruction's shared decode flow,
-    ``addresses[i]`` this instance's per-uop memory addresses (``None``
-    for non-memory uops) and ``pcs[i]`` its PC, for path matching.  The
-    totals are counted while injecting.
+    Per instruction: ``records[i]`` is the trace's own record (the
+    trace's list, not a copy) and ``pcs[i]`` its PC, for path matching.
+    Per uop: ``uops[k]`` is the shared static uop and ``addresses[k]``
+    this instance's memory address (``None`` for non-memory uops).
+    Instruction ``i``'s uops are ``uops[offsets[i]:offsets[i + 1]]``.
+    ``events`` maps the position of each predictable transfer's control
+    uop to its :class:`~repro.timing.pipeline.BranchEvent`.
     """
 
-    def __init__(self, records: list[TraceRecord], flows: list[_Flow],
-                 addresses: list[tuple[int | None, ...]], uop_count: int,
-                 load_count: int) -> None:
+    def __init__(self, records: list[TraceRecord], uops: list[Uop],
+                 addresses: list[int | None], offsets: array,
+                 events: dict[int, BranchEvent], load_count: int) -> None:
         self.records = records
-        self.flows = flows
-        self.addresses = addresses
         self.pcs: list[int] = [record.pc for record in records]
+        self.uops = uops
+        self.addresses = addresses
+        self.offsets = offsets
+        self.events = events
         self.x86_count = len(records)
-        self.uop_count = uop_count
+        self.uop_count = len(uops)
         self.load_count = load_count
+        #: the flat schedule-tuple list per latency table
+        #: (``repro.timing.schedule.ScheduleBuilder.line_schedule``).
+        self.sched: dict[tuple, list] = {}
         #: the frame constructor's closed regions over this stream, per
         #: config (``repro.replay.constructor.closed_regions``): computed
         #: once and dropped with the stream.
@@ -92,10 +145,10 @@ class MicroOpInjector:
         self.translator = Translator()
         self._flows: dict[int, _Flow] = {}
 
-    def _flow(self, instruction) -> _Flow:
+    def _flow(self, instruction: Instruction) -> _Flow:
         flow = self._flows.get(instruction.address)
         if flow is None:
-            flow = _Flow(self.translator.translate(instruction))
+            flow = _Flow(instruction, self.translator.translate(instruction))
             self._flows[instruction.address] = flow
         return flow
 
@@ -109,17 +162,23 @@ class MicroOpInjector:
         records = trace.records if isinstance(trace, DynamicTrace) else trace
         known = self._flows
         flows: list[_Flow] = []
-        addresses: list[tuple[int | None, ...]] = []
-        uops = loads = 0
+        append = flows.append
         for record in records:
             flow = known.get(record.instruction.address)
             if flow is None:
                 flow = self._flow(record.instruction)
-            flows.append(flow)
-            addresses.append(flow.addresses(record))
-            uops += len(flow.uops)
-            loads += flow.load_count
-        return InjectedTrace(records, flows, addresses, uops, loads)
+            append(flow)
+        # The flat arrays are assembled from the flows at C speed; only
+        # the addresses and the predictable transfers visit the records.
+        uops = list(chain.from_iterable(map(_UOPS, flows)))
+        offsets = array("q", accumulate(map(len, map(_UOPS, flows)), initial=0))
+        addresses = list(chain.from_iterable(map(_Flow.addresses, flows, records)))
+        events: dict[int, BranchEvent] = {}
+        for position in compress(range(len(flows)), map(_EVENT_KIND, flows)):
+            flow = flows[position]
+            events[offsets[position] + flow.event_offset] = flow.event(records[position])
+        loads = sum(map(_LOAD_COUNT, flows))
+        return InjectedTrace(records, uops, addresses, offsets, events, loads)
 
 
 def inject_once(trace: DynamicTrace) -> InjectedTrace:

@@ -9,11 +9,10 @@ exactly these fields (paper §5.1.1, §5.1.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.x86.instructions import Instruction
-from repro.x86.registers import Reg
 
 
 class MemOp(NamedTuple):
@@ -44,12 +43,17 @@ class MemOp(NamedTuple):
 
 @dataclass(slots=True)
 class TraceRecord:
-    """Everything the trace knows about one retired x86 instruction."""
+    """Everything the trace knows about one retired x86 instruction.
+
+    ``reg_writes`` holds ``(register number, value)`` pairs: the changed
+    registers in register order, then the unchanged ones in written
+    order.  A record that writes no register shares the empty tuple.
+    """
 
     pc: int
     instruction: Instruction
     next_pc: int
-    reg_writes: dict[Reg, int] = field(default_factory=dict)
+    reg_writes: tuple[tuple[int, int], ...] = ()
     flags_after: int | None = None  # None when the instruction leaves flags alone
     mem_ops: tuple[MemOp, ...] = ()
     branch_taken: bool | None = None  # only set for conditional branches

@@ -52,7 +52,8 @@ class FillUnit:
         """Feed the retired instruction ``injected[index]``; returns a
         completed line or None."""
         instruction = injected.records[index].instruction
-        uops = len(injected.flows[index].uops)
+        offsets = injected.offsets
+        uops = offsets[index + 1] - offsets[index]
         if self._pending_uops + uops > self.config.max_uops:
             line = self._finish()
             self._append(injected.pcs[index], instruction, uops)

@@ -10,11 +10,11 @@ either.
 from __future__ import annotations
 
 from repro.trace.injector import InjectedTrace
-from repro.replay.fetch_groups import build_icache_block, event_from_decode
+from repro.replay.fetch_groups import build_icache_block
 from repro.replay.frame_cache import FrameCache
 from repro.replay.sequencer import ICacheSequencer
 from repro.timing.config import ProcessorConfig
-from repro.timing.pipeline import _NO_EVENTS, FetchBlock
+from repro.timing.pipeline import FetchBlock
 from repro.tracecache.fill_unit import FillUnit, TraceLine
 
 
@@ -34,9 +34,9 @@ class TraceCacheSequencer(ICacheSequencer):
         if line is not None:
             matched = self._match_length(line)
             if matched > 0:
-                return self._dispatch_line(line, matched)
+                return self._dispatch_line(matched)
         block, count = build_icache_block(
-            self.injected, self.index, self.config, builder=self.sched_builder
+            self.injected, self.index, self.config, self.line_sched
         )
         self._retire_region(count)
         return block
@@ -52,36 +52,24 @@ class TraceCacheSequencer(ICacheSequencer):
             matched += 1
         return matched
 
-    def _dispatch_line(self, line: TraceLine, matched: int) -> FetchBlock:
-        uops: list = []
-        addresses: list = []
-        events = {}
-        sched: list = []
-        builder = self.sched_builder
-        # Use the *current* instances so dynamic facts (addresses, branch
-        # outcomes) are right for this execution; decode facts and
-        # schedule tuples come from the per-instruction template cache.
+    def _dispatch_line(self, matched: int) -> FetchBlock:
+        """The line's ``matched`` leading instructions, as a window over
+        the stream: the current instances' addresses and branch outcomes
+        and the stream's schedule tuples."""
         injected = self.injected
-        for position in range(self.index, self.index + matched):
-            record = injected.records[position]
-            flow_uops = injected.flows[position].uops
-            decode = builder.instr_decode(record.instruction, flow_uops)
-            event = event_from_decode(decode, record)
-            if event is not None:
-                events[len(uops) + decode.event_offset] = event
-            sched.extend(decode.sched)
-            uops.extend(flow_uops)
-            addresses.extend(injected.addresses[position])
-        self._retire_region(matched)
-        return FetchBlock(
+        offsets = injected.offsets
+        block = FetchBlock(
             source="tcache",
-            uops=uops,
-            addresses=addresses,
+            uops=injected.uops,
+            addresses=injected.addresses,
+            lo=offsets[self.index],
+            hi=offsets[self.index + matched],
             x86_count=matched,
-            pc=line.start_pc,
-            branch_events=events or _NO_EVENTS,
-            sched=sched,
+            sched=self.line_sched,
+            branch_events=injected.events,
         )
+        self._retire_region(matched)
+        return block
 
     def _retire_region(self, count: int) -> None:
         for _ in range(count):

@@ -65,7 +65,7 @@ class ArchState:
 
     def apply_record(self, record: TraceRecord) -> None:
         regs = self.regs
-        for reg, value in record.reg_writes.items():
+        for reg, value in record.reg_writes:
             regs[reg] = value
         if record.flags_after is not None:
             self.flags = record.flags_after

@@ -280,38 +280,34 @@ def _fall_through(
 ) -> Handler:
     """Handler for an instruction that continues at its fall-through.
 
-    ``reg_writes`` holds every written register: the changed ones in
-    register order, then the unchanged ones in written order.
-    ``flags_after`` is the packed flags when the instruction writes flags
-    (changed or not), else None.
+    ``reg_writes`` holds a ``(register number, value)`` pair for every
+    written register: the changed ones in register order, then the
+    unchanged ones in written order.  ``flags_after`` is the packed flags
+    when the instruction writes flags (changed or not), else None.
     """
     regs, flags_cell, clear = emu.regs, emu._flags, mem_ops.clear
     pc = instr.address
     next_pc = pc + instr.length
-    if len(written) > 1:
+    numbers = tuple(int(reg) for reg in written)
+    if len(numbers) > 1:
 
         def multi() -> TraceRecord:
             clear()
-            before = [regs[reg] for reg in written]
+            before = [regs[r] for r in numbers]
             sem()
-            writes = {
-                reg: regs[reg]
-                for reg, old in sorted(zip(written, before))
-                if regs[reg] != old
-            }
-            for reg in written:
-                writes.setdefault(reg, regs[reg])
+            changed = [(r, regs[r]) for r, old in zip(numbers, before) if regs[r] != old]
+            kept = [(r, old) for r, old in zip(numbers, before) if regs[r] == old]
+            writes = tuple(sorted(changed) + kept)
             flags = flags_cell[0] if writes_flags else None
             return TraceRecord(pc, instr, next_pc, writes, flags, tuple(mem_ops), None)
 
         return multi
-    reg = written[0] if written else None
-    r = 0 if reg is None else int(reg)
+    r = numbers[0] if numbers else None
 
     def handler() -> TraceRecord:
         clear()
         sem()
-        writes = {} if reg is None else {reg: regs[r]}
+        writes = () if r is None else ((r, regs[r]),)
         flags = flags_cell[0] if writes_flags else None
         return TraceRecord(pc, instr, next_pc, writes, flags, tuple(mem_ops), None)
 
@@ -589,7 +585,7 @@ def _jmp(emu: Emulator, instr: Instruction) -> Handler:
 
     def jmp() -> TraceRecord:
         clear()
-        return TraceRecord(pc, instr, target(), {}, None, tuple(mem_ops), None)
+        return TraceRecord(pc, instr, target(), (), None, tuple(mem_ops), None)
 
     return jmp
 
@@ -604,8 +600,8 @@ def _jcc(emu: Emulator, instr: Instruction) -> Handler:
     def jcc() -> TraceRecord:
         if taken[flags[0]]:
             clear()
-            return TraceRecord(pc, instr, target(), {}, None, tuple(mem_ops), True)
-        return TraceRecord(pc, instr, next_pc, {}, None, (), False)
+            return TraceRecord(pc, instr, target(), (), None, tuple(mem_ops), True)
+        return TraceRecord(pc, instr, next_pc, (), None, (), False)
 
     return jcc
 
@@ -625,7 +621,7 @@ def _call(emu: Emulator, instr: Instruction) -> Handler:
         log(MemOp(True, esp, 4, retaddr))
         regs[_ESP] = esp
         return TraceRecord(
-            pc, instr, next_pc, {Reg.ESP: esp}, None, tuple(mem_ops), None
+            pc, instr, next_pc, ((_ESP, esp),), None, tuple(mem_ops), None
         )
 
     return call
@@ -640,7 +636,7 @@ def _ret(emu: Emulator, instr: Instruction) -> Handler:
         next_pc = read(esp, 4)
         regs[_ESP] = new_esp = (esp + 4) & MASK32
         load = (MemOp(False, esp, 4, next_pc),)
-        return TraceRecord(pc, instr, next_pc, {Reg.ESP: new_esp}, None, load, None)
+        return TraceRecord(pc, instr, next_pc, ((_ESP, new_esp),), None, load, None)
 
     return ret
 

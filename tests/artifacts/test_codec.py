@@ -33,6 +33,15 @@ def test_binary_roundtrip_all_workloads(matrix, name):
     decoded = decode_trace(encode_trace(trace))
     assert decoded.name == trace.name
     assert decoded.records == trace.records
+    # Register writes are plain (int, value) pairs, never Reg members.
+    for records in (trace.records, decoded.records):
+        for record in records:
+            writes = record.reg_writes
+            assert type(writes) is tuple
+            assert all(
+                type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int
+                for pair in writes
+            )
 
 
 #: SHA-256 of the decompressed ``encode_trace(build_workload(name, seed=1))``
@@ -114,7 +123,7 @@ def test_version_mismatch_raises_trace_version_error():
 
 def test_bad_register_code_rejected():
     instr = _instruction(0x1000)
-    record = TraceRecord(0x1000, instr, 0x1003, {Reg.EAX: 1})
+    record = TraceRecord(0x1000, instr, 0x1003, ((int(Reg.EAX), 1),))
     raw = bytearray(gzip.decompress(encode_trace(DynamicTrace([record]))))
     # The record ends: B reg | q value | B n_mem_ops | B branch.
     assert raw[-11] == Reg.EAX
@@ -140,10 +149,10 @@ def test_every_cut_reads_as_truncated():
     instr = _instruction(0x1000)
     records = [
         TraceRecord(
-            0x1000, instr, 0x1003, {Reg.EAX: 1, Reg.EDI: 2}, 0x44,
+            0x1000, instr, 0x1003, ((int(Reg.EAX), 1), (int(Reg.EDI), 2)), 0x44,
             (MemOp(False, 0x2000, 4, 7),), True,
         ),
-        TraceRecord(0x1000, instr, 0x1003, {Reg.EDX: 3}),
+        TraceRecord(0x1000, instr, 0x1003, ((int(Reg.EDX), 3),)),
     ]
     raw = gzip.decompress(encode_trace(DynamicTrace(records)))
     for cut in range(6, len(raw)):
@@ -192,10 +201,10 @@ def _records(draw):
                 pc=pc,
                 instruction=instructions[pc],
                 next_pc=draw(_ADDRS),
-                reg_writes={
-                    Reg(r): draw(_VALUES)
+                reg_writes=tuple(
+                    (r, draw(_VALUES))
                     for r in draw(st.sets(st.integers(0, 7), max_size=3))
-                },
+                ),
                 flags_after=draw(st.none() | st.integers(0, 2**16)),
                 mem_ops=tuple(draw(_mem_ops)),
                 branch_taken=draw(st.none() | st.booleans()),

@@ -5,10 +5,11 @@ from __future__ import annotations
 import hashlib
 
 from repro.x86 import Assembler, Emulator
+from repro.x86.instructions import Mnemonic
 from repro.trace import DynamicTrace, MicroOpInjector
 from repro.replay.frame import Frame
 from repro.optimizer import FrameOptimizer, OptimizationBuffer
-from repro.timing import FetchBlock
+from repro.timing import BranchEvent, FetchBlock
 from repro.timing.schedule import FrameSchedule, ScheduleBuilder
 from repro.uops.uop import Uop, UReg
 from repro.verify.frame_exec import execute_frame
@@ -45,6 +46,24 @@ def region_frame(injected, start: int, count: int) -> Frame:
 
 
 
+def instance_event(record) -> BranchEvent | None:
+    """The prediction event of one record, built from the record alone;
+    None for a non-branch or a direct JMP (no predictable transfer)."""
+    instruction = record.instruction
+    mnemonic = instruction.mnemonic
+    pc, target = record.pc, record.next_pc
+    if mnemonic is Mnemonic.JCC:
+        return BranchEvent("cond", pc, bool(record.branch_taken), target)
+    if mnemonic is Mnemonic.CALL:
+        kind = "callind" if instruction.is_indirect else "call"
+        return BranchEvent(kind, pc, True, target, pc + instruction.length)
+    if mnemonic is Mnemonic.RET:
+        return BranchEvent("ret", pc, True, target)
+    if mnemonic is Mnemonic.JMP and instruction.is_indirect:
+        return BranchEvent("jmpi", pc, True, target)
+    return None
+
+
 def retire_all(constructor, injected) -> list:
     """Retire a whole stream through ``constructor``; the frames it returns."""
     frames = (constructor.retire(injected, i) for i in range(len(injected)))
@@ -60,8 +79,9 @@ def line_block(uops, config, pc=0x1000, events=None, x86_count=None) -> FetchBlo
         source="icache",
         uops=uops,
         addresses=[u.mem_address for u in uops],
+        lo=0,
+        hi=len(uops),
         x86_count=len(uops) if x86_count is None else x86_count,
-        pc=pc,
         sched=[builder.dyn_sched(u) for u in uops],
         byte_start=pc,
         byte_end=pc + 4 * len(uops),
@@ -70,7 +90,7 @@ def line_block(uops, config, pc=0x1000, events=None, x86_count=None) -> FetchBlo
 
 
 def frame_block(
-    uops, config, pc=0x1000, x86_count=0, fires=False, addresses=None
+    uops, config, x86_count=0, fires=False, addresses=None
 ) -> FetchBlock:
     """A frame block of hand-built frame uops with no frame behind it (so
     no live-out commit), scheduled by a ``ScheduleBuilder`` of ``config``.
@@ -82,8 +102,9 @@ def frame_block(
         source="frame",
         uops=uops,
         addresses=addresses,
+        lo=0,
+        hi=len(uops),
         x86_count=x86_count,
-        pc=pc,
         sched=FrameSchedule(list(uops), [builder.opt_sched(u) for u in uops]),
         fires=fires,
     )
@@ -200,11 +221,13 @@ def assert_decode_flows_match(program, records) -> None:
     machine = ArchState(image=initial_image(program))
     buffers: dict[int, OptimizationBuffer] = {}  # one per static instruction
     injected = MicroOpInjector().inject_trace(records)
-    for record, flow in zip(injected.records, injected.flows):
+    offsets = injected.offsets
+    for position, record in enumerate(injected.records):
         buffer = buffers.get(record.pc)
         if buffer is None:
-            n = len(flow.uops)
-            buffer = OptimizationBuffer(flow.uops, [0] * n, [None] * n)
+            uops = injected.uops[offsets[position] : offsets[position + 1]]
+            n = len(uops)
+            buffer = OptimizationBuffer(uops, [0] * n, [None] * n)
             buffers[record.pc] = buffer
         outcome = execute_frame(
             buffer,
@@ -212,10 +235,10 @@ def assert_decode_flows_match(program, records) -> None:
             machine.live_in_flags(),
             machine.read_byte,
         )
-        for reg, expected in record.reg_writes.items():
+        for reg, expected in record.reg_writes:
             got = outcome.final_regs[UReg(reg)]
             assert got == expected, (
-                f"{record.instruction} at {record.pc:#x}: {reg.name} "
+                f"{record.instruction} at {record.pc:#x}: {UReg(reg).name} "
                 f"= {got:#x}, trace says {expected:#x}"
             )
         if record.flags_after is not None:

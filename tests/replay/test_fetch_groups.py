@@ -3,11 +3,7 @@
 import pytest
 
 from helpers import inject, run_program
-from repro.replay.fetch_groups import (
-    build_icache_block,
-    event_from_decode,
-    is_taken_transfer,
-)
+from repro.replay.fetch_groups import build_icache_block, is_taken_transfer
 from repro.replay.sequencer import ICacheSequencer
 from repro.timing.config import default_config
 from repro.timing.schedule import ScheduleBuilder
@@ -29,9 +25,8 @@ def straight_line_injected(n=12):
 
 def icache_block(injected, index, config=None, stop_probe=None):
     config = config or default_config()
-    return build_icache_block(
-        injected, index, config, ScheduleBuilder(config), stop_probe=stop_probe
-    )
+    sched = ScheduleBuilder(config).line_schedule(injected)
+    return build_icache_block(injected, index, config, sched, stop_probe=stop_probe)
 
 
 def test_group_limited_by_decode_width():
@@ -53,7 +48,7 @@ def test_group_limited_by_uop_budget():
     _, _, trace = run_program(asm)
     injected = inject(trace)
     block, count = icache_block(injected, 0)
-    assert len(block.uops) <= default_config().fetch_width
+    assert block.hi - block.lo <= default_config().fetch_width
     assert count == 4
 
 
@@ -94,14 +89,7 @@ def test_stop_probe_truncates():
 
 def test_branch_event_kinds(loop_asm):
     _, _, trace = run_program(loop_asm)
-    builder = ScheduleBuilder(default_config())
-    kinds = set()
-    injected = inject(trace)
-    for record, flow in zip(injected.records, injected.flows):
-        decode = builder.instr_decode(record.instruction, flow.uops)
-        event = event_from_decode(decode, record)
-        if event is not None:
-            kinds.add(event.kind)
+    kinds = {event.kind for event in inject(trace).events.values()}
     assert {"cond", "call", "ret"} <= kinds
 
 
@@ -132,18 +120,25 @@ CONTROL_OPS = (UopOp.BR, UopOp.JMP, UopOp.JMPI)
 def test_branch_events_keyed_by_control_uop_position(
     matrix, workload, sequencer_class
 ):
-    """Each event sits on its own control uop, in increasing position: no
-    two instructions of a block can claim one slot."""
-    sequencer = sequencer_class(inject_once(matrix.trace(workload)), default_config())
+    """Line blocks are consecutive windows over the stream's flat arrays,
+    and every event key inside a window sits on a control uop."""
+    injected = inject_once(matrix.trace(workload))
+    sequencer = sequencer_class(injected, default_config())
     sources = set()
     events = 0
+    hi = 0
     while (block := sequencer.next_block(0)) is not None:
         sources.add(block.source)
-        positions = list(block.branch_events)
-        assert positions == sorted(set(positions))
-        for position in positions:
-            assert block.uops[position].op in CONTROL_OPS
-        events += len(positions)
-    assert events > 0
+        assert block.uops is injected.uops
+        assert block.addresses is injected.addresses
+        assert block.branch_events is injected.events
+        assert block.lo == hi < block.hi
+        hi = block.hi
+        keys = [k for k in range(block.lo, block.hi) if k in injected.events]
+        for key in keys:
+            assert block.uops[key].op in CONTROL_OPS
+        events += len(keys)
+    assert hi == len(injected.uops)
+    assert events == len(injected.events) > 0
     if sequencer_class is TraceCacheSequencer:
         assert "tcache" in sources

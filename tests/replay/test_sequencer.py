@@ -3,12 +3,11 @@
 from collections import Counter
 from dataclasses import replace
 
-from helpers import inject, run_program
+from helpers import inject, instance_event, run_program
 from repro.harness.experiment import CONFIGS, run_experiment
 from repro.metrics import MetricsRegistry
 from repro.optimizer import FrameOptimizer
 from repro.replay import ConstructorConfig, RePLaySequencer
-from repro.replay.fetch_groups import event_from_decode
 from repro.replay.sequencer import ICacheSequencer
 from repro.timing.config import default_config
 from repro.timing.pipeline import PipelineModel
@@ -65,7 +64,7 @@ def test_icache_sequencer_covers_whole_trace(loop_asm):
 
 def test_replay_sequencer_retires_everything():
     sequencer, result = run_sequencer(biased_loop_asm())
-    uops = [u for flow in sequencer.injected.flows for u in flow.uops]
+    uops = sequencer.injected.uops
     assert sequencer.stats.raw_uops_total == len(uops) > result.x86_retired
     assert sequencer.stats.raw_loads_total == sum(u.is_load for u in uops) > 0
     assert result.x86_retired == len(sequencer.injected)
@@ -163,9 +162,10 @@ def test_optimizer_queue_totals_populated():
 def test_every_block_carries_its_schedule(matrix, monkeypatch):
     """IC, TC, RP and RPO blocks carry the schedule their sequencer built.
 
-    A line block's schedule is one schedule tuple per uop; a frame
-    block's is its frame's FrameSchedule, whose kept uops are the
-    block's uops (committing or firing).
+    A line block is a window over its stream's uops, addresses and flat
+    schedule (one schedule tuple per uop); a frame block's schedule is
+    its frame's FrameSchedule, whose kept uops are the block's uops
+    (committing or firing), all of them in the window.
     """
     blocks = []
     run_block = PipelineModel._run_block
@@ -182,17 +182,26 @@ def test_every_block_carries_its_schedule(matrix, monkeypatch):
         blocks.clear()
         run_experiment(trace, config, metrics=MetricsRegistry())
         builder = ScheduleBuilder(config.processor)
+        injected = trace.injected
         for block in blocks:
             assert len(block.addresses) == len(block.uops)
             if block.source == "frame":
                 assert isinstance(block.sched, FrameSchedule)
                 assert block.sched.kept is block.uops
+                assert (block.lo, block.hi) == (0, len(block.uops))
                 assert len(block.sched.sched) == len(block.uops)
                 assert block.sched is block.frame.sched_template
                 assert not block.branch_events
                 kinds["fire" if block.fires else "frame"] += 1
             else:
-                assert block.sched == [builder.dyn_sched(u) for u in block.uops]
+                assert block.uops is injected.uops
+                assert block.addresses is injected.addresses
+                assert block.branch_events is injected.events
+                assert 0 <= block.lo < block.hi <= len(block.uops)
+                window = block.uops[block.lo : block.hi]
+                assert block.sched[block.lo : block.hi] == [
+                    builder.dyn_sched(u) for u in window
+                ]
                 kinds[block.source] += 1
     assert all(kinds[kind] > 0 for kind in ("icache", "tcache", "frame", "fire"))
 
@@ -229,14 +238,10 @@ def test_cached_train_events_match_each_instance(monkeypatch):
         events = train_events(sequencer, frame)
         fresh = []
         for offset in range(frame.x86_count - 1):
-            position = sequencer.index + offset
-            record = sequencer.injected.records[position]
-            if record.instruction.is_branch:
-                uops = sequencer.injected.flows[position].uops
-                decode = sequencer.sched_builder.instr_decode(record.instruction, uops)
-                event = event_from_decode(decode, record)
-                if event is not None:
-                    fresh.append(event)
+            record = sequencer.injected.records[sequencer.index + offset]
+            event = instance_event(record)
+            if event is not None:
+                fresh.append(event)
         assert events == fresh
         for k, _ in frame.train_events[1]:
             outcomes.setdefault(id(frame), set()).add(events[k].taken)

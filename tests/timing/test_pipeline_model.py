@@ -109,7 +109,7 @@ def test_cache_switch_wait_cycles():
     # icache -> frame (empty) -> icache: two switches.
     blocks = [
         line_block(independent_alu(4), config, pc=0x1000),
-        frame_block([], config, pc=0),
+        frame_block([], config),
         line_block(independent_alu(4), config, pc=0x2000),
     ]
     result = PipelineModel(config).simulate(ScriptedFetcher(blocks))
@@ -144,7 +144,7 @@ def test_frame_training_event_charges_no_redirect():
             OptUop(UopOp.ADD, slot=j, src_a=LiveIn(UReg(j % 4)), imm=1)
             for j in range(8)
         ]
-        block = frame_block(uops, config, pc=0x3000, x86_count=4)
+        block = frame_block(uops, config, x86_count=4)
         block.train_events = train_events
         model = PipelineModel(config)
         model.simulate(ScriptedFetcher([block]))

@@ -208,9 +208,7 @@ def frame_prune_blocks(config):
         )
         fires = k % 5 == 4
         blocks.append(
-            frame_block(
-                uops, config, pc=0x3000, x86_count=0 if fires else 4, fires=fires
-            )
+            frame_block(uops, config, x86_count=0 if fires else 4, fires=fires)
         )
     return blocks
 

@@ -1,11 +1,12 @@
-"""Micro-Op Injector: shared static decode flows with per-instance addresses."""
+"""Micro-Op Injector: shared static decode flows with per-instance addresses,
+held in one flat stream per trace."""
 
 import gc
 import weakref
 
 import pytest
 
-from helpers import inject, region_frame, run_program
+from helpers import inject, instance_event, region_frame, run_program
 from repro.artifacts import runner
 from repro.harness import CONFIGS, experiment
 from repro.harness.figures import ResultMatrix, run_fig6, run_table3
@@ -28,12 +29,11 @@ from repro.x86.instructions import Instruction, Mnemonic
 def test_mem_addresses_attached_in_order(loop_asm):
     _, _, trace = run_program(loop_asm)
     injected = inject(trace)
-    for record, flow, addresses in zip(
-        injected.records, injected.flows, injected.addresses
-    ):
-        assert len(addresses) == len(flow.uops)
+    offsets = injected.offsets
+    for position, record in enumerate(injected.records):
+        lo, hi = offsets[position], offsets[position + 1]
         mem_ops = iter(record.mem_ops)
-        for uop, address in zip(flow.uops, addresses):
+        for uop, address in zip(injected.uops[lo:hi], injected.addresses[lo:hi]):
             if uop.is_mem:
                 mem_op = next(mem_ops)
                 assert address == mem_op.address
@@ -49,7 +49,7 @@ def test_mem_addresses_attached_in_order(loop_asm):
 
 
 def _converted_controls(injected, count=12):
-    """(converted uop, its record, its flow's uops) for every mid-frame
+    """(converted uop, its record, its instruction's uops) for every mid-frame
     control uop of the frames built over each ``count``-instruction window
     of the stream."""
     for start in range(len(injected) - 1):
@@ -58,7 +58,8 @@ def _converted_controls(injected, count=12):
         for uop, x86_index in zip(frame.dyn_uops, frame.x86_indices):
             if uop.is_assertion:
                 position = start + x86_index
-                yield uop, injected.records[position], injected.flows[position].uops
+                lo, hi = injected.offsets[position], injected.offsets[position + 1]
+                yield uop, injected.records[position], injected.uops[lo:hi]
 
 
 def test_branch_outcomes_attached(loop_asm):
@@ -190,7 +191,8 @@ def test_injected_trace_carries_its_totals(loop_asm):
     injected = injector.inject_trace(trace)
     assert isinstance(injected, InjectedTrace) and len(injected) == len(trace)
     assert injected.records is trace.records
-    uops = [u for flow in injected.flows for u in flow.uops]
+    uops = [u for record in trace for u in injector.inject(record)[0].uops]
+    assert injected.uops == uops
     assert injected.x86_count == len(trace)
     assert injected.uop_count == len(uops)
     assert injected.load_count == sum(u.is_load for u in uops) > 0
@@ -262,22 +264,48 @@ def test_table3_then_fig6_injects_each_trace_once(counted_injections, monkeypatc
 
 @pytest.mark.parametrize("workload", [w.name for w in all_workloads()])
 def test_stream_pairs_each_record_with_its_flow(matrix, workload):
+    """Per instruction, the offsets delimit its flow's uops and, at the
+    flow's memory slots, the record's addresses."""
     trace = matrix.trace(workload)
     injected = inject_once(trace)
     assert injected.records is trace.records
     assert injected.pcs == [record.pc for record in trace.records]
+    offsets = injected.offsets
+    assert len(offsets) == len(trace) + 1 and offsets[0] == 0
+    assert offsets[-1] == len(injected.uops) == len(injected.addresses)
     translator = Translator()
-    for record, flow, addresses in zip(
-        injected.records, injected.flows, injected.addresses
-    ):
+    for position, record in enumerate(injected.records):
+        lo, hi = offsets[position], offsets[position + 1]
         uops = translator.translate(record.instruction)
-        assert flow.uops == uops
+        assert tuple(injected.uops[lo:hi]) == uops
         slots = [i for i, uop in enumerate(uops) if uop.is_mem]
         assert len(slots) == len(record.mem_ops)
         placed = [None] * len(uops)
         for slot, mem_op in zip(slots, record.mem_ops):
             placed[slot] = mem_op.address
-        assert list(addresses) == placed
+        assert injected.addresses[lo:hi] == placed
+
+
+CONTROL_OPS = (UopOp.BR, UopOp.JMP, UopOp.JMPI)
+
+
+@pytest.mark.parametrize("workload", [w.name for w in all_workloads()])
+def test_stream_events_are_the_predictable_transfers(matrix, workload):
+    """The event map's keys are exactly the control uops of predictable
+    transfers, each mapped to the event built from its record."""
+    injected = inject_once(matrix.trace(workload))
+    offsets = injected.offsets
+    expected = {}
+    for position, record in enumerate(injected.records):
+        event = instance_event(record)
+        if event is not None:
+            lo, hi = offsets[position], offsets[position + 1]
+            (key,) = [
+                k for k in range(lo, hi) if injected.uops[k].op in CONTROL_OPS
+            ][:1]
+            expected[key] = event
+    assert injected.events == expected
+    assert expected
 
 
 def _rejected_trace() -> DynamicTrace:
