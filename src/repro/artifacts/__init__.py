@@ -1,9 +1,12 @@
-"""Artifact caching and parallel experiment orchestration.
+"""Artifact caching and the ordered process-pool fan-out.
 
 Capture once, simulate many times: the expensive pieces of a harness run
 (workload emulation, per-config simulation) are cached content-addressed
-on disk and fanned out across processes.  See ``DESIGN.md`` §"Artifact
-store".
+on disk (:mod:`repro.artifacts.store`, traces encoded by
+:mod:`repro.artifacts.codec`), and :mod:`repro.artifacts.runner` keys
+them, captures traces and fans tasks out across processes.  The
+experiment matrix itself is :class:`repro.harness.figures.ResultMatrix`.
+See ``DESIGN.md`` §"Artifact store".
 """
 
 from repro.artifacts.codec import CODEC_VERSION, decode_trace, encode_trace
@@ -14,14 +17,10 @@ from repro.artifacts.store import (
     default_cache_dir,
 )
 from repro.artifacts.runner import (
-    MatrixRun,
-    MatrixTask,
     MatrixTaskError,
     TaskTelemetry,
-    compute_cell,
     compute_trace,
     result_key,
-    run_matrix,
     trace_key,
 )
 
@@ -29,17 +28,13 @@ __all__ = [
     "ArtifactStore",
     "CODEC_VERSION",
     "FORMAT_VERSION",
-    "MatrixRun",
-    "MatrixTask",
     "MatrixTaskError",
     "TaskTelemetry",
-    "compute_cell",
     "compute_trace",
     "content_key",
     "decode_trace",
     "default_cache_dir",
     "encode_trace",
     "result_key",
-    "run_matrix",
     "trace_key",
 ]

@@ -1,17 +1,18 @@
-"""Parallel experiment runner: fan the workload × config matrix out.
+"""Keying, trace capture and the ordered process-pool fan-out.
 
-Every figure of the paper is a (workload, configuration) matrix whose
-cells are independent simulations.  This runner executes those cells
-through the artifact store (so warm runs do zero emulation) and, when
-``jobs > 1``, across a :class:`concurrent.futures.ProcessPoolExecutor`
-with deterministic result ordering — results come back in task order no
-matter which worker finishes first, so parallel and serial runs produce
-identical tables.
+Every figure of the paper is a (workload, configuration) matrix of
+independent simulations over traces captured once;
+:class:`repro.harness.figures.ResultMatrix` resolves it on top of this
+module, which knows nothing of the harness.  :func:`compute_trace`
+fetches a captured trace (memory, then store) or emulates and captures
+it; :func:`run_tasks` fans payloads out across a process pool (or runs
+them serially) and returns results in payload order, so parallel and
+serial runs are indistinguishable; the fuzz campaign uses it too.
 
 Cache keying (see :func:`trace_key_material` / :func:`result_key_material`):
 a trace is addressed by the SHA-256 of the workload's *source code*,
 scale, seed, and instruction budget; a result additionally mixes in every
-field of the :class:`ExperimentConfig` (nested dataclasses included) and
+field of the experiment configuration (nested dataclasses included) and
 the store format version.  Changing any input — editing a workload,
 flipping an optimizer pass, resizing a cache — changes the key and forces
 a recompute; nothing is ever served stale.
@@ -22,25 +23,19 @@ from __future__ import annotations
 import hashlib
 import inspect
 import logging
-import os
 import sys
-import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pickle import PicklingError
-from typing import TYPE_CHECKING
 
 from repro.artifacts.store import ArtifactStore, content_key
 from repro.metrics import MetricsRegistry, get_registry
 from repro.trace.stream import DynamicTrace
 from repro.workloads import build_workload, get_workload
 
-if TYPE_CHECKING:  # imported lazily at runtime (harness imports us back)
-    from repro.harness.experiment import ExperimentConfig, ExperimentResult
-
 log = logging.getLogger("repro.artifacts")
 
-#: Default emulation budget (mirrors ``build_workload``'s default).
+#: Emulation budget of every captured trace; part of the trace key.
 MAX_INSTRUCTIONS = 400_000
 
 
@@ -106,37 +101,21 @@ def trace_key(name: str, scale: int | None = None, seed: int = 1) -> str:
 
 
 def result_key_material(
-    name: str,
-    config: ExperimentConfig,
-    scale: int | None = None,
-    seed: int = 1,
+    name: str, config, scale: int | None = None, seed: int = 1
 ) -> dict:
+    """Key material of ``config``'s result on a trace; ``config`` is an
+    experiment configuration (anything with a ``fingerprint()``)."""
     return {
         "trace": trace_key_material(name, scale, seed),
         "config": config.fingerprint(),
     }
 
 
-def result_key(
-    name: str,
-    config: ExperimentConfig,
-    scale: int | None = None,
-    seed: int = 1,
-) -> str:
+def result_key(name: str, config, scale: int | None = None, seed: int = 1) -> str:
     return content_key("result", result_key_material(name, config, scale, seed))
 
 
-# ------------------------------------------------------------------- tasks
-
-
-@dataclass(frozen=True)
-class MatrixTask:
-    """One cell of the workload × configuration matrix."""
-
-    workload: str
-    config: ExperimentConfig
-    scale: int | None = None
-    seed: int = 1
+# ------------------------------------------------ telemetry, trace capture
 
 
 @dataclass
@@ -151,17 +130,6 @@ class TaskTelemetry:
     emulated: bool = False
     simulated: bool = False
     worker_pid: int = 0
-
-
-@dataclass
-class MatrixRun:
-    """Results in task order plus per-task telemetry."""
-
-    tasks: list[MatrixTask]
-    results: list[ExperimentResult]
-    telemetry: list[TaskTelemetry]
-    jobs: int = 1
-    seconds: float = 0.0
 
 
 #: In-process trace memo so one process never emulates/decodes the same
@@ -197,7 +165,9 @@ def compute_trace(
                 telemetry.trace_cache_hit = True
             _memoize_trace(key, trace)
             return trace
-    trace = build_workload(name, scale=scale, seed=seed, metrics=metrics)
+    trace = build_workload(
+        name, scale=scale, seed=seed, max_instructions=MAX_INSTRUCTIONS, metrics=metrics
+    )
     if telemetry is not None:
         telemetry.emulated = True
     if store is not None:
@@ -206,73 +176,7 @@ def compute_trace(
     return trace
 
 
-def compute_cell(
-    task: MatrixTask, store: ArtifactStore | None = None
-) -> tuple[ExperimentResult, TaskTelemetry, dict]:
-    """Resolve one matrix cell: result cache → trace cache → emulate+simulate.
-
-    The third element is a :class:`MetricsRegistry` snapshot holding
-    everything the cell measured.  Cells record into a private registry
-    (not the process global) so snapshots survive the pickle boundary
-    back from pool workers and merge deterministically in task order.
-    """
-    telemetry = TaskTelemetry(
-        workload=task.workload,
-        config_name=task.config.name,
-        worker_pid=os.getpid(),
-    )
-    registry = MetricsRegistry()
-    start = time.perf_counter()
-    from repro.harness.experiment import ExperimentResult, run_experiment
-
-    key = result_key(task.workload, task.config, task.scale, task.seed)
-    result: ExperimentResult | None = None
-    if store is not None:
-        cached = store.get_result(key)
-        if isinstance(cached, ExperimentResult):
-            result = cached
-            telemetry.result_cache_hit = True
-    if result is None:
-        trace = compute_trace(
-            task.workload, task.scale, task.seed, store, telemetry,
-            metrics=registry,
-        )
-        result = run_experiment(
-            trace, task.config, workload_name=task.workload, metrics=registry
-        )
-        telemetry.simulated = True
-        if store is not None:
-            store.put_result(
-                key, result, label=f"{task.workload}/{task.config.name}"
-            )
-    telemetry.seconds = time.perf_counter() - start
-    return result, telemetry, registry.snapshot()
-
-
 # --------------------------------------------------------------- fan-out
-
-def _worker(
-    payload: tuple[list[MatrixTask], str | None]
-) -> list[tuple[ExperimentResult, TaskTelemetry, dict]]:
-    """Pool-side task body: open the store, then compute one trace's cells.
-
-    The payload is a picklable ``(tasks, store_root)`` pair; the result
-    is ``(result, telemetry, metrics snapshot)`` per task, in order.  A
-    cell's cache accounting travels back in its :class:`TaskTelemetry`,
-    so it is the same under any ``jobs``.  A failing cell's exception
-    names the cell in its ``matrix_task`` attribute.
-    """
-    tasks, store_root = payload
-    store = ArtifactStore(store_root) if store_root is not None else None
-    outputs = []
-    for task in tasks:
-        try:
-            outputs.append(compute_cell(task, store))
-        except Exception as exc:
-            exc.matrix_task = task
-            raise
-    return outputs
-
 
 #: Exception types that mean "the pool itself is unusable" — the only
 #: legitimate reasons to degrade to a serial run.  Anything else coming
@@ -283,9 +187,9 @@ _POOL_ERRORS = (BrokenProcessPool, PicklingError, OSError)
 def run_tasks(
     worker,
     payloads: list,
+    wrap_error,
     jobs: int = 1,
     registry: MetricsRegistry | None = None,
-    wrap_error=None,
 ) -> tuple[list, int]:
     """Generic ordered fan-out over a process pool (or serially).
 
@@ -299,18 +203,15 @@ def run_tasks(
     fuzz campaign: pool-infrastructure failures (broken pool, pickling,
     OS errors standing the pool up) degrade to a serial run with a
     warning and a ``runner.pool_fallbacks`` count; a task's own
-    exception raises a :class:`TaskError` (customized via
-    ``wrap_error(payload, exc) -> TaskError``) with the original
-    traceback chained.
+    exception raises ``wrap_error(payload, exc)`` (a :class:`TaskError`
+    naming the task) with the original traceback chained.
     """
     registry = registry if registry is not None else get_registry()
     results: list = [None] * len(payloads)
     done = [False] * len(payloads)
 
     def fail(index: int, exc: BaseException):
-        if wrap_error is not None:
-            raise wrap_error(payloads[index], exc) from exc
-        raise TaskError(f"task {index}", exc) from exc
+        raise wrap_error(payloads[index], exc) from exc
 
     effective_jobs = max(1, min(jobs, len(payloads)))
     if effective_jobs > 1:
@@ -357,65 +258,3 @@ def _fan_out(worker, payloads, jobs, results, done, fail) -> None:
                 fail(index, exc)
             else:
                 done[index] = True
-
-
-def run_matrix(
-    tasks: list[MatrixTask],
-    jobs: int = 1,
-    store: ArtifactStore | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> MatrixRun:
-    """Run every task, serially or across a process pool.
-
-    Results are returned in input order regardless of completion order.
-    The cells of one trace (workload, scale, seed) run in order in one
-    payload, so one worker emulates and injects each trace; ``jobs`` is
-    clamped to the number of traces.  ``jobs <= 1`` (or an environment
-    where process pools are unavailable) runs serially in-process.
-
-    Error handling is two-tier: pool-infrastructure failures
-    (:class:`BrokenProcessPool`, :class:`PicklingError`, :class:`OSError`
-    while standing the pool up) degrade to a serial run with a warning
-    and a ``runner.pool_fallbacks`` count; a task's own exception raises
-    :class:`MatrixTaskError` naming the failing cell, with the original
-    traceback chained.
-
-    Each cell's metric snapshot is merged into ``metrics`` (the
-    process-global registry when not given) in task order, so parallel
-    and serial runs accumulate identical deterministic counter totals.
-    """
-    registry = metrics if metrics is not None else get_registry()
-    start = time.perf_counter()
-    store_root = str(store.root) if store is not None else None
-    groups: dict[tuple, list[int]] = {}
-    for index, task in enumerate(tasks):
-        groups.setdefault((task.workload, task.scale, task.seed), []).append(index)
-    payloads = [([tasks[i] for i in indices], store_root) for indices in groups.values()]
-
-    def wrap_error(payload, exc: BaseException) -> MatrixTaskError:
-        task = getattr(exc, "matrix_task", payload[0][0])
-        return MatrixTaskError(task.workload, task.config.name, exc)
-
-    grouped, effective_jobs = run_tasks(
-        _worker, payloads, jobs=jobs, registry=registry, wrap_error=wrap_error
-    )
-    outputs: list = [None] * len(tasks)
-    for indices, group_outputs in zip(groups.values(), grouped):
-        for index, output in zip(indices, group_outputs):
-            outputs[index] = output
-    results: list[ExperimentResult] = []
-    telemetry: list[TaskTelemetry] = []
-    for result, task_telemetry, snapshot in outputs:
-        results.append(result)
-        telemetry.append(task_telemetry)
-        registry.merge(snapshot)
-    registry.counter("runner.cells").inc(len(tasks))
-    registry.gauge("runner.effective_jobs").set(effective_jobs)
-    return MatrixRun(
-        tasks=list(tasks),
-        results=results,  # type: ignore[arg-type]
-        telemetry=telemetry,  # type: ignore[arg-type]
-        jobs=effective_jobs,
-        seconds=time.perf_counter() - start,
-    )
-

@@ -22,7 +22,7 @@ Durability rules:
 Entry envelope::
 
     magic 'RART' | u16 format version | 32-byte sha256(meta+payload)
-    u32 meta length | meta JSON (kind, label, created) | payload
+    u32 meta length | meta JSON (kind, label) | payload
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import os
 import pickle
 import struct
 import tempfile
-import time
 from pathlib import Path
 
 from repro.artifacts import codec
@@ -120,10 +119,7 @@ class ArtifactStore:
 
     def put_bytes(self, kind: str, key: str, payload: bytes, label: str = "") -> Path:
         """Atomically write one entry (temp file + rename)."""
-        meta = json.dumps(
-            {"kind": kind, "label": label, "created": time.time()},
-            sort_keys=True,
-        ).encode("utf-8")
+        meta = json.dumps({"kind": kind, "label": label}, sort_keys=True).encode()
         digest = hashlib.sha256(meta + payload).digest()
         header = _HEADER.pack(MAGIC, FORMAT_VERSION, digest, len(meta))
 

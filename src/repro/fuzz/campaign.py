@@ -285,11 +285,11 @@ def run_campaign(
     outputs, result.jobs = run_tasks(
         _chunk_worker,
         payloads,
-        jobs=config.jobs,
-        registry=metrics,
-        wrap_error=lambda payload, exc: TaskError(
+        lambda payload, exc: TaskError(
             f"fuzz chunk starting at {axis.unit} {payload['indices'][0]}", exc
         ),
+        jobs=config.jobs,
+        registry=metrics,
     )
     summary_hash = hashlib.sha256()
     for summaries, snapshot in outputs:

@@ -8,12 +8,25 @@ simulated once per process.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 
-from repro.artifacts.runner import MatrixTask, TaskTelemetry, compute_trace, run_matrix
+from repro.artifacts.runner import (
+    MatrixTaskError,
+    TaskTelemetry,
+    compute_trace,
+    result_key,
+    run_tasks,
+)
 from repro.artifacts.store import ArtifactStore
-from repro.harness.experiment import CONFIGS, ExperimentConfig, ExperimentResult
+from repro.harness.experiment import (
+    CONFIGS,
+    ExperimentConfig,
+    ExperimentResult,
+    run_experiment,
+)
+from repro.metrics import MetricsRegistry, get_registry
 from repro.optimizer.pipeline import OptimizerConfig
 from repro.trace.stream import DynamicTrace
 from repro.workloads import get_workload
@@ -82,26 +95,46 @@ class ResultMatrix:
     def ensure(self, pairs: list[tuple[str, ExperimentConfig]]) -> None:
         """Resolve many (workload, config) cells at once.
 
-        Missing cells run through :func:`repro.artifacts.runner.run_matrix`
-        — in parallel when ``jobs > 1`` — and land in the in-memory map,
-        so the subsequent per-cell :meth:`run` calls are pure lookups.
+        Missing cells are grouped by trace, one :func:`run_tasks` payload
+        per workload (in parallel when ``jobs > 1``), so one worker
+        emulates and injects each trace.  Results, telemetry and metric
+        snapshots land in pair order under any ``jobs``, so the
+        subsequent per-cell :meth:`run` calls are pure lookups and the
+        process-global registry sums the same counters as a serial run.
         """
-        tasks: list[MatrixTask] = []
-        seen: set[tuple[str, str]] = set()
+        cells: dict[tuple[str, str], None] = {}  # an ordered set
+        groups: dict[str, list[ExperimentConfig]] = {}
         for workload, config in pairs:
             cell = (workload, config.name)
-            if cell in self._results or cell in seen:
+            if cell in self._results or cell in cells:
                 continue
-            seen.add(cell)
-            tasks.append(
-                MatrixTask(workload, config, scale=self.scale, seed=self.seed)
-            )
-        if not tasks:
+            cells[cell] = None
+            groups.setdefault(workload, []).append(config)
+        if not cells:
             return
-        run = run_matrix(tasks, jobs=self.jobs, store=self.store)
-        for task, result in zip(run.tasks, run.results):
-            self._results[(task.workload, task.config.name)] = result
-        self.telemetry.extend(run.telemetry)
+        registry = get_registry()
+        store_root = str(self.store.root) if self.store is not None else None
+        payloads = [
+            (workload, configs, self.scale, self.seed, store_root)
+            for workload, configs in groups.items()
+        ]
+        outputs, effective_jobs = run_tasks(
+            _resolve_trace_cells,
+            payloads,
+            _cell_error,
+            jobs=self.jobs,
+            registry=registry,
+        )
+        resolved = {
+            payload[0]: iter(output) for payload, output in zip(payloads, outputs)
+        }
+        for cell in cells:
+            result, telemetry, snapshot = next(resolved[cell[0]])
+            self._results[cell] = result
+            self.telemetry.append(telemetry)
+            registry.merge(snapshot)
+        registry.counter("runner.cells").inc(len(cells))
+        registry.gauge("runner.effective_jobs").set(effective_jobs)
 
     def run(self, workload: str, config: ExperimentConfig) -> ExperimentResult:
         key = (workload, config.name)
@@ -141,6 +174,52 @@ class ResultMatrix:
             f"{self.traces_emulated} emulated, {self.traces_cached} cached | "
             f"jobs: {self.jobs} | cache: {cache}"
         )
+
+
+def _resolve_trace_cells(payload: tuple) -> list[tuple]:
+    """Resolve the cells of one trace, in order (runs in a pool worker).
+
+    The payload is ``(workload, configs, scale, seed, store_root)``.
+    Each cell goes result store → trace (memory, store or emulation) →
+    simulation → result store, and records into a private registry, so
+    its ``(result, telemetry, metrics snapshot)`` survives the pickle
+    boundary and merges deterministically.  A failing cell's exception
+    names its config in ``matrix_config``.
+    """
+    workload, configs, scale, seed, store_root = payload
+    store = ArtifactStore(store_root) if store_root is not None else None
+    outputs = []
+    for config in configs:
+        telemetry = TaskTelemetry(workload, config.name, worker_pid=os.getpid())
+        registry = MetricsRegistry()
+        start = time.perf_counter()
+        try:
+            key = result_key(workload, config, scale, seed)
+            result = store.get_result(key) if store is not None else None
+            telemetry.result_cache_hit = isinstance(result, ExperimentResult)
+            if not telemetry.result_cache_hit:
+                trace = compute_trace(
+                    workload, scale, seed, store, telemetry, metrics=registry
+                )
+                result = run_experiment(
+                    trace, config, workload_name=workload, metrics=registry
+                )
+                telemetry.simulated = True
+                if store is not None:
+                    store.put_result(key, result, label=f"{workload}/{config.name}")
+        except Exception as exc:
+            exc.matrix_config = config.name
+            raise
+        telemetry.seconds = time.perf_counter() - start
+        outputs.append((result, telemetry, registry.snapshot()))
+    return outputs
+
+
+def _cell_error(payload: tuple, exc: BaseException) -> MatrixTaskError:
+    workload, configs = payload[:2]
+    return MatrixTaskError(
+        workload, getattr(exc, "matrix_config", configs[0].name), exc
+    )
 
 
 # ----------------------------------------------------------------- tables

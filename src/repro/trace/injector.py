@@ -139,17 +139,22 @@ class InjectedTrace:
 
 
 class MicroOpInjector:
-    """Pairs trace records with their static decode flows."""
+    """Pairs trace records with their static decode flows.
+
+    Flows are keyed by the ``id`` of their ``Instruction`` object, not its
+    address, so one injector serves traces of different programs (the
+    translator's cache keeps each object, and so its ``id``, alive).
+    """
 
     def __init__(self) -> None:
         self.translator = Translator()
         self._flows: dict[int, _Flow] = {}
 
     def _flow(self, instruction: Instruction) -> _Flow:
-        flow = self._flows.get(instruction.address)
+        flow = self._flows.get(id(instruction))
         if flow is None:
             flow = _Flow(instruction, self.translator.translate(instruction))
-            self._flows[instruction.address] = flow
+            self._flows[id(instruction)] = flow
         return flow
 
     def inject(self, record: TraceRecord) -> tuple[_Flow, tuple[int | None, ...]]:
@@ -164,7 +169,7 @@ class MicroOpInjector:
         flows: list[_Flow] = []
         append = flows.append
         for record in records:
-            flow = known.get(record.instruction.address)
+            flow = known.get(id(record.instruction))
             if flow is None:
                 flow = self._flow(record.instruction)
             append(flow)

@@ -57,20 +57,23 @@ def _mem_operands(operand: Mem) -> dict:
 
 
 class Translator:
-    """Stateless x86-to-uop translator with a per-program decode cache."""
+    """Stateless x86-to-uop translator with a decode cache."""
 
     def __init__(self) -> None:
-        self._cache: dict[int, tuple[Uop, ...]] = {}
+        self._cache: dict[int, tuple[Instruction, tuple[Uop, ...]]] = {}
 
     def translate(self, instr: Instruction) -> tuple[Uop, ...]:
-        """Decode ``instr``; results are cached by instruction address."""
-        cached = self._cache.get(instr.address)
+        """Decode ``instr``; results are cached per instruction object, not
+        per address (two programs may put different instructions at one
+        address), and the cache keeps the object alive so its ``id`` stays
+        unique."""
+        cached = self._cache.get(id(instr))
         if cached is not None:
-            return cached
+            return cached[1]
         uops = tuple(self._decode(instr))
         for uop in uops:
             uop.x86_pc = instr.address
-        self._cache[instr.address] = uops
+        self._cache[id(instr)] = (instr, uops)
         return uops
 
     # ------------------------------------------------------------ decode

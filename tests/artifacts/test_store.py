@@ -12,6 +12,7 @@ from repro.artifacts import store as store_mod
 from repro.artifacts.runner import result_key, trace_key
 from repro.artifacts.store import ArtifactStore, content_key
 from repro.harness.experiment import CONFIGS
+from repro.harness.figures import ResultMatrix
 from repro.workloads import build_workload
 
 
@@ -80,6 +81,20 @@ def test_result_roundtrip(store):
     key = content_key("result", {"cell": "demo"})
     store.put_result(key, {"ipc": 1.25}, label="demo")
     assert store.get_result(key) == {"ipc": 1.25}
+
+
+def test_same_entry_written_twice_is_byte_identical(tmp_path, vortex_trace):
+    """An entry's bytes depend only on what is stored, never on when."""
+    first, second = ArtifactStore(tmp_path / "a"), ArtifactStore(tmp_path / "b")
+    key = content_key("result", {"k": "same"})
+    written = []
+    for store in (first, second, first):
+        written.append((
+            store.put_bytes("result", key, b"payload", label="demo").read_bytes(),
+            store.put_result(key, {"ipc": 1.25}, label="demo").read_bytes(),
+            store.put_trace(trace_key("vortex"), vortex_trace).read_bytes(),
+        ))
+    assert written[0] == written[1] == written[2]
 
 
 def test_no_temp_files_left_behind(store):
@@ -154,10 +169,8 @@ def test_undecodable_pickle_is_a_miss(store):
 def test_stale_result_reclassifies_hit(store):
     """An envelope that verifies but holds a stale result is a miss: the
     store drops it, and the cell reports a recompute, not a cache hit."""
-    from repro.artifacts.runner import MatrixTask, compute_cell
-
-    task = MatrixTask(workload="gzip", config=CONFIGS["RP"])
-    key = result_key(task.workload, task.config, task.scale, task.seed)
+    config = CONFIGS["RP"]
+    key = result_key("gzip", config)
     path = store.put_bytes("result", key, b"not a pickle")
     assert store.get_bytes("result", key) == b"not a pickle"  # envelope hit
     assert store.get_result(key) is None
@@ -165,7 +178,9 @@ def test_stale_result_reclassifies_hit(store):
     assert store.get_bytes("result", key) is None  # later reads miss too
 
     store.put_bytes("result", key, b"not a pickle")
-    _, telemetry, _ = compute_cell(task, store)
+    matrix = ResultMatrix(store=store)
+    matrix.run("gzip", config)
+    (telemetry,) = matrix.telemetry
     assert not telemetry.result_cache_hit
     assert telemetry.simulated
     assert store.get_result(key) is not None  # recomputed and stored

@@ -123,8 +123,8 @@ def _registry_from(counts: dict[str, int]) -> MetricsRegistry:
 def test_merge_is_associative_and_commutative(x, y, z):
     """Worker-snapshot merging must not depend on completion order.
 
-    run_matrix merges per-cell snapshots in task order, but the property
-    guarantees any order gives the same totals — the foundation of the
+    ResultMatrix.ensure merges per-cell snapshots in pair order, but the
+    property guarantees any order gives the same totals — the foundation of the
     serial == parallel metric-equality contract.
     """
     left = _registry_from(x)

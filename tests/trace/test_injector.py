@@ -137,7 +137,7 @@ def test_rpo_run_leaves_static_uops_unannotated(monkeypatch, matrix):
     result = experiment.run_experiment(trace, CONFIGS["RPO"])
     assert result.sequencer_stats.frame_dispatches > 0
     (injector,) = injectors
-    flows = list(injector.translator._cache.values())
+    flows = [uops for _, uops in injector.translator._cache.values()]
     assert any(u.is_mem for flow in flows for u in flow)
     assert all(u.mem_address is None for flow in flows for u in flow)
 
@@ -306,6 +306,20 @@ def test_stream_events_are_the_predictable_transfers(matrix, workload):
             expected[key] = event
     assert injected.events == expected
     assert expected
+
+
+def test_one_injector_serves_every_program(matrix):
+    """A reused injector gives each trace the stream a fresh injector
+    gives it, though the 14 programs share instruction addresses."""
+    shared = MicroOpInjector()
+    for workload in all_workloads():
+        trace = matrix.trace(workload.name)
+        fresh = inject_once(trace)
+        reused = shared.inject_trace(trace)
+        assert reused.uops == fresh.uops, workload.name
+        assert reused.offsets == fresh.offsets, workload.name
+        assert reused.addresses == fresh.addresses, workload.name
+        assert reused.events == fresh.events, workload.name
 
 
 def _rejected_trace() -> DynamicTrace:
