@@ -31,8 +31,8 @@ The **configuration axis** gets the same treatment:
   sizes), plus greedy shrink-toward-default steps;
 * :mod:`repro.fuzz.config_oracle` — the config-differential oracle:
   each (program, config) pair must satisfy template-vs-reference
-  scheduling identity, retire conservation, and capacity-widening
-  monotonicity under arbitrary valid geometries.
+  scheduling identity and retire conservation under arbitrary valid
+  geometries, and is checked for capacity widening costing cycles.
 
 Every random decision flows from an explicit ``random.Random(seed)``;
 no module-level randomness is used anywhere in the package.

@@ -171,7 +171,8 @@ CONFIG_AXIS = Axis(
     ),
     divergence=ConfigDivergence,
     iterations=200,
-    # Each pair runs ~7 full simulations, so chunks are smaller.
+    # Each pair runs 7 timing models over 3 fetch streams (one per front
+    # end), so chunks are smaller.
     chunk_size=5,
 )
 

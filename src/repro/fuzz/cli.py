@@ -12,8 +12,8 @@ delta-debugging shrinker and stored in the artifact corpus, and the
 command exits nonzero.  ``config run`` does the same on the *config
 axis*: every iteration pairs a generated program with a generated
 ``ProcessorConfig`` and drives the pair through the config-differential
-oracle (template-vs-reference A/B, retire conservation, widening
-monotonicity); divergent pairs shrink on both axes.  ``repro`` replays
+oracle (template-vs-reference A/B, retire conservation, the widening
+check); divergent pairs shrink on both axes.  ``repro`` replays
 a stored case (by id prefix) through whichever oracle produced it —
 deterministic by construction, since the case carries the genome (and,
 for config cases, the config document) and rendering is seed-free.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.harness.experiment import CONFIGS, ExperimentConfig
+from repro.harness.experiment import CONFIGS, ExperimentConfig, make_sequencer
 from repro.replay.sequencer import RePLaySequencer
 from repro.timing.config import ProcessorConfig
 from repro.timing.pipeline import PipelineModel
@@ -297,18 +297,7 @@ def characterize(
             "characterize needs a replay-frontend config (RP or RPO); "
             f"got {config.name!r}"
         )
-    injected = inject_once(trace)
-    optimizer = None
-    if config.optimize:
-        from repro.optimizer.pipeline import FrameOptimizer
-
-        optimizer = FrameOptimizer(config.optimizer)
-    sequencer = RePLaySequencer(
-        injected,
-        config.processor,
-        optimizer,
-        constructor_config=config.constructor,
-    )
+    sequencer = make_sequencer(inject_once(trace), config)
     sim = PipelineModel(config.processor).simulate(sequencer)
 
     stats = trace.stats()

@@ -21,7 +21,7 @@ from repro.fuzz.configgen import generate_config
 from repro.fuzz.generator import generate_program
 from repro.metrics import MetricsRegistry
 from repro.timing.config import default_config
-from repro.timing.pipeline import SimResult
+from repro.timing.pipeline import PipelineModel, SimResult
 
 
 def test_ab_grid_over_random_configs():
@@ -79,16 +79,53 @@ def test_divergence_json_roundtrip():
 
 
 def test_sim_crash_is_a_finding_not_an_exception(monkeypatch):
-    def exploding_run(trace, experiment, metrics=None, scheduling="template"):
+    def exploding_run(trace, experiment, widened=None, metrics=None):
         raise RuntimeError("synthetic meltdown")
 
-    monkeypatch.setattr(oracle_mod, "run_experiment", exploding_run)
+    monkeypatch.setattr(oracle_mod, "run_lockstep", exploding_run)
     report = run_config_differential(
         generate_program(2), default_config(), ConfigOracleConfig()
     )
     assert not report.ok
     assert {d.kind for d in report.divergences} == {"sim-crash"}
     assert any("synthetic meltdown" in d.detail for d in report.divergences)
+    # One finding per front end; its checks are skipped.
+    assert [d.frontend for d in report.divergences] == list(oracle_mod.FRONTENDS)
+    assert report.simulations == 0
+
+
+def skew_template(monkeypatch, block, undo):
+    """Patch the template kernel: every template model runs one cycle
+    late after its ``block``-th block and, with ``undo``, one cycle
+    early again before the next one."""
+    kernel = PipelineModel._schedule_block
+
+    def skewed(self, *args):
+        index = self.skew_index = getattr(self, "skew_index", -1) + 1
+        if undo and index == block + 1:
+            self.cycle -= 1
+        last_complete = kernel(self, *args)
+        if index == block:
+            self.cycle += 1
+        return last_complete
+
+    monkeypatch.setattr(PipelineModel, "_schedule_block", skewed)
+
+
+@pytest.mark.parametrize("undo", [False, True])
+def test_cycle_split_is_a_schedule_ab_finding_naming_the_block(monkeypatch, undo):
+    skew_template(monkeypatch, block=3, undo=undo)
+    report = run_config_differential(
+        generate_program(2), default_config(), ConfigOracleConfig(check_widening=False)
+    )
+    assert [(d.kind, d.frontend) for d in report.divergences] == [
+        ("schedule-ab", name) for name in oracle_mod.FRONTENDS
+    ]
+    for divergence in report.divergences:
+        assert divergence.detail.startswith("cycle split at block 3: template ")
+        # Undone before the next block, the split leaves no trace in the
+        # final results: only the per-block check sees it.
+        assert divergence.detail.endswith("; equal") == undo
 
 
 def test_widening_check_can_be_disabled():

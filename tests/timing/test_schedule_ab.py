@@ -14,7 +14,8 @@ import dataclasses
 import pytest
 
 from helpers import frame_block, line_block
-from repro.harness.experiment import CONFIGS, run_experiment
+from repro.fuzz.config_oracle import run_lockstep
+from repro.harness.experiment import CONFIGS
 from repro.optimizer.optuop import DefRef, LiveIn, OptUop
 from repro.timing import BranchEvent, PipelineModel, default_config
 from repro.uops import Uop, UopOp, UReg
@@ -42,11 +43,13 @@ AB_CELLS = [
 
 @pytest.mark.parametrize("workload,config_name", AB_CELLS)
 def test_template_matches_reference_on_workload(matrix, workload, config_name):
-    trace = matrix.trace(workload)
-    config = CONFIGS[config_name]
-    reference = run_experiment(trace, config, scheduling="reference")
-    template = run_experiment(trace, config, scheduling="template")
-    assert template.sim == reference.sim
+    """The config oracle's lockstep driver: the template model shadows
+    the reference on one fetch stream, cycle-equal at every block."""
+    reference, template, _, split = run_lockstep(
+        matrix.trace(workload), CONFIGS[config_name]
+    )
+    assert split is None
+    assert template == reference
 
 
 def test_fired_frames_present_in_ab_sample(matrix):
