@@ -172,16 +172,6 @@ class Frame:
             )
         return self.buffer
 
-    def describe(self) -> str:
-        """Human-readable dump (used by examples and debugging)."""
-        header = (
-            f"frame @ {self.start_pc:#x}: {self.x86_count} x86 insts, "
-            f"{self.uop_count} uops"
-        )
-        if self.buffer is not None:
-            return header + "\n" + self.buffer.dump()
-        return header + "\n" + "\n".join(str(u) for u in self.dyn_uops)
-
 
 def _frameify(injected: InjectedTrace, start: int, stop: int) -> FrameBody:
     """Convert the region ``injected[start:stop]`` into frame form:

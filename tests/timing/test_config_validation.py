@@ -7,8 +7,11 @@ functional-unit pool — and now dies up front with a :class:`ConfigError`
 naming the offending field.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.harness.experiment import CONFIGS, make_sequencer
 from repro.timing import Cache, CacheConfig, ConfigError
 from repro.timing.config import default_config
 from repro.timing.pipeline import PipelineModel
@@ -127,6 +130,20 @@ def test_pipeline_model_validates_up_front():
     with pytest.raises(ConfigError) as excinfo:
         PipelineModel(config)
     assert _field_of(excinfo) == "simple_alus"
+
+
+@pytest.mark.parametrize("name", ["IC", "TC", "RP", "RPO"])
+def test_sequencer_factory_validates_before_building(name):
+    # Sequencers read the geometry (frame cache capacity, fetch width) in
+    # their constructors, so the factory every simulation entry point
+    # shares must reject a degenerate config before building one: here
+    # the trace is never touched.
+    config = default_config()
+    config.frame_cache_uops = 0
+    experiment = replace(CONFIGS[name], processor=config)
+    with pytest.raises(ConfigError) as excinfo:
+        make_sequencer(None, experiment)
+    assert _field_of(excinfo) == "frame_cache_uops"
 
 
 # --------------------------------------------------------------- predictor
