@@ -48,7 +48,6 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.oracle import (
     Divergence,
-    OracleConfig,
     ProgramReport,
     run_differential,
 )
@@ -61,7 +60,6 @@ from repro.fuzz.campaign import (
 )
 from repro.fuzz.config_oracle import (
     ConfigDivergence,
-    ConfigOracleConfig,
     ConfigPairReport,
     run_config_differential,
 )
@@ -78,13 +76,11 @@ __all__ = [
     "CampaignResult",
     "ConfigCampaignConfig",
     "ConfigDivergence",
-    "ConfigOracleConfig",
     "ConfigPairReport",
     "Divergence",
     "FuzzCorpus",
     "FuzzProgram",
     "GeneratorConfig",
-    "OracleConfig",
     "ProgramReport",
     "config_from_json",
     "config_to_json",

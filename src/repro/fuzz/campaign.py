@@ -9,10 +9,10 @@ A campaign is a range of *indices* run along one :class:`Axis`:
   under the processor config ``derive_config_seed(seed, i)`` through
   the config-differential oracle.
 
-The oracle config a :class:`CampaignConfig` carries picks the axis.
-Seeds derive from the campaign seed via SHA-256, so
+A :class:`CampaignConfig` names its axis.  Seeds derive from the
+campaign seed via SHA-256, so
 
-* the campaign is reproducible from ``(oracle, seed, iterations)``
+* the campaign is reproducible from ``(axis, seed, iterations)``
   alone — the derivation has no platform-, hash-randomization-, or
   schedule-dependent inputs;
 * any single index can be regenerated without replaying the campaign;
@@ -38,11 +38,7 @@ from typing import Callable
 from repro.artifacts.runner import TaskError, run_tasks
 from repro.metrics import MetricsRegistry
 
-from repro.fuzz.config_oracle import (
-    ConfigDivergence,
-    ConfigOracleConfig,
-    run_config_differential,
-)
+from repro.fuzz.config_oracle import ConfigDivergence, run_config_differential
 from repro.fuzz.configgen import config_to_json, generate_config
 from repro.fuzz.generator import (
     FuzzProgram,
@@ -50,7 +46,7 @@ from repro.fuzz.generator import (
     program_from_json,
     program_to_json,
 )
-from repro.fuzz.oracle import Divergence, OracleConfig, run_differential
+from repro.fuzz.oracle import Divergence, run_differential
 
 
 def derive_program_seed(campaign_seed: int, index: int) -> int:
@@ -72,10 +68,7 @@ def derive_config_seed(campaign_seed: int, index: int) -> int:
 
 
 def summarize_program(
-    campaign_seed: int,
-    index: int,
-    oracle: OracleConfig,
-    metrics: MetricsRegistry | None,
+    campaign_seed: int, index: int, metrics: MetricsRegistry | None
 ) -> dict:
     """Generate, differential-test, and summarize one program.
 
@@ -86,7 +79,7 @@ def summarize_program(
     """
     program_seed = derive_program_seed(campaign_seed, index)
     genome = generate_program(program_seed)
-    report = run_differential(genome, oracle, metrics=metrics)
+    report = run_differential(genome, metrics=metrics)
     summary = {
         "index": index,
         "program_seed": program_seed,
@@ -103,10 +96,7 @@ def summarize_program(
 
 
 def summarize_pair(
-    campaign_seed: int,
-    index: int,
-    oracle: ConfigOracleConfig,
-    metrics: MetricsRegistry | None,
+    campaign_seed: int, index: int, metrics: MetricsRegistry | None
 ) -> dict:
     """Generate, differential-test, and summarize one (program, config)
     pair; divergent pairs also carry their ``config`` JSON."""
@@ -114,7 +104,7 @@ def summarize_pair(
     config_seed = derive_config_seed(campaign_seed, index)
     genome = generate_program(program_seed)
     processor = generate_config(config_seed)
-    report = run_config_differential(genome, processor, oracle, metrics=metrics)
+    report = run_config_differential(genome, processor, metrics=metrics)
     summary = {
         "index": index,
         "program_seed": program_seed,
@@ -140,7 +130,7 @@ class Axis:
     # Names the campaign metrics <prefix>campaign_<unit>s and
     # <prefix><unit>s_per_sec.
     metric_prefix: str
-    summarize: Callable[..., dict]  # (campaign_seed, index, oracle, metrics)
+    summarize: Callable[..., dict]  # (campaign_seed, index, metrics)
     fields: tuple[str, ...]  # summary fields summed into CampaignResult.totals
     divergence: type  # rebuilds the summary's divergences from JSON
     iterations: int  # default campaign size
@@ -176,16 +166,12 @@ CONFIG_AXIS = Axis(
     chunk_size=5,
 )
 
-_AXES = {OracleConfig: PROGRAM_AXIS, ConfigOracleConfig: CONFIG_AXIS}
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
     """One campaign: its axis, how many indices, from which seed, how
     parallel.
 
-    ``oracle`` picks the axis: an :class:`OracleConfig` fuzzes programs,
-    a :class:`ConfigOracleConfig` (program, config) pairs.
     ``iterations`` and ``chunk_size`` left at ``None`` take the axis
     defaults.
     """
@@ -194,7 +180,7 @@ class CampaignConfig:
     iterations: int | None = None
     jobs: int = 1
     chunk_size: int | None = None
-    oracle: OracleConfig | ConfigOracleConfig = OracleConfig()
+    axis: Axis = PROGRAM_AXIS
 
     def __post_init__(self) -> None:
         if self.iterations is None:
@@ -202,13 +188,9 @@ class CampaignConfig:
         if self.chunk_size is None:
             object.__setattr__(self, "chunk_size", self.axis.chunk_size)
 
-    @property
-    def axis(self) -> Axis:
-        return _AXES[type(self.oracle)]
-
 
 #: A campaign on the (program, config) axis.
-ConfigCampaignConfig = partial(CampaignConfig, oracle=ConfigOracleConfig())
+ConfigCampaignConfig = partial(CampaignConfig, axis=CONFIG_AXIS)
 
 
 @dataclass
@@ -255,11 +237,9 @@ class CampaignResult:
 def _chunk_worker(payload: dict):
     """Summarize one chunk of indices (executes in a pool worker)."""
     registry = MetricsRegistry()
-    oracle = payload["oracle"]
-    summarize = _AXES[type(oracle)].summarize
+    summarize = payload["summarize"]
     summaries = [
-        summarize(payload["seed"], index, oracle, registry)
-        for index in payload["indices"]
+        summarize(payload["seed"], index, registry) for index in payload["indices"]
     ]
     return summaries, registry.snapshot()
 
@@ -267,8 +247,8 @@ def _chunk_worker(payload: dict):
 def run_campaign(
     config: CampaignConfig, metrics: MetricsRegistry | None = None
 ) -> CampaignResult:
-    """Run a campaign on the axis its oracle config picks; returns the
-    aggregate and every divergent case."""
+    """Run a campaign on its axis; returns the aggregate and every
+    divergent case."""
     axis = config.axis
     result = CampaignResult(
         axis=axis, seed=config.seed, totals=dict.fromkeys(axis.fields, 0)
@@ -279,7 +259,7 @@ def run_campaign(
         {
             "seed": config.seed,
             "indices": list(range(first, min(first + step, config.iterations))),
-            "oracle": config.oracle,
+            "summarize": axis.summarize,
         }
         for first in range(0, config.iterations, step)
     ]

@@ -34,11 +34,11 @@ from repro.fuzz.campaign import (
     CampaignConfig,
     run_campaign,
 )
-from repro.fuzz.config_oracle import ConfigOracleConfig, run_config_differential
+from repro.fuzz.config_oracle import run_config_differential
 from repro.fuzz.configgen import config_from_json, config_to_json
 from repro.fuzz.corpus import CorpusError, FuzzCorpus
 from repro.fuzz.generator import program_from_json
-from repro.fuzz.oracle import OracleConfig, run_differential
+from repro.fuzz.oracle import run_differential
 from repro.fuzz.shrink import shrink_case
 
 #: Per-axis campaign report: the headline, and a suffix to the rate
@@ -74,11 +74,8 @@ def fuzz_main(argv: list[str]) -> int:
     config_run_p = config_sub.add_parser(
         "run", help="run a config-axis fuzz campaign"
     )
-    for p, axis, oracle in (
-        (run_p, PROGRAM_AXIS, OracleConfig()),
-        (config_run_p, CONFIG_AXIS, ConfigOracleConfig()),
-    ):
-        p.set_defaults(oracle=oracle)
+    for p, axis in ((run_p, PROGRAM_AXIS), (config_run_p, CONFIG_AXIS)):
+        p.set_defaults(axis=axis)
         p.add_argument("--seed", type=int, default=1, help="campaign seed")
         p.add_argument(
             "--iterations",
@@ -136,7 +133,7 @@ def _run(args, store: ArtifactStore) -> int:
         seed=args.seed,
         iterations=args.iterations,
         jobs=args.jobs,
-        oracle=args.oracle,
+        axis=args.axis,
     )
     result = run_campaign(config, metrics=get_registry())
     unit = result.axis.unit
@@ -157,7 +154,7 @@ def _run(args, store: ArtifactStore) -> int:
         genome, config_json, note = item.genome, item.config_json, ""
         if not args.no_shrink:
             processor = config_from_json(config_json) if config_json else None
-            shrunk = shrink_case(genome, processor, config.oracle)
+            shrunk = shrink_case(genome, processor)
             genome = shrunk.genome
             fields = ""
             if shrunk.config is not None:
@@ -203,7 +200,7 @@ def _repro(args, store: ArtifactStore) -> int:
     )
     start = time.perf_counter()
     if "config" not in case:
-        report = run_differential(genome, OracleConfig(), metrics=get_registry())
+        report = run_differential(genome, metrics=get_registry())
         elapsed = time.perf_counter() - start
         print(f"case {origin}")
         print(
@@ -219,10 +216,7 @@ def _repro(args, store: ArtifactStore) -> int:
         ]
     else:
         report = run_config_differential(
-            genome,
-            config_from_json(case["config"]),
-            ConfigOracleConfig(),
-            metrics=get_registry(),
+            genome, config_from_json(case["config"]), metrics=get_registry()
         )
         elapsed = time.perf_counter() - start
         print(f"config case {origin}")

@@ -60,20 +60,12 @@ from repro.x86.emulator import Emulator
 
 from repro.fuzz.configgen import config_delta
 from repro.fuzz.generator import FuzzProgram, render_program
-from repro.fuzz.oracle import OracleConfig
+from repro.fuzz.oracle import CONSTRUCTOR, MAX_INSTRUCTIONS
 
 #: Front ends every pair is simulated under.  TC is omitted: it shares
 #: the frame path's timing code (same A/B machinery), and a fourth fetch
 #: stream costs +6% to +21% oracle time (four 200-pair campaigns).
 FRONTENDS = ("IC", "RP", "RPO")
-
-
-@dataclass(frozen=True)
-class ConfigOracleConfig:
-    """Oracle tuning for the config axis."""
-
-    check_widening: bool = True
-    max_instructions: int = 50_000
 
 
 @dataclass
@@ -182,17 +174,15 @@ def run_lockstep(
 def run_config_differential(
     genome: FuzzProgram,
     processor: ProcessorConfig,
-    config: ConfigOracleConfig | None = None,
     metrics=None,
 ) -> ConfigPairReport:
     """Check one (program, config) pair; returns the report."""
-    config = config or ConfigOracleConfig()
     report = ConfigPairReport(program_seed=genome.seed)
     report.config_fields = config_delta(processor)
 
     program = render_program(genome)
     emulator = Emulator(program)
-    records = emulator.run(max_instructions=config.max_instructions)
+    records = emulator.run(max_instructions=MAX_INSTRUCTIONS)
     if not emulator.halted:
         raise ValueError(f"program (seed {genome.seed}) did not halt")
     report.trace_length = len(records)
@@ -201,15 +191,14 @@ def run_config_differential(
     def diverge(kind: str, frontend: str, detail: str) -> None:
         report.divergences.append(ConfigDivergence(kind, frontend, detail))
 
-    # The program oracle's constructor knobs, so short fuzz loops build
-    # and dispatch frames under the rePLay front ends.
-    constructor = OracleConfig().constructor_config()
     results: dict[str, SimResult] = {}
-    wide_config = widen_config(processor) if config.check_widening else None
+    wide_config = widen_config(processor)
     wide = None
     for name in FRONTENDS:
+        # The program oracle's constructor knobs, so short fuzz loops
+        # build and dispatch frames under the rePLay front ends.
         experiment = replace(
-            CONFIGS[name], processor=processor, constructor=constructor
+            CONFIGS[name], processor=processor, constructor=CONSTRUCTOR
         )
         try:
             reference, result, widened, split = run_lockstep(

@@ -83,6 +83,13 @@ _ABLATIONS = ("asst", "cp", "cse", "nop", "ra", "sf")
 #: halts well inside it).
 MAX_INSTRUCTIONS = 50_000
 
+#: Constructor knobs tuned for short fuzz loops: promote branches fast
+#: and close frames early so a 6-iteration loop already builds and
+#: dispatches frames.
+CONSTRUCTOR = ConstructorConfig(
+    min_uops=8, max_uops=96, promotion_threshold=4, backedge_close_uops=48
+)
+
 
 def variant_config(name: str) -> OptimizerConfig:
     """Optimizer configuration for a named pass subset."""
@@ -100,28 +107,6 @@ def variant_config(name: str) -> OptimizerConfig:
     if name.startswith("no-") and name[3:] in _ABLATIONS:
         return base.disabled(name[3:])
     raise ValueError(f"unknown variant {name!r}")
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Oracle tuning: aggressive frame construction, all pass subsets."""
-
-    #: Constructor knobs tuned for short fuzz loops: promote branches
-    #: fast and close frames early so a 6-iteration loop already builds
-    #: and dispatches frames.
-    promotion_threshold: int = 4
-    min_uops: int = 8
-    max_uops: int = 96
-    backedge_close_uops: int = 48
-    variants: tuple[str, ...] = VARIANTS
-
-    def constructor_config(self) -> ConstructorConfig:
-        return ConstructorConfig(
-            min_uops=self.min_uops,
-            max_uops=self.max_uops,
-            promotion_threshold=self.promotion_threshold,
-            backedge_close_uops=self.backedge_close_uops,
-        )
 
 
 @dataclass
@@ -225,13 +210,8 @@ def walk_trace(
     return before, state
 
 
-def run_differential(
-    genome: FuzzProgram,
-    config: OracleConfig | None = None,
-    metrics=None,
-) -> ProgramReport:
+def run_differential(genome: FuzzProgram, metrics=None) -> ProgramReport:
     """Run one program genome through every variant; report divergences."""
-    config = config or OracleConfig()
     report = ProgramReport(seed=genome.seed)
 
     program = render_program(genome)
@@ -251,7 +231,7 @@ def run_differential(
 
     injected = MicroOpInjector().inject_trace(records)
 
-    proto_frames = _construct_frames(injected, config.constructor_config())
+    proto_frames = _construct_frames(injected, CONSTRUCTOR)
     report.frames_constructed = len(proto_frames)
     # Remapping does not depend on the variant: remap each frame once
     # here and let every variant optimize its own copy.  A remap that
@@ -267,7 +247,7 @@ def run_differential(
         metrics.counter("fuzz.trace_records").inc(len(records))
         metrics.counter("fuzz.frames_constructed").inc(len(proto_frames))
 
-    for variant in config.variants:
+    for variant in VARIANTS:
         _run_variant(
             variant,
             proto_frames,

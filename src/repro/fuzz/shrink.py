@@ -36,10 +36,10 @@ from typing import Callable
 
 from repro.timing.config import ProcessorConfig
 
-from repro.fuzz.config_oracle import ConfigOracleConfig, run_config_differential
+from repro.fuzz.config_oracle import run_config_differential
 from repro.fuzz.configgen import config_delta, shrink_steps
 from repro.fuzz.generator import FuzzProgram
-from repro.fuzz.oracle import OracleConfig, run_differential
+from repro.fuzz.oracle import run_differential
 
 #: Default oracle-run budgets: a pair's candidates each run ~7 full
 #: simulations, so its budget is smaller.
@@ -64,7 +64,6 @@ class ShrinkResult:
 def shrink_case(
     genome: FuzzProgram,
     processor: ProcessorConfig | None = None,
-    oracle_config: OracleConfig | ConfigOracleConfig | None = None,
     max_attempts: int | None = None,
 ) -> ShrinkResult:
     """Minimize a divergent case while it keeps diverging.
@@ -75,18 +74,13 @@ def shrink_case(
     within ``max_attempts`` oracle runs (default: the axis budget).
     """
     if processor is None:
-        oracle_config = oracle_config or OracleConfig()
         budget = PROGRAM_ATTEMPTS
 
         def run(candidate: FuzzProgram, _config):
-            return run_differential(candidate, oracle_config)
+            return run_differential(candidate)
 
     else:
-        oracle_config = oracle_config or ConfigOracleConfig()
-        budget = PAIR_ATTEMPTS
-
-        def run(candidate: FuzzProgram, config: ProcessorConfig):
-            return run_config_differential(candidate, config, oracle_config)
+        budget, run = PAIR_ATTEMPTS, run_config_differential
 
     if max_attempts is None:
         max_attempts = budget

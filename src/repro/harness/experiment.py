@@ -50,8 +50,8 @@ class ExperimentConfig:
         return asdict(self)
 
 
-#: The paper's four headline configurations (Figure 6).  ``IC64`` is the
-#: 64kB-ICache reference mentioned in §5.3.
+#: The paper's four headline configurations (Figure 6), plus ``IC64``,
+#: the 64kB-ICache reference mentioned in §5.3.
 CONFIGS: dict[str, ExperimentConfig] = {
     "IC": ExperimentConfig(name="IC", frontend="icache"),
     "IC64": ExperimentConfig(

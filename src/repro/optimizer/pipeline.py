@@ -102,7 +102,6 @@ class OptimizationResult:
     loads_before: int
     loads_after: int
     stats: PassStats
-    optimization_cycles: int = 0
 
     @property
     def uops_removed(self) -> int:
@@ -164,5 +163,4 @@ class FrameOptimizer:
             loads_before=loads_before,
             loads_after=buffer.load_count(),
             stats=ctx.stats,
-            optimization_cycles=self.config.cycles_per_uop * uops_before,
         )

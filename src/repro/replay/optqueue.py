@@ -55,19 +55,14 @@ class OptimizerTotals:
 
 
 class OptimizationQueue:
-    """Pipelined optimizer front-ending the frame cache."""
+    """Pipelined optimizer front-ending the frame cache; its latency and
+    depth are the optimizer's ``cycles_per_uop`` and ``pipeline_depth``."""
 
     def __init__(
-        self,
-        frame_cache: FrameCache,
-        optimizer: FrameOptimizer | None,
-        cycles_per_uop: int = 10,
-        depth: int = 3,
+        self, frame_cache: FrameCache, optimizer: FrameOptimizer | None
     ) -> None:
         self.frame_cache = frame_cache
         self.optimizer = optimizer
-        self.cycles_per_uop = cycles_per_uop
-        self.depth = depth
         self._in_flight: list[tuple[int, Frame]] = []  # (ready_cycle, frame)
         self.totals = OptimizerTotals()
 
@@ -90,12 +85,13 @@ class OptimizationQueue:
             self._account(frame)
             self.frame_cache.insert(frame)
             return True
-        if len(self._in_flight) >= self.depth:
+        config = self.optimizer.config
+        if len(self._in_flight) >= config.pipeline_depth:
             self.totals.frames_dropped += 1
             return False
         buffer = frame.build_buffer()
         frame.opt_result = self.optimizer.optimize(buffer)
-        ready = now + self.cycles_per_uop * frame.raw_uop_count
+        ready = now + config.cycles_per_uop * frame.raw_uop_count
         self._in_flight.append((ready, frame))
         self._account(frame)
         return True

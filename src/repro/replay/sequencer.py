@@ -160,14 +160,7 @@ class RePLaySequencer(ICacheSequencer):
         self._regions = closed_regions(injected, constructor_config)
         self._next_region = 0
         self.frame_cache = FrameCache(config.frame_cache_uops)
-        cycles_per_uop = 10
-        depth = 3
-        if optimizer is not None:
-            cycles_per_uop = optimizer.config.cycles_per_uop
-            depth = optimizer.config.pipeline_depth
-        self.queue = OptimizationQueue(
-            self.frame_cache, optimizer, cycles_per_uop=cycles_per_uop, depth=depth
-        )
+        self.queue = OptimizationQueue(self.frame_cache, optimizer)
         self.verifier = verifier
         #: the true architectural state at ``index``, kept to verify frames.
         self.state = ArchState() if verifier is not None else None

@@ -3,12 +3,11 @@
 Lines live in the frame cache's store, :class:`repro.replay.FrameCache`.
 """
 
-from repro.tracecache.fill_unit import FillUnit, FillUnitConfig, TraceLine
+from repro.tracecache.fill_unit import FillUnit, TraceLine
 from repro.tracecache.sequencer import TraceCacheSequencer
 
 __all__ = [
     "FillUnit",
-    "FillUnitConfig",
     "TraceCacheSequencer",
     "TraceLine",
 ]

@@ -27,23 +27,15 @@ class TraceLine:
     uop_count: int = 0
 
 
-@dataclass
-class FillUnitConfig:
-    """Fill-unit line limits.
-
-    Defaults match the paper's trace cache: 32-uop lines ending at the
-    third conditional branch.
-    """
-
-    max_uops: int = 32
-    max_branches: int = 3
-
-
 class FillUnit:
     """Accumulates retired instructions into trace lines."""
 
-    def __init__(self, config: FillUnitConfig | None = None) -> None:
-        self.config = config or FillUnitConfig()
+    #: The paper's trace cache: 32-uop lines ending at the third
+    #: conditional branch.
+    MAX_UOPS = 32
+    MAX_BRANCHES = 3
+
+    def __init__(self) -> None:
         self._pending: list[int] = []  # the pending line's PCs
         self._pending_uops = 0
         self._pending_branches = 0
@@ -54,7 +46,7 @@ class FillUnit:
         instruction = injected.records[index].instruction
         offsets = injected.offsets
         uops = offsets[index + 1] - offsets[index]
-        if self._pending_uops + uops > self.config.max_uops:
+        if self._pending_uops + uops > self.MAX_UOPS:
             line = self._finish()
             self._append(injected.pcs[index], instruction, uops)
             if self._terminates(instruction):
@@ -74,7 +66,7 @@ class FillUnit:
     def _terminates(self, instruction) -> bool:
         if instruction.is_indirect:
             return True
-        return self._pending_branches >= self.config.max_branches
+        return self._pending_branches >= self.MAX_BRANCHES
 
     def _finish(self) -> TraceLine | None:
         pending = self._pending

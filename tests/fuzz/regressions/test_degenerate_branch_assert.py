@@ -17,8 +17,8 @@ rollbacks.  See ``repro.replay.frame.degenerate_branch``.
 
 from repro.fuzz.generator import FuzzProgram, generate_program, render_program
 from repro.fuzz.oracle import (
+    CONSTRUCTOR,
     MAX_INSTRUCTIONS,
-    OracleConfig,
     _construct_frames,
     run_differential,
 )
@@ -49,19 +49,18 @@ MINIMIZED = FuzzProgram(
 )
 
 
-def _frames(genome, config):
+def _frames(genome):
     emulator = Emulator(render_program(genome))
     records = emulator.run(max_instructions=MAX_INSTRUCTIONS)
     assert emulator.halted
     injected = MicroOpInjector().inject_trace(records)
-    return injected, _construct_frames(injected, config.constructor_config())
+    return injected, _construct_frames(injected, CONSTRUCTOR)
 
 
 def test_degenerate_branch_direction_actually_flips():
     """Guard the repro's premise: the branch is taken early and
     not-taken late, all at one PC, with one successor."""
-    config = OracleConfig()
-    injected, _ = _frames(MINIMIZED, config)
+    injected, _ = _frames(MINIMIZED)
     outcomes = {}
     for record in injected.records:
         if record.instruction.is_conditional and record.branch_taken is not None:
@@ -71,8 +70,7 @@ def test_degenerate_branch_direction_actually_flips():
 
 
 def test_degenerate_branch_is_not_converted_to_an_assertion():
-    config = OracleConfig()
-    _, frames = _frames(MINIMIZED, config)
+    _, frames = _frames(MINIMIZED)
     assert frames, "repro must still construct frames"
     kept_assert_conds = {
         uop.cond
@@ -87,11 +85,11 @@ def test_degenerate_branch_is_not_converted_to_an_assertion():
 
 
 def test_minimized_repro_is_divergence_free():
-    report = run_differential(MINIMIZED, OracleConfig())
+    report = run_differential(MINIMIZED)
     assert report.ok, report.divergences
     assert report.instances_committed > 0
 
 
 def test_original_seed_54_is_divergence_free():
-    report = run_differential(generate_program(54), OracleConfig())
+    report = run_differential(generate_program(54))
     assert report.ok, report.divergences

@@ -1,6 +1,13 @@
 """Campaign reproducibility: the digest must not depend on run shape."""
 
+from collections import Counter
+
+import pytest
+
+import repro.fuzz.campaign as campaign_mod
 from repro.fuzz.campaign import (
+    CONFIG_AXIS,
+    PROGRAM_AXIS,
     CampaignConfig,
     derive_program_seed,
     run_campaign,
@@ -53,3 +60,33 @@ def test_campaign_digest_is_pinned():
         "5b87f8896e4c04960ba915e84fdf06e8d0cc2e8b39b6a4ae733d6b39dfedd2c6"
     )
     assert result.ok
+
+
+@pytest.mark.parametrize("axis", [PROGRAM_AXIS, CONFIG_AXIS], ids=lambda a: a.unit)
+def test_campaign_calls_through_module_globals(monkeypatch, axis):
+    """The benchmark's op clock and tracer replace these module globals,
+    so a campaign must look them up at call time, once per index."""
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(campaign_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, name, wrapper)
+
+    for name in (
+        "generate_program",
+        "generate_config",
+        "run_differential",
+        "run_config_differential",
+    ):
+        counting(name)
+    run_campaign(CampaignConfig(seed=1, iterations=3, jobs=1, axis=axis))
+    oracle = "run_differential" if axis is PROGRAM_AXIS else "run_config_differential"
+    expected = {"generate_program": 3, oracle: 3}
+    if axis is CONFIG_AXIS:
+        expected["generate_config"] = 3
+    assert calls == expected

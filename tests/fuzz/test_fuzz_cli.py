@@ -168,7 +168,7 @@ def test_fuzz_config_run_divergent_pair_is_shrunk_and_stored(
     import repro.fuzz.shrink as shrink_mod
     from repro.fuzz.config_oracle import ConfigDivergence, ConfigPairReport
 
-    def flag_every_pair(genome, processor, config=None, metrics=None):
+    def flag_every_pair(genome, processor, metrics=None):
         report = ConfigPairReport(program_seed=genome.seed, simulations=7)
         report.divergences.append(
             ConfigDivergence(kind="schedule-ab", frontend="IC", detail="synthetic")
@@ -205,7 +205,7 @@ def test_fuzz_run_divergent_program_is_shrunk_and_stored(
     import repro.fuzz.shrink as shrink_mod
     from repro.fuzz.oracle import ProgramReport
 
-    def flag_every_program(genome, config=None, metrics=None):
+    def flag_every_program(genome, metrics=None):
         report = ProgramReport(seed=genome.seed)
         report.divergences.append(
             Divergence(kind="verifier", variant="full", detail="synthetic")

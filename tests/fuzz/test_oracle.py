@@ -8,7 +8,6 @@ from repro.fuzz.oracle import (
     MAX_INSTRUCTIONS,
     VARIANTS,
     Divergence,
-    OracleConfig,
     run_differential,
     variant_config,
     walk_trace,
@@ -18,19 +17,17 @@ from repro.x86 import Emulator
 
 
 def test_clean_seeds_produce_no_divergences():
-    config = OracleConfig()
     for seed in (1, 2, 3, 54, 97):  # 54 was the degenerate-branch repro
-        report = run_differential(generate_program(seed), config)
+        report = run_differential(generate_program(seed))
         assert report.ok, (seed, report.divergences)
 
 
 def test_oracle_exercises_the_whole_stack():
     """A fuzz campaign that never builds or commits frames tests
     nothing; the default constructor tuning must produce both."""
-    config = OracleConfig()
     frames = committed = verified = 0
     for seed in range(1, 21):
-        report = run_differential(generate_program(seed), config)
+        report = run_differential(generate_program(seed))
         frames += report.frames_constructed
         committed += report.instances_committed
         verified += report.instances_verified
@@ -80,15 +77,9 @@ def test_unknown_variant_rejected():
         variant_config("no-such-pass")
 
 
-def test_restricted_variant_subset_runs():
-    config = OracleConfig(variants=("full", "dce-only"))
-    report = run_differential(generate_program(11), config)
-    assert report.ok
-
-
 def test_metrics_wired_through():
     registry = MetricsRegistry()
-    run_differential(generate_program(5), OracleConfig(), metrics=registry)
+    run_differential(generate_program(5), metrics=registry)
     counters = registry.counters()
     assert counters["fuzz.programs"] == 1
     assert counters["fuzz.trace_records"] > 0
@@ -109,8 +100,8 @@ def test_divergence_json_roundtrip():
 
 def test_report_deterministic_for_same_genome():
     genome = generate_program(17)
-    a = run_differential(genome, OracleConfig())
-    b = run_differential(genome, OracleConfig())
+    a = run_differential(genome)
+    b = run_differential(genome)
     assert (
         a.trace_length,
         a.frames_constructed,
@@ -132,8 +123,6 @@ def test_call_genomes_reach_nop_pass_without_divergence():
     registry = MetricsRegistry()
     config = GeneratorConfig(call_weight=0.25)
     for seed in range(20):
-        report = run_differential(
-            generate_program(seed, config), OracleConfig(), metrics=registry
-        )
+        report = run_differential(generate_program(seed, config), metrics=registry)
         assert report.ok, (seed, report.divergences)
     assert registry.counters().get("optimizer.pass.nop.changes", 0) > 0

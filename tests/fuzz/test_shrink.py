@@ -33,7 +33,7 @@ def _marker_oracle(monkeypatch, kind="final-state"):
     """Replace the differential oracle: diverges iff a marker op remains."""
     calls = {"count": 0}
 
-    def fake_run(genome, config=None, metrics=None):
+    def fake_run(genome, metrics=None):
         calls["count"] += 1
         report = ProgramReport(seed=genome.seed)
         if any(op.get("marker") for op in genome.ops):
@@ -65,7 +65,7 @@ def test_shrink_preserves_divergence_kind(monkeypatch):
     """A candidate that diverges with a *different* kind is rejected."""
     calls = {"count": 0}
 
-    def fake_run(genome, config=None, metrics=None):
+    def fake_run(genome, metrics=None):
         calls["count"] += 1
         report = ProgramReport(seed=genome.seed)
         if any(op.get("marker") for op in genome.ops):
@@ -109,7 +109,7 @@ def test_unrunnable_candidates_count_as_non_divergent(monkeypatch):
     """Shrinker edits can produce genomes that crash the oracle; those
     must be skipped, not crash the shrink."""
 
-    def fake_run(genome, config=None, metrics=None):
+    def fake_run(genome, metrics=None):
         if len(genome.ops) < 2:
             raise ValueError("synthetic: did not halt")
         report = ProgramReport(seed=genome.seed)
@@ -138,7 +138,7 @@ def _config_marker_oracle(monkeypatch):
     config still carries the guilty memory_latency=400 knob."""
     calls = {"count": 0}
 
-    def fake_run(genome, processor, config=None, metrics=None):
+    def fake_run(genome, processor, metrics=None):
         calls["count"] += 1
         report = ConfigPairReport(program_seed=genome.seed)
         if (

@@ -17,9 +17,9 @@ from repro.verify.state import ArchState, initial_image
 from repro.fuzz.campaign import derive_program_seed
 from repro.fuzz.generator import GeneratorConfig, generate_program, render_program
 from repro.fuzz.oracle import (
+    CONSTRUCTOR,
     MAX_INSTRUCTIONS,
     VARIANTS,
-    OracleConfig,
     _construct_frames,
     variant_config,
 )
@@ -136,7 +136,6 @@ OPTIMIZER_OUTPUT_DIGEST = (
 def fuzz_frames(campaign_seed: int, programs: int) -> list[Frame]:
     """Every frame the differential oracle constructs for the first
     ``programs`` programs of a fuzz campaign, in campaign order."""
-    constructor = OracleConfig().constructor_config()
     frames: list[Frame] = []
     for index in range(programs):
         genome = generate_program(
@@ -144,7 +143,7 @@ def fuzz_frames(campaign_seed: int, programs: int) -> list[Frame]:
         )
         records = Emulator(render_program(genome)).run(MAX_INSTRUCTIONS)
         injected = MicroOpInjector().inject_trace(records)
-        frames.extend(_construct_frames(injected, constructor))
+        frames.extend(_construct_frames(injected, CONSTRUCTOR))
     return frames
 
 

@@ -69,13 +69,6 @@ def test_dce_always_enabled():
     assert [p.name for p in optimizer._passes] == ["dce"]
 
 
-def test_optimization_cycles_model():
-    frame = build_figure2_frame()
-    buf = frame.build_buffer()
-    result = FrameOptimizer(OptimizerConfig(cycles_per_uop=10)).optimize(buf)
-    assert result.optimization_cycles == 10 * result.uops_before
-
-
 def test_figure2_frame_level_matches_paper():
     """The paper's headline Figure 2 claim: 17 -> 10 uops, 5 -> 3 loads."""
     results = {r.scope: r for r in optimize_at_scopes()}

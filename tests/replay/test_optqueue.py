@@ -1,7 +1,7 @@
 """Optimization queue: latency, depth, duplicates, accounting."""
 
 from helpers import inject, region_frame, run_program
-from repro.optimizer import FrameOptimizer
+from repro.optimizer import FrameOptimizer, OptimizerConfig
 from repro.replay import FrameCache, OptimizationQueue
 from repro.replay import frame as frame_module
 from repro.replay.frame import Frame
@@ -23,9 +23,9 @@ def make_frame(pc: int, uop_count: int = 12) -> Frame:
     )
 
 
-def queue_with(optimizer, **kwargs):
+def queue_with(optimizer):
     cache = FrameCache()
-    return cache, OptimizationQueue(cache, optimizer, **kwargs)
+    return cache, OptimizationQueue(cache, optimizer)
 
 
 def test_rp_mode_deposits_immediately():
@@ -35,7 +35,7 @@ def test_rp_mode_deposits_immediately():
 
 
 def test_optimizer_latency_delays_visibility():
-    cache, queue = queue_with(FrameOptimizer(), cycles_per_uop=10)
+    cache, queue = queue_with(FrameOptimizer(OptimizerConfig(cycles_per_uop=10)))
     frame = make_frame(0x1000, uop_count=12)
     queue.submit(frame, now=100)
     queue.drain(now=100)
@@ -45,7 +45,7 @@ def test_optimizer_latency_delays_visibility():
 
 
 def test_pipeline_depth_drops_excess_frames():
-    cache, queue = queue_with(FrameOptimizer(), depth=2)
+    cache, queue = queue_with(FrameOptimizer(OptimizerConfig(pipeline_depth=2)))
     for i in range(4):
         queue.submit(make_frame(0x1000 + 0x100 * i), now=0)
     assert queue.totals.frames_dropped == 2
@@ -65,7 +65,7 @@ def test_evicted_path_can_be_rebuilt():
 
 
 def test_in_flight_duplicates_rejected():
-    cache, queue = queue_with(FrameOptimizer(), depth=3)
+    cache, queue = queue_with(FrameOptimizer(OptimizerConfig(pipeline_depth=3)))
     assert queue.submit(make_frame(0x1000), now=0)
     assert not queue.submit(make_frame(0x1000), now=0)
     assert queue.totals.frames_optimized == 1
@@ -96,7 +96,7 @@ def test_rejected_submissions_never_frameify(monkeypatch, loop_asm):
     def frame_at(start):
         return region_frame(injected, start, 4)
 
-    cache, queue = queue_with(FrameOptimizer(), depth=2)
+    cache, queue = queue_with(FrameOptimizer(OptimizerConfig(pipeline_depth=2)))
     assert queue.submit(frame_at(first), now=0)
     assert not queue.submit(frame_at(first), now=0)  # in flight
     assert queue.submit(frame_at(second), now=0)

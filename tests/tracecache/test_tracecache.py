@@ -4,7 +4,7 @@ from helpers import inject, run_program
 from repro.replay import FrameCache
 from repro.timing.config import default_config
 from repro.timing.pipeline import PipelineModel
-from repro.tracecache import FillUnit, FillUnitConfig, TraceCacheSequencer, TraceLine
+from repro.tracecache import FillUnit, TraceCacheSequencer, TraceLine
 from repro.x86 import Assembler, Cond, Imm, Reg, mem
 
 
@@ -39,20 +39,35 @@ def static_instructions(injected):
 
 
 def test_fill_unit_bounds_branches():
-    config = FillUnitConfig(max_uops=64, max_branches=2)
+    """Two branches per iteration, few uops: lines end at the third."""
     injected = loop_injected()
     instruction_at = static_instructions(injected)
-    lines = fill_lines(FillUnit(config), injected)
-    assert lines
-    for line in lines:
-        branches = sum(instruction_at[pc].is_conditional for pc in line.x86_pcs)
-        assert branches <= 2
+    lines = fill_lines(FillUnit(), injected)
+    branches = [
+        sum(instruction_at[pc].is_conditional for pc in line.x86_pcs)
+        for line in lines
+    ]
+    assert max(branches) == FillUnit.MAX_BRANCHES == 3
+    assert all(line.uop_count < FillUnit.MAX_UOPS for line in lines)
 
 
 def test_fill_unit_bounds_uops():
-    config = FillUnitConfig(max_uops=16, max_branches=8)
-    lines = fill_lines(FillUnit(config), loop_injected())
-    assert all(line.uop_count <= 16 for line in lines)
+    """One branch per 25 loads: the 32-uop limit closes the lines."""
+    asm = Assembler()
+    asm.data_words(0x500000, [1])
+    asm.mov(Reg.ESI, Imm(0x500000))
+    asm.mov(Reg.ECX, Imm(20))
+    asm.label("loop")
+    for _ in range(25):
+        asm.add(Reg.EAX, mem(Reg.ESI))
+    asm.dec(Reg.ECX)
+    asm.jcc(Cond.NZ, "loop")
+    asm.ret()
+    _, _, trace = run_program(asm)
+    lines = fill_lines(FillUnit(), inject(trace))
+    assert len(lines) > 20
+    assert all(line.uop_count <= FillUnit.MAX_UOPS == 32 for line in lines)
+    assert max(line.uop_count for line in lines) > FillUnit.MAX_UOPS - 3
 
 
 def test_fill_unit_terminates_at_indirect(loop_asm):
@@ -67,7 +82,7 @@ def test_fill_unit_terminates_at_indirect(loop_asm):
 def test_trace_cache_lru_capacity():
     """Trace lines share the frame cache's store and its uop budget."""
     cache = FrameCache(capacity_uops=20)
-    fill = FillUnit(FillUnitConfig(max_uops=10))
+    fill = FillUnit()
     inserted = 0
     injected = loop_injected()
     for index in range(len(injected)):
