@@ -133,6 +133,15 @@ OPTIMIZER_OUTPUT_DIGEST = (
 )
 
 
+#: SHA-256 of :func:`variant_outputs` over the 101 frames the default
+#: constructor builds on the 14 seed-1 workloads, freshly remapped.
+#: Unlike the fuzz frames, these hold JMP, JMPI and ASSERT_CMP uops, so
+#: NOP removal and CP's indirect-jump rewrite are covered.  Frozen value.
+WORKLOAD_OUTPUT_DIGEST = (
+    "c8d4977051ce16b6daf1bc359bd90304589868ff30f126ab9db715d51a830ca2"
+)
+
+
 def fuzz_frames(campaign_seed: int, programs: int) -> list[Frame]:
     """Every frame the differential oracle constructs for the first
     ``programs`` programs of a fuzz campaign, in campaign order."""

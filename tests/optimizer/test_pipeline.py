@@ -4,14 +4,19 @@ import pytest
 
 from helpers import (
     OPTIMIZER_OUTPUT_DIGEST,
+    WORKLOAD_OUTPUT_DIGEST,
     buffer_from_uops,
     output_digest,
     remap,
     variant_outputs,
 )
+from repro.fuzz.oracle import _construct_frames
 from repro.harness.fig2 import build_figure2_frame, optimize_at_scopes
 from repro.optimizer import FrameOptimizer, OptimizerConfig
+from repro.replay.constructor import ConstructorConfig
+from repro.trace.injector import inject_once
 from repro.uops import Uop, UopOp, UReg
+from repro.workloads import all_workloads
 
 
 def test_fixpoint_cascade_cp_then_ra_then_dce():
@@ -113,3 +118,18 @@ def test_optimizer_output_is_pinned(oracle_frames):
     assert len(oracle_frames) == 178
     outputs = variant_outputs(oracle_frames, remap)
     assert output_digest(outputs) == OPTIMIZER_OUTPUT_DIGEST
+
+
+def test_optimizer_output_on_workload_frames_is_pinned(matrix):
+    # The fuzz frames never hold NOP, JMP, CALL/RET or IDIV; the
+    # workloads' frames do, so this pin covers NOP removal and CP's
+    # JMPI -> JMP rewrite on the frames behind every paper figure.
+    frames = []
+    for workload in all_workloads():
+        injected = inject_once(matrix.trace(workload.name))
+        frames.extend(_construct_frames(injected, ConstructorConfig()))
+    assert len(frames) == 101
+    ops = [uop.op for frame in frames for uop in frame.dyn_uops]
+    assert (ops.count(UopOp.JMP), ops.count(UopOp.JMPI)) == (51, 29)
+    outputs = variant_outputs(frames, remap)
+    assert output_digest(outputs) == WORKLOAD_OUTPUT_DIGEST
