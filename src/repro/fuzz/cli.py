@@ -40,6 +40,7 @@ from repro.fuzz.corpus import CorpusError, FuzzCorpus
 from repro.fuzz.generator import program_from_json
 from repro.fuzz.oracle import run_differential
 from repro.fuzz.shrink import shrink_case
+from repro.harness.cli import positive_int
 
 #: Per-axis campaign report: the headline, and a suffix to the rate
 #: line, both formatted over the result's totals.
@@ -79,12 +80,12 @@ def fuzz_main(argv: list[str]) -> int:
         p.add_argument("--seed", type=int, default=1, help="campaign seed")
         p.add_argument(
             "--iterations",
-            type=int,
+            type=positive_int,
             default=axis.iterations,
             help=f"{axis.unit}s to run",
         )
         p.add_argument(
-            "--jobs", type=int, default=1, help="worker processes (1 = serial)"
+            "--jobs", type=positive_int, default=1, help="worker processes (1 = serial)"
         )
         p.add_argument(
             "--no-shrink",

@@ -43,6 +43,7 @@ combination that still miscompiles.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 from repro.optimizer.buffer import OptimizationBuffer
@@ -172,19 +173,11 @@ def _construct_frames(
 
 
 def _clone_frame(frame: Frame, buffer: OptimizationBuffer) -> Frame:
-    """A frame sharing ``frame``'s path and (immutable-in-practice)
-    dynamic uops but holding its own unoptimized ``buffer``: clones given
+    """A shallow copy of ``frame`` (sharing its path and immutable-in-
+    practice body) holding its own unoptimized ``buffer``: clones given
     separate copies of one remap never interfere when optimized under
     different configs."""
-    clone = Frame(
-        start_pc=frame.start_pc,
-        x86_pcs=list(frame.x86_pcs),
-        end_next_pc=frame.end_next_pc,
-        dyn_uops=frame.dyn_uops,
-        x86_indices=frame.x86_indices,
-        mem_keys=frame.mem_keys,
-        block_starts=list(frame.block_starts),
-    )
+    clone = copy.copy(frame)
     clone.buffer = buffer
     return clone
 
@@ -301,7 +294,7 @@ def _run_variant(
     by_pc: dict[int, list[tuple[Frame, tuple]]] = {}
     for frame in frames:
         unsafe_stores = tuple(
-            u for u in frame.buffer.uops if u.valid and u.is_store and u.unsafe
+            u for u in frame.buffer.uops if u.unsafe and u.valid and u.is_store
         )
         by_pc.setdefault(frame.start_pc, []).append((frame, unsafe_stores))
 

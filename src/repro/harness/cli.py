@@ -62,6 +62,15 @@ def _render(name: str, matrix: figures.ResultMatrix) -> str:
     raise ValueError(f"unknown experiment {name!r}")
 
 
+def positive_int(text: str) -> int:
+    """Argparse type of a count flag: an integer of at least 1, so a bad
+    value exits 2 naming the flag before any work starts."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
@@ -161,12 +170,12 @@ def main(argv: list[str] | None = None) -> int:
         "stats/clear the artifact store)",
     )
     parser.add_argument(
-        "--scale", type=int, default=None, help="workload scale factor"
+        "--scale", type=positive_int, default=None, help="workload scale factor"
     )
     parser.add_argument("--seed", type=int, default=1, help="workload data seed")
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         help="worker processes for the experiment matrix (1 = serial)",
     )

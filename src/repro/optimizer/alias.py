@@ -23,6 +23,10 @@ class AliasClass(enum.Enum):
     MAY = "may"  # statically unknown
 
 
+# Verdicts as globals: ``AliasClass.NO`` is slow (see ``repro.uops.uop.UopOp``).
+NO_ALIAS, MUST_ALIAS, MAY_ALIAS = AliasClass.NO, AliasClass.MUST, AliasClass.MAY
+
+
 def classify_alias(a: OptUop, b: OptUop) -> AliasClass:
     """Static alias classification of two memory uops."""
     base_a, index_a, scale_a, disp_a = a.address_expr()
@@ -32,9 +36,9 @@ def classify_alias(a: OptUop, b: OptUop) -> AliasClass:
     )
     if same_symbols:
         if _ranges_overlap(disp_a, a.size, disp_b, b.size):
-            return AliasClass.MUST
-        return AliasClass.NO
-    return AliasClass.MAY
+            return MUST_ALIAS
+        return NO_ALIAS
+    return MAY_ALIAS
 
 
 def same_address(a: OptUop, b: OptUop) -> bool:

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.uops.uop import ARCH_REGS, Uop, UReg
-from repro.optimizer.optuop import DefRef, LiveIn, Operand, OPERAND_FIELDS, OptUop, from_dyn_uop
+from repro.optimizer.optuop import (
+    MEM_OPS, DefRef, LiveIn, Operand, OPERAND_FIELDS, OptUop, from_dyn_uop,
+)
 
 
 class BufferError(Exception):
@@ -152,8 +154,8 @@ class OptimizationBuffer:
         """
         clone = OptimizationBuffer.__new__(OptimizationBuffer)
         clone.uops = [uop.copy() for uop in self.uops]
-        clone.value_children = [set(children) for children in self.value_children]
-        clone.flags_children = [set(children) for children in self.flags_children]
+        clone.value_children = list(map(set, self.value_children))
+        clone.flags_children = list(map(set, self.flags_children))
         clone.live_out = dict(self.live_out)
         clone.flags_live_out_slot = self.flags_live_out_slot
         clone.flags_live_out_written = self.flags_live_out_written
@@ -171,12 +173,9 @@ class OptimizationBuffer:
     def __len__(self) -> int:
         return len(self.uops)
 
-    def valid_slots(self) -> list[int]:
-        return [s for s, u in enumerate(self.uops) if u.valid]
-
     def mem_slots(self) -> list[int]:
         """Valid memory uops in frame order (memory order is preserved)."""
-        return [s for s, u in enumerate(self.uops) if u.valid and u.is_mem]
+        return [u.slot for u in self.uops if u.op in MEM_OPS and u.valid]
 
     def parent(self, operand: Operand) -> OptUop | None:
         """Parent Logic: the uop that produced an operand (None for live-ins)."""

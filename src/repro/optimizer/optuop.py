@@ -90,7 +90,10 @@ class OptUop:
         """An independent copy (operands are immutable and shared).
 
         Positional, in field order: keyword construction of this
-        24-field dataclass costs more than twice as much.
+        24-field dataclass costs more than twice as much.  Assigning a
+        copied ``__dict__`` instead is cheaper here but costs more
+        later: the clone loses CPython's inline attribute storage, and
+        every attribute read in the passes slows down.
         """
         return OptUop(
             self.op,
@@ -121,23 +124,15 @@ class OptUop:
 
     @property
     def is_load(self) -> bool:
-        return self.op is UopOp.LOAD
+        return self.op is _LOAD
 
     @property
     def is_store(self) -> bool:
-        return self.op is UopOp.STORE
+        return self.op is _STORE
 
     @property
     def is_mem(self) -> bool:
-        return self.op in (UopOp.LOAD, UopOp.STORE)
-
-    @property
-    def is_assertion(self) -> bool:
-        return self.op in (UopOp.ASSERT, UopOp.ASSERT_CMP)
-
-    @property
-    def is_control(self) -> bool:
-        return self.op in (UopOp.BR, UopOp.JMP, UopOp.JMPI)
+        return self.op in MEM_OPS
 
     @property
     def reads_flags(self) -> bool:
@@ -205,6 +200,12 @@ _VALUE_PRODUCERS = frozenset(
         UopOp.LOAD,
     }
 )
+
+#: Memory ops (frame order among them is memory order).
+MEM_OPS = frozenset({UopOp.LOAD, UopOp.STORE})
+#: Ops that compute an effective address: memory ops and LEA.
+ADDRESSED_OPS = MEM_OPS | {UopOp.LEA}
+_LOAD, _STORE = UopOp.LOAD, UopOp.STORE  # globals: see ``UopOp``
 
 
 def from_dyn_uop(uop: Uop, slot: int) -> OptUop:

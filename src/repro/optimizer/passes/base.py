@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.optimizer.buffer import OptimizationBuffer
-from repro.optimizer.optuop import DefRef, Operand
 
 
 @dataclass
@@ -27,10 +26,8 @@ class PassStats:
     iterations: int = 0
 
     def record(self, pass_name: str, changes: int) -> None:
-        if changes:
-            self.changes_by_pass[pass_name] = (
-                self.changes_by_pass.get(pass_name, 0) + changes
-            )
+        by_pass = self.changes_by_pass
+        by_pass[pass_name] = by_pass.get(pass_name, 0) + changes
 
 
 @dataclass
@@ -78,17 +75,11 @@ class Pass:
 
     def __call__(self, buf: OptimizationBuffer, ctx: OptContext) -> int:
         changes = self.run(buf, ctx)
-        ctx.stats.record(self.name, changes)
-        if changes and ctx.metrics is not None:
-            ctx.metrics.counter(f"optimizer.pass.{self.name}.changes").inc(changes)
+        if changes:
+            ctx.stats.record(self.name, changes)
+            if ctx.metrics is not None:
+                ctx.metrics.counter(f"optimizer.pass.{self.name}.changes").inc(changes)
         return changes
 
     def run(self, buf: OptimizationBuffer, ctx: OptContext) -> int:
         raise NotImplementedError
-
-
-def operand_slot(operand: Operand | None) -> int | None:
-    """Slot number of a DefRef operand, else None."""
-    if isinstance(operand, DefRef):
-        return operand.slot
-    return None

@@ -19,8 +19,8 @@ from repro.x86.instructions import cond_holds
 from repro.x86.registers import MASK32, to_signed
 from repro.uops.uop import UopOp
 from repro.optimizer.buffer import OptimizationBuffer
-from repro.optimizer.optuop import OptUop
-from repro.optimizer.passes.base import OptContext, Pass, operand_slot
+from repro.optimizer.optuop import ADDRESSED_OPS, DefRef, OptUop
+from repro.optimizer.passes.base import OptContext, Pass
 
 _COMMUTATIVE = frozenset({UopOp.ADD, UopOp.AND, UopOp.OR, UopOp.XOR, UopOp.MUL})
 
@@ -39,28 +39,19 @@ _FOLDABLE_ALU = frozenset(
 )
 
 
-def _eval_alu(op: UopOp, a: int, b: int) -> int:
-    """Constant evaluation matching ``verify.frame_exec``'s value semantics."""
-    if op is UopOp.ADD:
-        return (a + b) & MASK32
-    if op is UopOp.SUB:
-        return (a - b) & MASK32
-    if op is UopOp.AND:
-        return a & b
-    if op is UopOp.OR:
-        return a | b
-    if op is UopOp.XOR:
-        return a ^ b
-    if op is UopOp.MUL:
-        return (to_signed(a) * to_signed(b)) & MASK32
-    count = b & 0x1F
-    if op is UopOp.SHL:
-        return (a << count) & MASK32
-    if op is UopOp.SHR:
-        return a >> count
-    if op is UopOp.SAR:
-        return (to_signed(a) >> count) & MASK32
-    raise ValueError(f"not a foldable ALU op: {op}")
+#: Constant evaluation of each foldable ALU op, matching
+#: ``verify.frame_exec``'s value semantics.
+_EVAL_ALU = {
+    UopOp.ADD: lambda a, b: (a + b) & MASK32,
+    UopOp.SUB: lambda a, b: (a - b) & MASK32,
+    UopOp.AND: lambda a, b: a & b,
+    UopOp.OR: lambda a, b: a | b,
+    UopOp.XOR: lambda a, b: a ^ b,
+    UopOp.MUL: lambda a, b: (to_signed(a) * to_signed(b)) & MASK32,
+    UopOp.SHL: lambda a, b: (a << (b & 0x1F)) & MASK32,
+    UopOp.SHR: lambda a, b: a >> (b & 0x1F),
+    UopOp.SAR: lambda a, b: (to_signed(a) >> (b & 0x1F)) & MASK32,
+}
 
 
 #: The immediate that makes ``x op imm`` equal to ``x``.
@@ -76,143 +67,130 @@ _IDENTITY = {
 }
 
 
+#: Ops whose constant value may be rewritten as a LIMM.
+_TO_LIMM = _FOLDABLE_ALU | {UopOp.NEG, UopOp.NOT, UopOp.LEA}
+#: Ops that give 0 on equal operands (the x86 zeroing idiom).
+_ZEROING = frozenset({UopOp.XOR, UopOp.SUB})
+# The run loop's opcodes as globals (see ``repro.uops.uop.UopOp``).
+_LIMM, _MOV, _NOT, _NEG, _LEA = (
+    UopOp.LIMM, UopOp.MOV, UopOp.NOT, UopOp.NEG, UopOp.LEA
+)
+_ASSERT_CMP = UopOp.ASSERT_CMP
+
+
 class ConstantPropagation(Pass):
     name = "cp"
 
     def run(self, buf: OptimizationBuffer, ctx: OptContext) -> int:
         changes = 0
-        known: dict[int, int] = {}
-        for slot in buf.valid_slots():
-            uop = buf.uops[slot]
-            changes += self._fold_operands(buf, ctx, uop, known)
-            value = self._known_value(uop, known)
+        known: dict[int, int] = {}  # slot -> its statically known value
+        block = ctx.scope == "block"
+        for uop in buf.uops:
+            if not uop.valid:
+                continue
+            slot = uop.slot
+            # The known constants behind this uop's DefRef operands.
+            a, b = uop.src_a, uop.src_b
+            const_a = known.get(a.slot) if a.__class__ is DefRef else None
+            const_b = known.get(b.slot) if b.__class__ is DefRef else None
+            if block:
+                if const_a is not None and not ctx.can_fold(buf, a.slot, slot):
+                    const_a = None
+                if const_b is not None and not ctx.can_fold(buf, b.slot, slot):
+                    const_b = None
+            if const_a is not None or const_b is not None:
+                changes += self._fold_operands(buf, uop, const_a, const_b)
+            # This slot's own value, if statically known.
+            op, value, source = uop.op, None, uop.src_a
+            if op is _LIMM:
+                value = (uop.imm or 0) & MASK32
+            elif source.__class__ is DefRef and source.slot in known:
+                if op is _MOV:
+                    value = known[source.slot]
+                elif op in _FOLDABLE_ALU and uop.src_b is None and uop.imm is not None:
+                    value = _EVAL_ALU[op](known[source.slot], uop.imm & MASK32)
+                elif op is _NOT:
+                    value = (~known[source.slot]) & MASK32
+                elif op is _NEG:
+                    value = (-known[source.slot]) & MASK32
+            if op in _ZEROING and source is not None and source == uop.src_b:
+                value = 0  # the x86 zeroing idiom (XOR r,r / SUB r,r)
+            elif op is _LEA and source is None and uop.src_b is None:
+                value = (uop.imm or 0) & MASK32
             if value is not None:
                 known[slot] = value
-                changes += self._simplify_constant(buf, ctx, uop, value)
-            changes += self._simplify_identity(buf, ctx, uop)
-            changes += self._discharge_assert(buf, ctx, uop, known)
+                if op in _TO_LIMM:
+                    changes += self._to_limm(buf, ctx, uop, value)
+            if (
+                uop.imm is not None
+                and uop.src_b is None
+                and uop.src_a is not None
+                and uop.op in _IDENTITY
+            ):
+                changes += self._simplify_identity(buf, ctx, uop)
+            if op is _ASSERT_CMP:
+                changes += self._discharge_assert(buf, ctx, uop, known)
         return changes
 
     # ------------------------------------------------------------ helpers
 
     def _fold_operands(
-        self,
-        buf: OptimizationBuffer,
-        ctx: OptContext,
-        uop: OptUop,
-        known: dict[int, int],
+        self, buf: OptimizationBuffer, uop: OptUop, const_a, const_b
     ) -> int:
-        """Fold constant-producing parents into this uop's immediates."""
-        changes = 0
+        """Fold the constants behind this uop's operands into its
+        immediates (``const_a``/``const_b``: None when not known)."""
         op = uop.op
-
-        def const_of(operand) -> int | None:
-            producer = operand_slot(operand)
-            if producer is None or producer not in known:
-                return None
-            if not ctx.can_fold(buf, producer, uop.slot):
-                return None
-            return known[producer]
-
+        slot = uop.slot
         if op in _FOLDABLE_ALU:
-            value = const_of(uop.src_b)
-            if value is not None and uop.imm is None:
-                buf.rewrite_operand(uop.slot, "src_b", None)
-                uop.imm = value
-                changes += 1
-            elif op in _COMMUTATIVE and uop.src_b is not None:
-                value = const_of(uop.src_a)
-                if value is not None and uop.imm is None:
+            if const_b is not None and uop.imm is None:
+                buf.rewrite_operand(slot, "src_b", None)
+                uop.imm = const_b
+                return 1
+            if op in _COMMUTATIVE and uop.src_b is not None:
+                if const_a is not None and uop.imm is None:
                     # Swap so the constant lands in the immediate field.
-                    buf.rewrite_operand(uop.slot, "src_a", uop.src_b)
-                    buf.rewrite_operand(uop.slot, "src_b", None)
-                    uop.imm = value
-                    changes += 1
-        elif op in (UopOp.LOAD, UopOp.STORE, UopOp.LEA):
-            value = const_of(uop.src_a)
-            if value is not None:
-                buf.rewrite_operand(uop.slot, "src_a", None)
-                uop.imm = ((uop.imm or 0) + value) & MASK32
+                    buf.rewrite_operand(slot, "src_a", uop.src_b)
+                    buf.rewrite_operand(slot, "src_b", None)
+                    uop.imm = const_a
+                    return 1
+            return 0
+        if op in ADDRESSED_OPS:
+            changes = 0
+            if const_a is not None:
+                buf.rewrite_operand(slot, "src_a", None)
+                uop.imm = ((uop.imm or 0) + const_a) & MASK32
                 changes += 1
-            value = const_of(uop.src_b)
-            if value is not None:
-                buf.rewrite_operand(uop.slot, "src_b", None)
-                uop.imm = ((uop.imm or 0) + value * uop.scale) & MASK32
+            if const_b is not None:
+                buf.rewrite_operand(slot, "src_b", None)
+                uop.imm = ((uop.imm or 0) + const_b * uop.scale) & MASK32
                 uop.scale = 1
                 changes += 1
-        elif op is UopOp.MOV:
-            value = const_of(uop.src_a)
-            if value is not None:  # MOV writes no flags: always convertible
-                buf.rewrite_operand(uop.slot, "src_a", None)
+            return changes
+        if (op is _MOV or op is UopOp.JMPI) and const_a is not None:
+            buf.rewrite_operand(slot, "src_a", None)
+            if op is _MOV:  # MOV writes no flags: always convertible
                 uop.op = UopOp.LIMM
-                uop.imm = value
-                changes += 1
-        elif op is UopOp.JMPI:
-            value = const_of(uop.src_a)
-            if value is not None:
-                buf.rewrite_operand(uop.slot, "src_a", None)
+                uop.imm = const_a
+            else:
                 uop.op = UopOp.JMP
-                uop.target = value
-                changes += 1
-        elif op is UopOp.ASSERT_CMP:
-            value = const_of(uop.src_b)
-            if value is not None and uop.imm is None:
-                buf.rewrite_operand(uop.slot, "src_b", None)
-                uop.imm = value
-                changes += 1
-        return changes
+                uop.target = const_a
+            return 1
+        if op is _ASSERT_CMP and const_b is not None and uop.imm is None:
+            buf.rewrite_operand(slot, "src_b", None)
+            uop.imm = const_b
+            return 1
+        return 0
 
-    def _known_value(self, uop: OptUop, known: dict[int, int]) -> int | None:
-        """Compute this slot's constant value, if statically known."""
-        op = uop.op
-        if not uop.valid:
-            return None
-        if op is UopOp.LIMM:
-            return (uop.imm or 0) & MASK32
-        if (
-            op in (UopOp.XOR, UopOp.SUB)
-            and uop.src_a is not None
-            and uop.src_a == uop.src_b
-        ):
-            return 0  # the x86 zeroing idiom (XOR r,r / SUB r,r)
-        if op is UopOp.MOV:
-            producer = operand_slot(uop.src_a)
-            if producer is not None and producer in known:
-                return known[producer]
-            return None
-        if op is UopOp.LEA and uop.src_a is None and uop.src_b is None:
-            return (uop.imm or 0) & MASK32
-        if op in _FOLDABLE_ALU and uop.src_b is None and uop.imm is not None:
-            producer = operand_slot(uop.src_a)
-            if producer is not None and producer in known:
-                return _eval_alu(op, known[producer], uop.imm & MASK32)
-            return None
-        if op is UopOp.NOT:
-            producer = operand_slot(uop.src_a)
-            if producer is not None and producer in known:
-                return (~known[producer]) & MASK32
-        if op is UopOp.NEG:
-            producer = operand_slot(uop.src_a)
-            if producer is not None and producer in known:
-                return (-known[producer]) & MASK32
-        return None
-
-    def _simplify_constant(
+    def _to_limm(
         self, buf: OptimizationBuffer, ctx: OptContext, uop: OptUop, value: int
     ) -> int:
         """Rewrite a fully constant op as LIMM (when its flags are dead)."""
-        if uop.op in (UopOp.LIMM,):
-            return 0
-        if uop.op not in _FOLDABLE_ALU and uop.op not in (
-            UopOp.NEG,
-            UopOp.NOT,
-            UopOp.LEA,
-        ):
-            return 0
         if uop.writes_flags and not ctx.flags_dead(buf, uop.slot):
             return 0
-        producer = operand_slot(uop.src_a)
-        if producer is not None and not ctx.can_fold(buf, producer, uop.slot):
+        producer = uop.src_a
+        if producer.__class__ is DefRef and not ctx.can_fold(
+            buf, producer.slot, uop.slot
+        ):
             return 0
         buf.rewrite_operand(uop.slot, "src_a", None)
         buf.rewrite_operand(uop.slot, "src_b", None)
@@ -228,10 +206,7 @@ class ConstantPropagation(Pass):
         self, buf: OptimizationBuffer, ctx: OptContext, uop: OptUop
     ) -> int:
         """``x op identity`` -> MOV x (when flags are dead)."""
-        if uop.src_a is None or uop.src_b is not None or uop.imm is None:
-            return 0
-        identity = _IDENTITY.get(uop.op)
-        if identity is None or (uop.imm & MASK32) != identity:
+        if (uop.imm & MASK32) != _IDENTITY[uop.op]:
             return 0
         if uop.writes_flags and not ctx.flags_dead(buf, uop.slot):
             return 0
@@ -250,23 +225,20 @@ class ConstantPropagation(Pass):
         known: dict[int, int],
     ) -> int:
         """Remove value assertions whose outcome is statically true."""
-        if uop.op is not UopOp.ASSERT_CMP or not uop.valid:
+        left, right_operand = uop.src_a, uop.src_b
+        if left is not None and (left.__class__ is not DefRef or left.slot not in known):
             return 0
-        left = operand_slot(uop.src_a)
-        if uop.src_a is not None and (left is None or left not in known):
-            return 0
-        if uop.src_b is not None:
-            right_slot = operand_slot(uop.src_b)
-            if right_slot is None or right_slot not in known:
+        if right_operand is not None:
+            if right_operand.__class__ is not DefRef or right_operand.slot not in known:
                 return 0
-            right = known[right_slot]
+            right = known[right_operand.slot]
         elif uop.imm is not None:
             right = uop.imm & MASK32
         else:
             return 0
         if uop.writes_flags and not ctx.flags_dead(buf, uop.slot):
             return 0
-        a = known[left] if uop.src_a is not None else 0
+        a = known[left.slot] if left is not None else 0
         kind = uop.cmp_kind or UopOp.SUB
         if kind is UopOp.SUB:
             result = (a - right) & MASK32

@@ -20,7 +20,7 @@ from repro.uops.uop import UopOp
 from repro.optimizer.buffer import OptimizationBuffer
 from repro.optimizer.optuop import DefRef, OptUop
 from repro.optimizer.passes.base import OptContext, Pass
-from repro.optimizer.alias import AliasClass, classify_alias, observed_disjoint, same_address
+from repro.optimizer.alias import MUST_ALIAS, NO_ALIAS, classify_alias, observed_disjoint, same_address
 
 _PURE_OPS = frozenset(
     {
@@ -40,17 +40,7 @@ _PURE_OPS = frozenset(
         UopOp.LEA,
     }
 )
-
-
-def _value_key(uop: OptUop):
-    """Hashable identity of a pure op's value (operands + immediates)."""
-    key = [uop.op, uop.src_a, uop.src_b, uop.imm, uop.scale, uop.size]
-    if uop.writes_flags and uop.reads_flags:
-        # CF flows through INC/DEC-style ops (and whole flag words through
-        # possibly-zero-count shifts): the flag *output* depends on the
-        # incoming flags definition, so it is part of the identity.
-        key.append(("flags-in", uop.flags_src))
-    return tuple(key)
+_LOAD = UopOp.LOAD  # a global: see ``repro.uops.uop.UopOp``
 
 
 class CommonSubexpression(Pass):
@@ -67,19 +57,26 @@ class CommonSubexpression(Pass):
     def _cse_alu(self, buf: OptimizationBuffer, ctx: OptContext) -> int:
         changes = 0
         seen: dict[tuple, int] = {}
-        for slot in buf.valid_slots():
-            uop = buf.uops[slot]
-            if uop.op not in _PURE_OPS:
+        uops = buf.uops
+        for uop in uops:
+            if uop.op not in _PURE_OPS or not uop.valid:
                 continue
-            key = _value_key(uop)
+            slot = uop.slot
+            # The value's identity: operands and immediates.  CF flows
+            # through INC/DEC-style ops (and whole flag words through
+            # possibly-zero-count shifts): then the flag *output* depends
+            # on the incoming flags definition, so that is part of it.
+            key = (uop.op, uop.src_a, uop.src_b, uop.imm, uop.scale, uop.size)
+            if uop.writes_flags and uop.reads_flags:
+                key += (("flags-in", uop.flags_src),)
             original = seen.get(key)
-            if original is None or not buf.uops[original].valid:
+            if original is None or not uops[original].valid:
                 seen[key] = slot
                 continue
             if not ctx.can_fold(buf, original, slot):
                 continue
             if uop.writes_flags:
-                original_uop = buf.uops[original]
+                original_uop = uops[original]
                 if not original_uop.writes_flags:
                     if uop.reads_flags:
                         # Flag output depends on incoming flags (INC/DEC,
@@ -92,9 +89,10 @@ class CommonSubexpression(Pass):
                 # Flag consumers (and live-out) read the original instead.
                 buf.replace_flags_uses(slot, original)
                 uop.writes_flags = False
+            # Every use and live-out binding now reads the original, and
+            # the duplicate writes no flags: it is dead.
             buf.replace_all_uses(slot, DefRef(original))
-            if ctx.value_dead(buf, slot) and ctx.flags_dead(buf, slot):
-                buf.invalidate(slot)
+            buf.invalidate(slot)
             changes += 1
         return changes
 
@@ -107,7 +105,7 @@ class CommonSubexpression(Pass):
         mem_slots = buf.mem_slots()
         for position, slot in enumerate(mem_slots):
             load = buf.uops[slot]
-            if not load.is_load or not load.valid:
+            if load.op is not _LOAD or not load.valid:
                 continue
             match = self._find_covering_load(buf, ctx, mem_slots, position)
             if match is None:
@@ -138,13 +136,15 @@ class CommonSubexpression(Pass):
 
         Returns (covering load slot, stores to mark unsafe) or None.
         """
-        load = buf.uops[mem_slots[position]]
+        uops = buf.uops
+        load = uops[mem_slots[position]]
         speculative: list[int] = []
-        for earlier_slot in reversed(mem_slots[:position]):
-            earlier = buf.uops[earlier_slot]
+        for index in range(position - 1, -1, -1):
+            earlier_slot = mem_slots[index]
+            earlier = uops[earlier_slot]
             if not earlier.valid:
                 continue
-            if earlier.is_load:
+            if earlier.op is _LOAD:
                 if (
                     same_address(earlier, load)
                     and earlier.sign_extend == load.sign_extend
@@ -152,12 +152,10 @@ class CommonSubexpression(Pass):
                 ):
                     return earlier_slot, speculative
                 continue
-            #
-
             verdict = classify_alias(earlier, load)
-            if verdict is AliasClass.NO:
+            if verdict is NO_ALIAS:
                 continue
-            if verdict is AliasClass.MUST:
+            if verdict is MUST_ALIAS:
                 return None  # value changed (store forwarding's job)
             # MAY alias: speculate past it if the constructing execution
             # observed disjoint addresses, else give up.

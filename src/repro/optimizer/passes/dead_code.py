@@ -26,22 +26,20 @@ class DeadCodeElimination(Pass):
     name = "dce"
 
     def run(self, buf: OptimizationBuffer, ctx: OptContext) -> int:
+        # Consumers always sit after their producers, so one backward
+        # sweep removes every consumer before it reaches the producer: a
+        # second sweep would find nothing more.
         changes = 0
-        removed = True
-        while removed:
-            removed = False
-            protected = ctx.protected_values(buf)
-            flags_protected = ctx.protected_flags(buf)
-            for slot in reversed(buf.valid_slots()):
-                uop = buf.uops[slot]
-                if uop.op in _SIDE_EFFECT_OPS:
-                    continue
-                if not buf.value_dead(slot, protected):
-                    continue
-                if not buf.flags_dead(slot, flags_protected):
-                    continue
+        protected = ctx.protected_values(buf)
+        flags_protected = ctx.protected_flags(buf)
+        for uop in reversed(buf.uops):
+            if uop.op in _SIDE_EFFECT_OPS or not uop.valid:
+                continue
+            slot = uop.slot
+            if buf.value_dead(slot, protected) and buf.flags_dead(
+                slot, flags_protected
+            ):
                 buf.invalidate(slot)
-                ctx.stats.uops_removed += 1
-                removed = True
                 changes += 1
+        ctx.stats.uops_removed += changes
         return changes

@@ -11,15 +11,16 @@ from repro.uops.uop import UopOp
 from repro.optimizer.buffer import OptimizationBuffer
 from repro.optimizer.passes.base import OptContext, Pass
 
+_REMOVABLE = frozenset({UopOp.NOP, UopOp.JMP})
+
 
 class NopRemoval(Pass):
     name = "nop"
 
     def run(self, buf: OptimizationBuffer, ctx: OptContext) -> int:
         changes = 0
-        for slot in buf.valid_slots():
-            uop = buf.uops[slot]
-            if uop.op is UopOp.NOP or uop.op is UopOp.JMP:
-                buf.invalidate(slot)
+        for uop in buf.uops:
+            if uop.op in _REMOVABLE and uop.valid:
+                buf.invalidate(uop.slot)
                 changes += 1
         return changes

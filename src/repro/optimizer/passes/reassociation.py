@@ -18,19 +18,15 @@ from __future__ import annotations
 
 from repro.uops.uop import UopOp
 from repro.optimizer.buffer import OptimizationBuffer
-from repro.optimizer.optuop import DefRef, OptUop
+from repro.optimizer.optuop import ADDRESSED_OPS, MEM_OPS, OPERAND_FIELDS, DefRef, OptUop
 from repro.optimizer.passes.base import OptContext, Pass
 
 
-def _chain_delta(uop: OptUop) -> int | None:
-    """If ``uop`` computes ``src_a + delta``, return delta (else None)."""
-    if uop.op is UopOp.ADD and uop.src_b is None and uop.imm is not None:
-        return uop.imm
-    if uop.op is UopOp.SUB and uop.src_b is None and uop.imm is not None:
-        return -uop.imm
-    if uop.op is UopOp.LEA and uop.src_b is None:
-        return uop.imm or 0
-    return None
+#: Ops that copy a value or add a constant to it (LEA: or an index).
+_RA_OPS = frozenset({UopOp.MOV, UopOp.ADD, UopOp.SUB, UopOp.LEA})
+_ADD_SUB = frozenset({UopOp.ADD, UopOp.SUB})
+# Opcodes as globals (see ``repro.uops.uop.UopOp``).
+_MOV, _ADD, _LEA = UopOp.MOV, UopOp.ADD, UopOp.LEA
 
 
 class Reassociation(Pass):
@@ -38,16 +34,22 @@ class Reassociation(Pass):
 
     def run(self, buf: OptimizationBuffer, ctx: OptContext) -> int:
         changes = 0
-        for slot in buf.valid_slots():
-            uop = buf.uops[slot]
-            if uop.op is UopOp.MOV and uop.src_a is not None:
-                changes += self._copy_propagate(buf, ctx, uop)
+        for uop in buf.uops:
+            op = uop.op
+            if op not in _RA_OPS or not uop.valid:
                 continue
-            delta = _chain_delta(uop)
-            if delta is not None and uop.src_a is not None:
-                changes += self._fold_into_children(buf, ctx, uop, delta)
-            if uop.op is UopOp.LEA and uop.src_b is not None:
+            if op is _LEA and uop.src_b is not None:
                 changes += self._fold_lea_into_children(buf, ctx, uop)
+            elif uop.src_a is None:
+                continue
+            elif op is _MOV:
+                changes += self._copy_propagate(buf, ctx, uop)
+            elif op is _LEA:  # dst = src_a + imm
+                changes += self._fold_into_children(buf, ctx, uop, uop.imm or 0)
+            elif uop.src_b is None and uop.imm is not None:
+                # dst = src_a + imm, or src_a - imm
+                delta = uop.imm if op is _ADD else -uop.imm
+                changes += self._fold_into_children(buf, ctx, uop, delta)
         return changes
 
     # ---------------------------------------------------------------- MOV
@@ -57,27 +59,25 @@ class Reassociation(Pass):
     ) -> int:
         """Rewire consumers of a register copy to the copied value."""
         source = uop.src_a
-        assert source is not None
+        slot = uop.slot
         changes = 0
-        for child in sorted(buf.children_of(uop.slot)):
-            if not ctx.can_fold(buf, uop.slot, child):
+        for child in sorted(buf.children_of(slot)):
+            if not ctx.can_fold(buf, slot, child):
                 continue
             child_uop = buf.uops[child]
-            for name, operand in child_uop.operands():
-                if operand == DefRef(uop.slot):
+            for name in OPERAND_FIELDS:
+                operand = getattr(child_uop, name)
+                if operand.__class__ is DefRef and operand.slot == slot:
                     buf.rewrite_operand(child, name, source)
                     changes += 1
         # Live-out bindings can also bypass the copy (RAT-level aliasing).
         if ctx.scope != "block":
-            ref = DefRef(uop.slot)
-            for reg, bound in list(buf.live_out.items()):
-                if bound == ref:
-                    buf.live_out[reg] = source
-                    changes += 1
-            for boundary in buf.block_boundaries:
-                for reg, bound in list(boundary.live_out.items()):
-                    if bound == ref:
-                        boundary.live_out[reg] = source
+            maps = [buf.live_out]
+            maps.extend(boundary.live_out for boundary in buf.block_boundaries)
+            for live_out in maps:
+                for reg, bound in live_out.items():
+                    if bound.__class__ is DefRef and bound.slot == slot:
+                        live_out[reg] = source
                         changes += 1
         return changes
 
@@ -90,12 +90,12 @@ class Reassociation(Pass):
         root = uop.src_a
         assert root is not None
         changes = 0
+        ref = DefRef(uop.slot)
         for child in sorted(buf.children_of(uop.slot)):
             if not ctx.can_fold(buf, uop.slot, child):
                 continue
             child_uop = buf.uops[child]
-            ref = DefRef(uop.slot)
-            if child_uop.op in (UopOp.LOAD, UopOp.STORE, UopOp.LEA):
+            if child_uop.op in ADDRESSED_OPS:
                 if child_uop.src_a == ref:
                     buf.rewrite_operand(child, "src_a", root)
                     child_uop.imm = _wrap(child_uop.imm, delta)
@@ -105,11 +105,11 @@ class Reassociation(Pass):
                     child_uop.imm = _wrap(child_uop.imm, delta * child_uop.scale)
                     changes += 1
                 continue
-            if child_uop.op in (UopOp.ADD, UopOp.SUB):
+            if child_uop.op in _ADD_SUB:
                 if child_uop.writes_flags and not ctx.flags_dead(buf, child):
                     continue
                 if child_uop.src_a == ref and child_uop.src_b is None:
-                    sign = 1 if child_uop.op is UopOp.ADD else -1
+                    sign = 1 if child_uop.op is _ADD else -1
                     # child = (root + delta) op imm  ==  root op' imm'
                     total = sign * (child_uop.imm or 0) + delta
                     buf.rewrite_operand(child, "src_a", root)
@@ -125,7 +125,7 @@ class Reassociation(Pass):
                         child_uop.preserves_cf = False
                         child_uop.flags_src = None
                     changes += 1
-                elif child_uop.op is UopOp.ADD and child_uop.src_b is not None:
+                elif child_uop.op is _ADD and child_uop.src_b is not None:
                     # child = y + (root + delta) -> LEA(y, root, 1, delta)
                     if child_uop.writes_flags and not ctx.flags_dead(buf, child):
                         continue
@@ -152,13 +152,14 @@ class Reassociation(Pass):
     ) -> int:
         """Fold ``lea dst, [a + b*s + d]`` into index-free memory children."""
         changes = 0
+        ref = DefRef(uop.slot)
         for child in sorted(buf.children_of(uop.slot)):
             if not ctx.can_fold(buf, uop.slot, child):
                 continue
             child_uop = buf.uops[child]
-            if child_uop.op not in (UopOp.LOAD, UopOp.STORE):
+            if child_uop.op not in MEM_OPS:
                 continue
-            if child_uop.src_a == DefRef(uop.slot) and child_uop.src_b is None:
+            if child_uop.src_a == ref and child_uop.src_b is None:
                 buf.rewrite_operand(child, "src_a", uop.src_a)
                 buf.rewrite_operand(child, "src_b", uop.src_b)
                 child_uop.scale = uop.scale

@@ -14,9 +14,12 @@ high-order bits the memory round-trip discards.
 
 from __future__ import annotations
 
+from repro.uops.uop import UopOp
 from repro.optimizer.buffer import OptimizationBuffer
 from repro.optimizer.passes.base import OptContext, Pass
-from repro.optimizer.alias import AliasClass, classify_alias, observed_disjoint, same_address
+from repro.optimizer.alias import MUST_ALIAS, NO_ALIAS, classify_alias, observed_disjoint, same_address
+
+_LOAD = UopOp.LOAD  # a global: see ``repro.uops.uop.UopOp``
 
 
 class StoreForwarding(Pass):
@@ -27,7 +30,7 @@ class StoreForwarding(Pass):
         mem_slots = buf.mem_slots()
         for position, slot in enumerate(mem_slots):
             load = buf.uops[slot]
-            if not load.is_load or not load.valid:
+            if load.op is not _LOAD or not load.valid:
                 continue
             if load.size != 4 or load.sign_extend:
                 continue
@@ -60,11 +63,13 @@ class StoreForwarding(Pass):
         position: int,
     ) -> tuple[int, list[int]] | None:
         """Walk earlier stores looking for one covering this load."""
-        load = buf.uops[mem_slots[position]]
+        uops = buf.uops
+        load = uops[mem_slots[position]]
         speculative: list[int] = []
-        for earlier_slot in reversed(mem_slots[:position]):
-            earlier = buf.uops[earlier_slot]
-            if not earlier.valid or earlier.is_load:
+        for index in range(position - 1, -1, -1):
+            earlier_slot = mem_slots[index]
+            earlier = uops[earlier_slot]
+            if not earlier.valid or earlier.op is _LOAD:
                 continue
             if (
                 same_address(earlier, load)
@@ -73,9 +78,9 @@ class StoreForwarding(Pass):
             ):
                 return earlier_slot, speculative
             verdict = classify_alias(earlier, load)
-            if verdict is AliasClass.NO:
+            if verdict is NO_ALIAS:
                 continue
-            if verdict is AliasClass.MUST:
+            if verdict is MUST_ALIAS:
                 return None  # partial overlap: memory must supply the bytes
             if ctx.speculation and observed_disjoint(earlier, load):
                 speculative.append(earlier_slot)

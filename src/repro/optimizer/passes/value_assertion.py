@@ -13,21 +13,24 @@ from repro.uops.uop import UopOp
 from repro.optimizer.buffer import OptimizationBuffer
 from repro.optimizer.passes.base import OptContext, Pass
 
+_FUSABLE = frozenset({UopOp.SUB, UopOp.AND})
+_ASSERT = UopOp.ASSERT  # a global: see ``repro.uops.uop.UopOp``
+
 
 class ValueAssertion(Pass):
     name = "asst"
 
     def run(self, buf: OptimizationBuffer, ctx: OptContext) -> int:
         changes = 0
-        for slot in buf.valid_slots():
-            assertion = buf.uops[slot]
-            if assertion.op is not UopOp.ASSERT:
+        for assertion in buf.uops:
+            if assertion.op is not _ASSERT or not assertion.valid:
                 continue
+            slot = assertion.slot
             producer_slot = assertion.flags_src
             if producer_slot is None:
                 continue
             producer = buf.uops[producer_slot]
-            if not producer.valid or producer.op not in (UopOp.SUB, UopOp.AND):
+            if not producer.valid or producer.op not in _FUSABLE:
                 continue
             if producer.preserves_cf:
                 continue  # INC/DEC-style: flag output depends on incoming CF

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.uops.uop import UopOp
 from repro.optimizer.buffer import OptimizationBuffer
 from repro.optimizer.passes.base import OptContext, PassStats
 from repro.optimizer.passes.nop_removal import NopRemoval
@@ -148,8 +149,7 @@ class FrameOptimizer:
             speculation=self.config.speculation,
             metrics=self.metrics,
         )
-        uops_before = buffer.valid_count()
-        loads_before = buffer.load_count()
+        uops_before, loads_before = _counts(buffer)
         for _ in range(MAX_ITERATIONS):
             ctx.stats.iterations += 1
             total = 0
@@ -157,10 +157,13 @@ class FrameOptimizer:
                 total += pass_obj(buffer, ctx)
             if not total:
                 break
+        uops_after, loads_after = _counts(buffer)
         return OptimizationResult(
-            uops_before=uops_before,
-            uops_after=buffer.valid_count(),
-            loads_before=loads_before,
-            loads_after=buffer.load_count(),
-            stats=ctx.stats,
+            uops_before, uops_after, loads_before, loads_after, ctx.stats
         )
+
+
+def _counts(buffer: OptimizationBuffer) -> tuple[int, int]:
+    """Valid uops and valid loads, in one scan."""
+    ops = [uop.op for uop in buffer.uops if uop.valid]
+    return len(ops), ops.count(UopOp.LOAD)

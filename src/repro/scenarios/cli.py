@@ -16,6 +16,7 @@ import json
 import sys
 
 from repro.artifacts.store import ArtifactStore
+from repro.harness.cli import positive_int
 from repro.metrics import emit_run_ledger
 
 
@@ -34,7 +35,7 @@ def scenarios_main(argv: list[str]) -> int:
         "--config", default="RPO",
         help="replay-frontend config name (RP or RPO; default RPO)",
     )
-    char_p.add_argument("--scale", type=int, default=None)
+    char_p.add_argument("--scale", type=positive_int, default=None)
     char_p.add_argument("--seed", type=int, default=1)
     char_p.add_argument(
         "--json", action="store_true", help="emit the report as JSON"

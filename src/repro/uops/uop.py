@@ -98,6 +98,9 @@ class UopOp(enum.Enum):
 
     # Identity hash: Enum.__hash__ runs Python code on every set or dict
     # lookup, and the optimizer and oracle loops do millions of them.
+    # Reading ``UopOp.ADD`` is slow too (about ten times a module global
+    # under CPython 3.11's ``EnumType.__getattr__``), so per-uop loops
+    # test module-level names and frozensets instead.
     __hash__ = object.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -154,6 +157,8 @@ CONTROL_OPS = frozenset({UopOp.BR, UopOp.JMP, UopOp.JMPI})
 #: Shift opcodes whose flag output merges with the incoming flag word.
 FLAG_SHIFT_OPS = frozenset({UopOp.SHL, UopOp.SHR, UopOp.SAR})
 
+_COND_READERS = frozenset({UopOp.BR, UopOp.ASSERT})  # read the flags
+
 
 def uop_reads_flags(
     op: UopOp,
@@ -175,7 +180,7 @@ def uop_reads_flags(
     * a flag-writing shift whose dynamic count may be zero passes the
       incoming flag word through unchanged, so it depends on it.
     """
-    if cond is not None and op in (UopOp.BR, UopOp.ASSERT):
+    if cond is not None and op in _COND_READERS:
         return True
     if preserves_cf:
         return True

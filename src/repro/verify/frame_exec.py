@@ -81,28 +81,20 @@ def execute_frame(
                 f"use of unset flags slot {uop.flags_src}"
             ) from None
 
-    def address_of(uop: OptUop) -> int:
-        address = uop.imm or 0
-        if uop.src_a is not None:
-            address += value_of(uop.src_a)
-        if uop.src_b is not None:
-            address += value_of(uop.src_b) * uop.scale
-        return address & MASK32
-
     fired_slot: int | None = None
     for uop in buffer.uops:
         if not uop.valid:
             continue
         op = uop.op
         if op is _STORE:
-            address = address_of(uop)
+            address = _address(uop, value_of)
             size = uop.size
             value = value_of(uop.src_data) & ((1 << (8 * size)) - 1)
             for i in range(size):
                 local_memory[(address + i) & MASK32] = (value >> (8 * i)) & 0xFF
             stores.append((address, size, value))
         elif op is _LOAD:
-            address = address_of(uop)
+            address = _address(uop, value_of)
             size = uop.size
             value = 0
             for i in range(size):
@@ -120,7 +112,7 @@ def execute_frame(
                 value = to_signed(value, 8 * size) & MASK32
             slot_values[uop.slot] = value
         else:
-            result, flags = _evaluate(uop, value_of, flags_of, address_of)
+            result, flags = _HANDLERS.get(op, _unimplemented)(uop, value_of, flags_of)
             if result is _FIRE:
                 fired_slot = uop.slot
                 break
@@ -153,130 +145,152 @@ def execute_frame(
 
 
 _FIRE = object()  # sentinel returned by firing assertions
+# Opcodes tested per uop, as globals (see ``repro.uops.uop.UopOp``).
 _LOAD, _STORE = UopOp.LOAD, UopOp.STORE
+_ADD, _SUB, _MUL, _AND, _OR = UopOp.ADD, UopOp.SUB, UopOp.MUL, UopOp.AND, UopOp.OR
+_SHL, _SHR = UopOp.SHL, UopOp.SHR
+_SIGN = 0x8000_0000
 
 
-def _evaluate(uop, value_of, flags_of, address_of):
-    """Evaluate one non-memory uop: returns (value | _FIRE | None,
-    flags | None).  Loads and stores run in :func:`execute_frame`."""
-    op = uop.op
+def _unimplemented(uop, value_of, flags_of):
+    raise FrameExecutionError(f"unimplemented uop {uop}")
 
-    if op in (UopOp.NOP, UopOp.JMP, UopOp.JMPI, UopOp.BR):
-        return None, None
 
-    if op is UopOp.ASSERT:
-        cf, zf, sf, of = flags_of(uop)
-        holds = cond_holds(uop.cond, cf=cf, zf=zf, sf=sf, of=of)
-        return (None if holds else _FIRE), None
+def _assert(uop, value_of, flags_of):
+    cf, zf, sf, of = flags_of(uop)
+    holds = cond_holds(uop.cond, cf=cf, zf=zf, sf=sf, of=of)
+    return (None if holds else _FIRE), None
 
-    if op is UopOp.ASSERT_CMP:
-        a = value_of(uop.src_a) if uop.src_a is not None else 0
-        b = value_of(uop.src_b) if uop.src_b is not None else (uop.imm or 0) & MASK32
-        kind = uop.cmp_kind or UopOp.SUB
-        if kind is UopOp.SUB:
-            result = (a - b) & MASK32
-            flags = (
-                a < b,
-                result == 0,
-                bool(result & 0x8000_0000),
-                to_signed(a) - to_signed(b) != to_signed(result),
-            )
-        else:
-            result = a & b
-            flags = (False, result == 0, bool(result & 0x8000_0000), False)
-        holds = cond_holds(uop.cond, cf=flags[0], zf=flags[1], sf=flags[2], of=flags[3])
-        out_flags = flags if uop.writes_flags else None
-        return (None if holds else _FIRE), out_flags
 
-    if op is UopOp.LIMM:
-        return (uop.imm or 0) & MASK32, None
-    if op is UopOp.MOV:
-        return value_of(uop.src_a), None
-    if op is UopOp.LEA:
-        return address_of(uop), None
-    if op is UopOp.SEXT:
-        return to_signed(value_of(uop.src_a), 8 * uop.size) & MASK32, None
-    if op in (UopOp.DIVQ, UopOp.DIVR):
-        low = value_of(uop.src_a)
-        divisor = to_signed(
-            value_of(uop.src_b) if uop.src_b is not None else (uop.imm or 0)
-        )
-        high = value_of(uop.src_data) if uop.src_data is not None else 0
-        if divisor == 0:
-            raise FrameExecutionError(f"division by zero in {uop}")
-        dividend = to_signed((high << 32) | low, bits=64)
-        quotient = abs(dividend) // abs(divisor)  # exact, toward zero
-        if (dividend < 0) != (divisor < 0):
-            quotient = -quotient
-        if not -0x8000_0000 <= quotient <= 0x7FFF_FFFF:
-            raise FrameExecutionError(f"quotient overflow in {uop}")
-        if op is UopOp.DIVQ:
-            return quotient & MASK32, None
-        return (dividend - quotient * divisor) & MASK32, None
-
-    # ALU group.
+def _assert_cmp(uop, value_of, flags_of):
     a = value_of(uop.src_a) if uop.src_a is not None else 0
-    if op is UopOp.NEG:
-        result = (-a) & MASK32
-        flags = (
-            (a != 0, result == 0, bool(result & 0x8000_0000), a == 0x8000_0000)
-            if uop.writes_flags
-            else None
-        )
-        return result, flags
-    if op is UopOp.NOT:
-        return (~a) & MASK32, None
-    if op in (UopOp.SHL, UopOp.SHR, UopOp.SAR):
-        count = (
-            value_of(uop.src_b) if uop.src_b is not None else (uop.imm or 0)
-        ) & 0x1F
-        if count == 0:
-            flags = _passthrough_flags(uop, flags_of) if uop.writes_flags else None
-            return a, flags
-        if op is UopOp.SHL:
-            result = (a << count) & MASK32
-            cf = bool((a >> (32 - count)) & 1)
-        elif op is UopOp.SHR:
-            result = a >> count
-            cf = bool((a >> (count - 1)) & 1)
-        else:
-            result = (to_signed(a) >> count) & MASK32
-            cf = bool((to_signed(a) >> (count - 1)) & 1)
-        flags = (
-            (cf, result == 0, bool(result & 0x8000_0000), False)
-            if uop.writes_flags
-            else None
-        )
-        return result, flags
-
     b = value_of(uop.src_b) if uop.src_b is not None else (uop.imm or 0) & MASK32
-    if op is UopOp.ADD:
-        result = (a + b) & MASK32
-        cf = a + b > MASK32
-        of = to_signed(a) + to_signed(b) != to_signed(result)
-    elif op is UopOp.SUB:
+    if uop.cmp_kind in (None, _SUB):  # CMP (the default), else TEST
         result = (a - b) & MASK32
-        cf = a < b
-        of = to_signed(a) - to_signed(b) != to_signed(result)
-    elif op is UopOp.AND:
-        result, cf, of = a & b, False, False
-    elif op is UopOp.OR:
-        result, cf, of = a | b, False, False
-    elif op is UopOp.XOR:
-        result, cf, of = a ^ b, False, False
-    elif op is UopOp.MUL:
+        # Signed overflow: the operands' signs differ and the result's
+        # sign differs from the minuend's.
+        of = bool((a ^ b) & (a ^ result) & _SIGN)
+        flags = (a < b, result == 0, bool(result & _SIGN), of)
+    else:
+        result = a & b
+        flags = (False, result == 0, bool(result & _SIGN), False)
+    holds = cond_holds(uop.cond, cf=flags[0], zf=flags[1], sf=flags[2], of=flags[3])
+    return (None if holds else _FIRE), (flags if uop.writes_flags else None)
+
+
+def _divide(uop, value_of, flags_of):
+    low = value_of(uop.src_a)
+    divisor = to_signed(
+        value_of(uop.src_b) if uop.src_b is not None else (uop.imm or 0)
+    )
+    high = value_of(uop.src_data) if uop.src_data is not None else 0
+    if divisor == 0:
+        raise FrameExecutionError(f"division by zero in {uop}")
+    dividend = to_signed((high << 32) | low, bits=64)
+    quotient = abs(dividend) // abs(divisor)  # exact, toward zero
+    if (dividend < 0) != (divisor < 0):
+        quotient = -quotient
+    if not -0x8000_0000 <= quotient <= 0x7FFF_FFFF:
+        raise FrameExecutionError(f"quotient overflow in {uop}")
+    if uop.op is UopOp.DIVQ:
+        return quotient & MASK32, None
+    return (dividend - quotient * divisor) & MASK32, None
+
+
+def _neg(uop, value_of, flags_of):
+    a = value_of(uop.src_a) if uop.src_a is not None else 0
+    result = (-a) & MASK32
+    if not uop.writes_flags:
+        return result, None
+    return result, (a != 0, result == 0, bool(result & _SIGN), a == _SIGN)
+
+
+def _shift(uop, value_of, flags_of):
+    a = value_of(uop.src_a) if uop.src_a is not None else 0
+    count = (
+        value_of(uop.src_b) if uop.src_b is not None else (uop.imm or 0)
+    ) & 0x1F
+    if count == 0:
+        # The flag word passes through unchanged.
+        return a, (flags_of(uop) if uop.writes_flags else None)
+    op = uop.op
+    if op is _SHL:
+        result = (a << count) & MASK32
+        cf = bool((a >> (32 - count)) & 1)
+    elif op is _SHR:
+        result = a >> count
+        cf = bool((a >> (count - 1)) & 1)
+    else:
+        result = (to_signed(a) >> count) & MASK32
+        cf = bool((to_signed(a) >> (count - 1)) & 1)
+    if not uop.writes_flags:
+        return result, None
+    return result, (cf, result == 0, bool(result & _SIGN), False)
+
+
+def _alu(uop, value_of, flags_of):
+    a = value_of(uop.src_a) if uop.src_a is not None else 0
+    b = value_of(uop.src_b) if uop.src_b is not None else (uop.imm or 0) & MASK32
+    op = uop.op
+    if op is _SUB:
+        result = (a - b) & MASK32
+        # Signed overflow: the operands' signs differ and the result's
+        # sign differs from the minuend's.
+        cf, of = a < b, bool((a ^ b) & (a ^ result) & _SIGN)
+    elif op is _ADD:
+        result = (a + b) & MASK32
+        # Signed overflow: the operands' signs agree and the result's differs.
+        cf, of = a + b > MASK32, bool(~(a ^ b) & (a ^ result) & _SIGN)
+    elif op is _MUL:
         full = to_signed(a) * to_signed(b)
         result = full & MASK32
         cf = of = to_signed(result) != full
-    else:  # pragma: no cover - exhaustive
-        raise FrameExecutionError(f"unimplemented uop {uop}")
+    else:
+        result = a & b if op is _AND else a | b if op is _OR else a ^ b
+        cf = of = False
     if not uop.writes_flags:
         return result, None
-    if uop.preserves_cf:
+    if uop.preserves_cf:  # INC/DEC keep the incoming CF
         cf = flags_of(uop)[0]
-    return result, (cf, result == 0, bool(result & 0x8000_0000), of)
+    return result, (cf, result == 0, bool(result & _SIGN), of)
 
 
-def _passthrough_flags(uop, flags_of):
-    """Shift-by-zero: the flag word passes through unchanged."""
-    return flags_of(uop)
+#: The one table of uop value semantics: every non-memory opcode's
+#: handler, called as ``handler(uop, value_of, flags_of)`` and returning
+#: ``(value | _FIRE | None, flags | None)``.  Loads and stores run in
+#: :func:`execute_frame` itself.
+_HANDLERS = {
+    **dict.fromkeys(
+        (UopOp.NOP, UopOp.JMP, UopOp.JMPI, UopOp.BR),
+        lambda uop, value_of, flags_of: (None, None),
+    ),
+    UopOp.ASSERT: _assert,
+    UopOp.ASSERT_CMP: _assert_cmp,
+    UopOp.LIMM: lambda uop, value_of, flags_of: ((uop.imm or 0) & MASK32, None),
+    UopOp.MOV: lambda uop, value_of, flags_of: (value_of(uop.src_a), None),
+    UopOp.LEA: lambda uop, value_of, flags_of: (_address(uop, value_of), None),
+    UopOp.SEXT: lambda uop, value_of, flags_of: (
+        to_signed(value_of(uop.src_a), 8 * uop.size) & MASK32,
+        None,
+    ),
+    UopOp.NEG: _neg,
+    UopOp.NOT: lambda uop, value_of, flags_of: (
+        ~(value_of(uop.src_a) if uop.src_a is not None else 0) & MASK32,
+        None,
+    ),
+    **dict.fromkeys((UopOp.DIVQ, UopOp.DIVR), _divide),
+    **dict.fromkeys((UopOp.SHL, UopOp.SHR, UopOp.SAR), _shift),
+    **dict.fromkeys(
+        (UopOp.ADD, UopOp.SUB, UopOp.AND, UopOp.OR, UopOp.XOR, UopOp.MUL), _alu
+    ),
+}
+
+
+def _address(uop, value_of) -> int:
+    """A memory or LEA uop's effective address."""
+    address = uop.imm or 0
+    if uop.src_a is not None:
+        address += value_of(uop.src_a)
+    if uop.src_b is not None:
+        address += value_of(uop.src_b) * uop.scale
+    return address & MASK32

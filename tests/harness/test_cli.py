@@ -1,6 +1,7 @@
 """Harness CLI (fast experiments only; fig6 etc. covered by benches)."""
 
 import json
+import time
 
 import pytest
 
@@ -191,3 +192,29 @@ def test_scenarios_removed_actions_rejected(capsys):
         main(["scenarios", "gen"])
     assert excinfo.value.code == 2
     assert "invalid choice: 'gen'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fuzz", "run", "--iterations", "0"], "--iterations"),
+        (["fuzz", "run", "--iterations", "2", "--jobs", "-3"], "--jobs"),
+        (["fuzz", "config", "run", "--iterations", "-1"], "--iterations"),
+        (["fuzz", "run", "--jobs", "two"], "--jobs"),
+        (["--scale", "0", "table1"], "--scale"),
+        (["--jobs", "0", "table1"], "--jobs"),
+        (["scenarios", "characterize", "gzip", "--scale", "-2"], "--scale"),
+    ],
+)
+def test_count_flags_below_one_fail_before_any_work(capsys, argv, flag):
+    # A count of 0 used to run nothing and report it clean (a fuzz
+    # campaign printed "no divergences" over the hash of nothing).
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+    assert elapsed < 1.0

@@ -35,12 +35,14 @@ def test_rp_mode_deposits_immediately():
 
 
 def test_optimizer_latency_delays_visibility():
-    cache, queue = queue_with(FrameOptimizer(OptimizerConfig(cycles_per_uop=10)))
+    # A latency other than the default 10, so a queue that ignored its
+    # optimizer's config would fail.
+    cache, queue = queue_with(FrameOptimizer(OptimizerConfig(cycles_per_uop=7)))
     frame = make_frame(0x1000, uop_count=12)
     queue.submit(frame, now=100)
-    queue.drain(now=100)
+    queue.drain(now=100 + 7 * 12 - 1)
     assert cache.lookup(0x1000) is None  # not ready yet
-    queue.drain(now=100 + 10 * 12)
+    queue.drain(now=100 + 7 * 12)
     assert cache.lookup(0x1000) is frame
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import buffer_from_uops
 from repro.uops import Uop, UopOp, UReg
+from repro.verify import frame_exec
 from repro.verify.frame_exec import FrameExecutionError, execute_frame
 from repro.x86.instructions import Cond
 from repro.x86.registers import Flag
@@ -167,3 +168,19 @@ def test_holding_assertion_does_not_fire():
     _, outcome = run(uops)
     assert not outcome.fired and outcome.firing_slot is None
     assert outcome.final_regs[UReg.EDX] == 7
+
+
+# ------------------------------------------------------- dispatch table
+
+
+def test_every_non_memory_op_has_a_handler():
+    # Loads and stores run in execute_frame itself; every other opcode
+    # dispatches through the one handler table.
+    memory_ops = {UopOp.LOAD, UopOp.STORE}
+    assert set(frame_exec._HANDLERS) == set(UopOp) - memory_ops
+
+
+def test_op_without_a_handler_is_an_error(monkeypatch):
+    monkeypatch.delitem(frame_exec._HANDLERS, UopOp.ADD)
+    with pytest.raises(FrameExecutionError, match="unimplemented uop"):
+        run([Uop(UopOp.ADD, dst=UReg.EAX, src_a=UReg.EAX, imm=1)])
