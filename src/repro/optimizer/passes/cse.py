@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.uops.uop import UopOp
 from repro.optimizer.buffer import OptimizationBuffer
-from repro.optimizer.optuop import DefRef, OptUop
+from repro.optimizer.optuop import DefRef
 from repro.optimizer.passes.base import OptContext, Pass
 from repro.optimizer.alias import MUST_ALIAS, NO_ALIAS, classify_alias, observed_disjoint, same_address
 
