@@ -40,7 +40,7 @@ from repro.fuzz.corpus import CorpusError, FuzzCorpus
 from repro.fuzz.generator import program_from_json
 from repro.fuzz.oracle import run_differential
 from repro.fuzz.shrink import shrink_case
-from repro.harness.cli import positive_int
+from repro.harness.cli import add_cache_flags, add_stats_flags, positive_int
 
 #: Per-axis campaign report: the headline, and a suffix to the rate
 #: line, both formatted over the result's totals.
@@ -100,18 +100,8 @@ def fuzz_main(argv: list[str]) -> int:
     corpus_p.add_argument("corpus_action", choices=("ls",))
 
     for p in (run_p, config_run_p, repro_p, corpus_p):
-        p.add_argument(
-            "--cache-dir",
-            default=None,
-            help="artifact cache root (default: $REPRO_UOPT_CACHE_DIR "
-            "or ~/.cache/repro-uopt)",
-        )
-        p.add_argument(
-            "--emit-stats",
-            metavar="FILE",
-            default=None,
-            help="write a versioned JSON run ledger to FILE after the run",
-        )
+        add_cache_flags(p)
+        add_stats_flags(p)
 
     args = parser.parse_args(argv)
     store = ArtifactStore(args.cache_dir)

@@ -25,8 +25,10 @@ and warm runs, and with or without ``--emit-stats``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
+from repro.artifacts.runner import MatrixTaskError
 from repro.artifacts.store import ArtifactStore
 from repro.harness import figures, report
 from repro.metrics import (
@@ -35,6 +37,7 @@ from repro.metrics import (
     format_ledger,
     read_ledger,
 )
+from repro.workloads import WorkloadError
 
 EXPERIMENTS = ("table1", "table2", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "table3")
 
@@ -71,7 +74,18 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+def stats_path(text: str) -> str:
+    """Argparse type of ``--emit-stats``: a file in an existing, writable
+    directory, so a bad path exits 2 before the run rather than after it."""
+    directory = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"no such directory: {directory}")
+    if not os.access(directory, os.W_OK):
+        raise argparse.ArgumentTypeError(f"directory not writable: {directory}")
+    return text
+
+
+def add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
@@ -80,10 +94,11 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_stats_flags(parser: argparse.ArgumentParser) -> None:
+def add_stats_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--emit-stats",
         metavar="FILE",
+        type=stats_path,
         default=None,
         help="write a versioned JSON run ledger to FILE after the run",
     )
@@ -96,8 +111,8 @@ def cache_main(argv: list[str]) -> int:
         description="Inspect or reset the artifact cache.",
     )
     parser.add_argument("action", choices=("stats", "clear"))
-    _add_cache_flags(parser)
-    _add_stats_flags(parser)
+    add_cache_flags(parser)
+    add_stats_flags(parser)
     args = parser.parse_args(argv)
 
     store = ArtifactStore(args.cache_dir)
@@ -184,8 +199,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="bypass the artifact store: recompute everything, write nothing",
     )
-    _add_cache_flags(parser)
-    _add_stats_flags(parser)
+    add_cache_flags(parser)
+    add_stats_flags(parser)
     args = parser.parse_args(argv)
 
     store = None if args.no_cache else ArtifactStore(args.cache_dir)
@@ -193,9 +208,17 @@ def main(argv: list[str] | None = None) -> int:
         scale=args.scale, seed=args.seed, store=store, jobs=args.jobs
     )
     names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    for name in names:
-        print(_render(name, matrix))
-        print()
+    try:
+        for name in names:
+            print(_render(name, matrix))
+            print()
+    except (WorkloadError, MatrixTaskError) as exc:
+        # A matrix cell raises the overrun as a MatrixTaskError's cause.
+        overrun = exc.__cause__ if isinstance(exc, MatrixTaskError) else exc
+        if not isinstance(overrun, WorkloadError):
+            raise
+        print(f"error: WorkloadError: {overrun}", file=sys.stderr)
+        return 1
     print(matrix.summary(), file=sys.stderr)
     if args.emit_stats:
         emit_run_ledger(args.emit_stats, argv, names, matrix)

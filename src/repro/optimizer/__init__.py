@@ -2,12 +2,6 @@
 
 from repro.optimizer.alias import AliasClass, classify_alias, observed_disjoint, same_address
 from repro.optimizer.buffer import BufferError, OptimizationBuffer
-from repro.optimizer.datapath import (
-    InstrumentedBuffer,
-    PrimitiveCounts,
-    check_latency_budget,
-    instrument,
-)
 from repro.optimizer.optuop import DefRef, LiveIn, Operand, OptUop
 from repro.optimizer.pipeline import FrameOptimizer, OptimizationResult, OptimizerConfig
 from repro.optimizer.passes.base import OptContext, Pass, PassStats
@@ -17,11 +11,7 @@ __all__ = [
     "BufferError",
     "DefRef",
     "FrameOptimizer",
-    "InstrumentedBuffer",
     "LiveIn",
-    "PrimitiveCounts",
-    "check_latency_budget",
-    "instrument",
     "OptContext",
     "OptimizationBuffer",
     "OptimizationResult",

@@ -177,16 +177,6 @@ class OptimizationBuffer:
         """Valid memory uops in frame order (memory order is preserved)."""
         return [u.slot for u in self.uops if u.op in MEM_OPS and u.valid]
 
-    def parent(self, operand: Operand) -> OptUop | None:
-        """Parent Logic: the uop that produced an operand (None for live-ins)."""
-        if isinstance(operand, DefRef):
-            return self.uops[operand.slot]
-        return None
-
-    def children_of(self, slot: int) -> set[int]:
-        """Next Child Logic: slots consuming this slot's value."""
-        return set(self.value_children[slot])
-
     # ------------------------------------------------------- mutation
 
     def rewrite_operand(self, slot: int, fld: str, new: Operand | None) -> None:

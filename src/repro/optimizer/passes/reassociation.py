@@ -61,7 +61,7 @@ class Reassociation(Pass):
         source = uop.src_a
         slot = uop.slot
         changes = 0
-        for child in sorted(buf.children_of(slot)):
+        for child in sorted(buf.value_children[slot]):
             if not ctx.can_fold(buf, slot, child):
                 continue
             child_uop = buf.uops[child]
@@ -91,7 +91,7 @@ class Reassociation(Pass):
         assert root is not None
         changes = 0
         ref = DefRef(uop.slot)
-        for child in sorted(buf.children_of(uop.slot)):
+        for child in sorted(buf.value_children[uop.slot]):
             if not ctx.can_fold(buf, uop.slot, child):
                 continue
             child_uop = buf.uops[child]
@@ -153,7 +153,7 @@ class Reassociation(Pass):
         """Fold ``lea dst, [a + b*s + d]`` into index-free memory children."""
         changes = 0
         ref = DefRef(uop.slot)
-        for child in sorted(buf.children_of(uop.slot)):
+        for child in sorted(buf.value_children[uop.slot]):
             if not ctx.can_fold(buf, uop.slot, child):
                 continue
             child_uop = buf.uops[child]

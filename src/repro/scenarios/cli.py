@@ -16,8 +16,9 @@ import json
 import sys
 
 from repro.artifacts.store import ArtifactStore
-from repro.harness.cli import positive_int
+from repro.harness.cli import add_cache_flags, add_stats_flags, positive_int
 from repro.metrics import emit_run_ledger
+from repro.workloads import WorkloadError
 
 
 def scenarios_main(argv: list[str]) -> int:
@@ -40,18 +41,8 @@ def scenarios_main(argv: list[str]) -> int:
     char_p.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
-    char_p.add_argument(
-        "--cache-dir",
-        default=None,
-        help="artifact cache root (default: $REPRO_UOPT_CACHE_DIR "
-        "or ~/.cache/repro-uopt)",
-    )
-    char_p.add_argument(
-        "--emit-stats",
-        metavar="FILE",
-        default=None,
-        help="write a versioned JSON run ledger to FILE after the run",
-    )
+    add_cache_flags(char_p)
+    add_stats_flags(char_p)
     args = parser.parse_args(argv)
 
     store = ArtifactStore(args.cache_dir)
@@ -86,6 +77,9 @@ def _characterize(args, store: ArtifactStore) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    except WorkloadError as exc:
+        print(f"error: WorkloadError: {exc}", file=sys.stderr)
+        return 1
     report = characterize(trace, config, workload_name=args.workload)
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))

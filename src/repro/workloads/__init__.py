@@ -2,6 +2,7 @@
 
 from repro.workloads.base import (
     Workload,
+    WorkloadError,
     all_workloads,
     build_workload,
     get_workload,
@@ -10,6 +11,7 @@ from repro.workloads.base import (
 
 __all__ = [
     "Workload",
+    "WorkloadError",
     "all_workloads",
     "build_workload",
     "get_workload",

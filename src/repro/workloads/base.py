@@ -46,6 +46,22 @@ class Workload:
     paper_ipc_gain: float = 0.0
 
 
+class WorkloadError(Exception):
+    """A workload ran past its emulation budget without exiting."""
+
+    def __init__(self, workload: str, scale: int, budget: int):
+        # The fields are the args, so the error pickles across a pool.
+        super().__init__(workload, scale, budget)
+        self.workload, self.scale, self.budget = workload, scale, budget
+
+    def __str__(self) -> str:
+        return (
+            f"workload {self.workload!r} at scale {self.scale} did not finish "
+            f"within its emulation budget of {self.budget} instructions; "
+            "lower its scale"
+        )
+
+
 _REGISTRY: dict[str, Workload] = {}
 
 
@@ -85,16 +101,13 @@ def build_workload(
     """
     registry = metrics if metrics is not None else get_registry()
     workload = get_workload(name)
-    program = workload.build(scale or workload.default_scale, seed)
-    emulator = Emulator(program)
+    scale = scale or workload.default_scale
+    emulator = Emulator(workload.build(scale, seed))
     start = time.perf_counter()
     records = emulator.run(max_instructions)
     elapsed = time.perf_counter() - start
     if not emulator.halted:
-        raise RuntimeError(
-            f"workload {name!r} did not finish within {max_instructions} "
-            f"instructions; lower its scale"
-        )
+        raise WorkloadError(name, scale, max_instructions)
     registry.counter("emulator.runs").inc()
     registry.counter("emulator.instructions").inc(len(records))
     registry.histogram("time.emulate").observe(elapsed)

@@ -114,14 +114,6 @@ class Emulator:
     sf = property(lambda self: unpack_flags(self._flags[0])[2])
     of = property(lambda self: unpack_flags(self._flags[0])[3])
 
-    def reg_snapshot(self) -> tuple[int, ...]:
-        """Copy of the architectural register file."""
-        return tuple(self.regs)
-
-    def mem_address(self, operand: Mem) -> int:
-        """Effective address of a memory operand under current registers."""
-        return _address(self.regs, operand)()
-
     @property
     def halted(self) -> bool:
         return self.pc == EXIT_ADDRESS

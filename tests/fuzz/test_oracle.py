@@ -48,7 +48,7 @@ def test_walk_trace_keeps_the_true_state_before_each_record():
         assert len(before) == len(records)
         stepper = Emulator(program)
         for i, state in enumerate(before):
-            expected = (stepper.reg_snapshot(), stepper.flags_word())
+            expected = (tuple(stepper.regs), stepper.flags_word())
             assert state == expected, (index, i)
             stepper.step()
         assert after.regs == list(stepper.regs)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.artifacts import runner
 from repro.artifacts.store import ArtifactStore, content_key
 from repro.harness.cli import EXPERIMENTS, cache_main, main
 from repro.metrics import read_ledger
@@ -209,6 +210,30 @@ def test_scenarios_removed_actions_rejected(capsys):
 def test_count_flags_below_one_fail_before_any_work(capsys, argv, flag):
     # A count of 0 used to run nothing and report it clean (a fuzz
     # campaign printed "no divergences" over the hash of nothing).
+    _assert_usage_error(capsys, argv, flag)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["all"],
+        ["cache", "stats"],
+        ["fuzz", "run"],
+        ["scenarios", "characterize", "gzip"],
+    ],
+)
+def test_emit_stats_into_missing_directory_fails_before_any_work(
+    capsys, tmp_path, argv
+):
+    # The ledger used to be written after the run, so a bad path ran the
+    # whole command and then died with a FileNotFoundError traceback.
+    ledger = tmp_path / "missing" / "run.json"
+    argv = argv + ["--cache-dir", str(tmp_path), "--emit-stats", str(ledger)]
+    _assert_usage_error(capsys, argv, "--emit-stats")
+    assert not (tmp_path / "missing").exists()
+
+
+def _assert_usage_error(capsys, argv, flag):
     start = time.perf_counter()
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -218,3 +243,25 @@ def test_count_flags_below_one_fail_before_any_work(capsys, argv, flag):
     assert f"argument {flag}:" in err
     assert "Traceback" not in err
     assert elapsed < 1.0
+
+
+def test_budget_overrun_prints_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(runner, "MAX_INSTRUCTIONS", 100)
+    assert main(["table1", "--no-cache"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: WorkloadError: workload ")
+    assert "emulation budget of 100 instructions" in lines[0]
+
+
+def test_scenarios_budget_overrun_prints_one_line(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(runner, "MAX_INSTRUCTIONS", 100)
+    argv = ["scenarios", "characterize", "gzip", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: WorkloadError: workload 'gzip' at scale 1 did not finish "
+        "within its emulation budget of 100 instructions; lower its scale\n"
+    )

@@ -61,12 +61,6 @@ def test_dependency_lists_populated():
     assert buf.value_children[1] == {2}
 
 
-def test_parent_lookup_is_slot_indexing():
-    buf = buffer_from_uops(simple_uops())
-    assert buf.parent(DefRef(1)) is buf.uops[1]
-    assert buf.parent(LiveIn(UReg.ECX)) is None
-
-
 def test_undefined_temp_rejected():
     with pytest.raises(BufferError, match="undefined temporary"):
         buffer_from_uops([Uop(UopOp.MOV, dst=UReg.EAX, src_a=UReg.ET0)])

@@ -4,7 +4,12 @@ import pytest
 
 from collections import Counter
 
-from repro.workloads import all_workloads, build_workload, get_workload
+from repro.workloads import (
+    WorkloadError,
+    all_workloads,
+    build_workload,
+    get_workload,
+)
 
 
 def test_fourteen_workloads_registered():
@@ -26,6 +31,17 @@ def test_paper_names_present():
 def test_unknown_workload_raises():
     with pytest.raises(KeyError, match="unknown workload"):
         get_workload("doom")
+
+
+def test_budget_overrun_names_workload_scale_and_budget():
+    with pytest.raises(WorkloadError) as excinfo:
+        build_workload("gzip", scale=3, max_instructions=100)
+    error = excinfo.value
+    assert (error.workload, error.scale, error.budget) == ("gzip", 3, 100)
+    assert str(error) == (
+        "workload 'gzip' at scale 3 did not finish within its emulation "
+        "budget of 100 instructions; lower its scale"
+    )
 
 
 def test_paper_reference_numbers_recorded():
